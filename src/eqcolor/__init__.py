@@ -1,83 +1,23 @@
 """Exact equitable graph coloring: DSATUR-style branch and bound with
 flow-based and arithmetic Hall-condition pruning, plus brute-force oracles
-and a benchmark harness."""
+and a benchmark harness.
 
-from .coloring import (
-    PartialColoring,
-    candidate_k0_values,
-    class_size_profile,
-    is_equitable,
-    deficit_prune,
-)
-from .decomposition import (
-    CliqueDecomposition,
-    find_non_adjacent_cliques,
-    restarted_decomposition,
-)
-from .flownet import (
-    FlowNetwork,
-    FlowResult,
-    build_network,
-    extract_coloring,
-    feasible_flow,
-    flow_prune,
-)
-from .graph import DimacsError, Graph, gen_gnp, greedy_maximal_clique, parse_dimacs, write_dimacs
-from .hallrules import (
-    HallContext,
-    check_clique_hall,
-    check_negative_single_and_complement,
-    check_positive_complement,
-    check_positive_single,
-    comb_prune,
-)
-from .oracle import (
-    OracleCapError,
-    OracleLimits,
-    brute_chi_eq,
-    brute_extendable,
-    enumerate_hoffman,
-    hoffman_slack,
-)
-from .solver import SearchStats, Solution, SolverConfig, initial_bounds, solve
+The package namespace holds the user-facing API; the engines, the oracles
+and the benchmark families are imported from their own modules
+(`eqcolor.flownet`, `eqcolor.hallrules`, `eqcolor.oracle`, ...)."""
+
+from .graph import DimacsError, Graph, gen_gnp, parse_dimacs, write_dimacs
+from .solver import SearchStats, Solution, SolverConfig, solve
 
 __all__ = [
-    "CliqueDecomposition",
     "DimacsError",
-    "FlowNetwork",
-    "FlowResult",
     "Graph",
-    "HallContext",
-    "OracleCapError",
-    "OracleLimits",
-    "PartialColoring",
     "SearchStats",
     "Solution",
     "SolverConfig",
-    "brute_chi_eq",
-    "brute_extendable",
-    "build_network",
-    "candidate_k0_values",
-    "check_clique_hall",
-    "check_negative_single_and_complement",
-    "check_positive_complement",
-    "check_positive_single",
-    "class_size_profile",
-    "comb_prune",
-    "enumerate_hoffman",
-    "extract_coloring",
-    "feasible_flow",
-    "find_non_adjacent_cliques",
-    "flow_prune",
     "gen_gnp",
-    "greedy_maximal_clique",
-    "hoffman_slack",
-    "initial_bounds",
-    "is_equitable",
     "parse_dimacs",
-    "restarted_decomposition",
     "solve",
-    "deficit_prune",
     "write_dimacs",
 ]
 

@@ -75,8 +75,9 @@ def cmd_solve(args) -> int:
     print(f"nodes:           {stats.nodes}")
     print(f"prunes_deficit:  {stats.prunes_deficit}")
     print(f"prunes_flow:     {stats.prunes_flow}")
-    hall = ",".join(f"{k}={v}" for k, v in sorted(stats.prunes_hall_by_rule.items()))
-    print(f"prunes_hall:     {hall or 0}")
+    print(f"prunes_hall:     {stats.prunes_hall}")
+    firings = ",".join(f"{k}={v}" for k, v in sorted(stats.rule_firings.items()))
+    print(f"rule_firings:    {firings or 0}")
     print(f"flow_solves:     {stats.flow_solves}")
     print(f"time_s:          {stats.elapsed:.3f}")
     return EXIT_OK if sol.optimal else EXIT_TIMEOUT
@@ -92,7 +93,7 @@ DATA_HEADER = [
     "nodes",
     "time_s",
     "timed_out",
-    "prunes_t1",
+    "prunes_deficit",
     "prunes_flow",
     "prunes_hall",
 ]
@@ -125,7 +126,7 @@ def run_bench(spec: BenchSpec, out_path: str) -> tuple[str, str]:
                             "nodes": stats.nodes,
                             "time_s": f"{stats.elapsed:.6f}",
                             "timed_out": int(stats.timed_out),
-                            "prunes_t1": stats.prunes_deficit,
+                            "prunes_deficit": stats.prunes_deficit,
                             "prunes_flow": stats.prunes_flow,
                             "prunes_hall": stats.prunes_hall,
                         }
@@ -250,7 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algo", choices=VARIANTS, default="comb")
     p_solve.add_argument("--time-limit", type=float, default=3600.0)
     p_solve.add_argument("--cd-stride", type=int, default=1)
-    p_solve.add_argument("--seed", type=int, default=0)
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run a seeded G(n,p) campaign to CSV")

@@ -46,7 +46,6 @@ class PartialColoring:
         "n",
         "k_cap",
         "color_of",
-        "classes",
         "class_size",
         "uncolored",
         "conflicts",
@@ -65,7 +64,6 @@ class PartialColoring:
         self.n = n
         self.k_cap = k_cap
         self.color_of = [-1] * n
-        self.classes = [[] for _ in range(k_cap)]
         self.class_size = [0] * k_cap
         self.uncolored = set(range(n))
         self.conflicts = [[0] * k_cap for _ in range(n)]
@@ -96,7 +94,6 @@ class PartialColoring:
         assert not (self.forbidden_mask[v] >> i) & 1, f"color {i} forbidden for {v}"
         self.color_of[v] = i
         self.uncolored.remove(v)
-        self.classes[i].append(v)
         s = self.class_size[i]
         self.class_size[i] = s + 1
         if s == 0:
@@ -123,8 +120,6 @@ class PartialColoring:
         v, i = self._trail.pop()
         self.color_of[v] = -1
         self.uncolored.add(v)
-        popped = self.classes[i].pop()
-        assert popped == v, "retract must mirror extend order (LIFO)"
         s = self.class_size[i]
         self.class_size[i] = s - 1
         self._size_hist[s] -= 1

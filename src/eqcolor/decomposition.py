@@ -32,12 +32,6 @@ class CliqueDecomposition:
         if self.residual:
             yield tuple(sorted(self.residual)), len(self.residual)
 
-    def vertices(self) -> set[int]:
-        out = set(self.residual)
-        for c in self.cliques:
-            out.update(c)
-        return out
-
     def restricted_to(self, uncolored) -> "CliqueDecomposition":
         """Project onto a new uncolored set: a clique minus colored members
         stays a clique; parts shrunk below size 2 and any vertices this

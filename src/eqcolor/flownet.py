@@ -1,4 +1,4 @@
-"""Extendability testing via feasible flows.
+"""Extendability testing via feasible flows: the search's hot path.
 
 The network for a partial coloring, a decomposition of the uncolored set U
 into parts U^1..U^l (cliques, residual last) and a color budget k0 is
@@ -8,7 +8,9 @@ free color, that a clique can contribute at most one vertex per color, and
 that every color class must end up at floor(n/k0) or ceil(n/k0) vertices.
 The partial coloring extends to an equitable k0-coloring only if this
 network carries a flow of value |U|; when the residual part is empty the
-condition is exact and the flow decodes back into a coloring.
+condition is exact. The literal network, built arc by arc with its lower
+bounds, is the test oracle in `eqcolor.oracle`; this module decides the
+same question with a greedy witness and at most one max-flow.
 """
 
 from __future__ import annotations
@@ -18,287 +20,68 @@ from .decomposition import CliqueDecomposition
 from . import hallrules
 
 
-class FlowNetwork:
-    """Layered network with per-arc [lower, upper] bounds.
-
-    Node ids: source=0, then U nodes, then F nodes (part-major, color-minor),
-    then C nodes, then sink. `arcs` is a flat list of
-    (tail, head, lower, upper) in A1, A2, A3, A4 order.
-    """
-
-    __slots__ = (
-        "n_graph",
-        "k0",
-        "floor_size",
-        "ceil_size",
-        "class_sizes",
-        "parts",
-        "alphas",
-        "u_vertices",
-        "u_node",
-        "source",
-        "sink",
-        "num_nodes",
-        "arcs",
-        "a2_info",
-        "a1_count",
-        "a2_count",
-        "a3_count",
-        "value_target",
-    )
-
-    def f_node(self, part: int, color: int) -> int:
-        return 1 + len(self.u_vertices) + part * self.k0 + color
-
-    def c_node(self, color: int) -> int:
-        return 1 + len(self.u_vertices) + len(self.parts) * self.k0 + color
-
-    def internal_node_count(self) -> int:
-        """Nodes other than source and sink (U, F and C layers)."""
-        return self.num_nodes - 2
-
-    def dump(self) -> str:
-        """Debug text format: one `tail head lower upper` line per arc."""
-        return "\n".join(f"{t} {h} {lo} {up}" for t, h, lo, up in self.arcs) + "\n"
-
-
-class FlowResult:
-    __slots__ = ("feasible", "flow")
-
-    def __init__(self, feasible: bool, flow: list[int] | None):
-        self.feasible = feasible
-        self.flow = flow
-
-    def __repr__(self):
-        return f"FlowResult(feasible={self.feasible})"
-
-
-def build_network(
-    pc: PartialColoring, decomp: CliqueDecomposition, k0: int
-) -> FlowNetwork:
-    """Assemble the extendability network for (pc, decomp, k0).
-
-    Raises ValueError when k0 < k_used, when the largest class already
-    exceeds ceil(n/k0) (the caller must treat that as infeasible without
-    building), or when the decomposition does not cover the uncolored set.
-    Lower bounds on the color->sink arcs are clamped at 0: a class already
-    at ceil(n/k0) would otherwise get a vacuous negative bound.
-    """
-    n = pc.n
-    ceil_size = -(-n // k0)
-    floor_size = n // k0
-    if k0 < pc.k_used:
-        raise ValueError(f"k0={k0} below the {pc.k_used} classes already in use")
-    if pc.M > ceil_size:
-        raise ValueError(f"class of size {pc.M} exceeds ceil(n/k0)={ceil_size}")
-    parts = []
-    alphas = []
-    for vertices, alpha in decomp.parts():
-        parts.append(tuple(vertices))
-        alphas.append(alpha)
-    u_vertices = [v for part in parts for v in part]
-    if len(u_vertices) != len(pc.uncolored) or set(u_vertices) != pc.uncolored:
-        raise ValueError("decomposition does not cover the uncolored set exactly")
-
-    net = FlowNetwork()
-    net.n_graph = n
-    net.k0 = k0
-    net.floor_size = floor_size
-    net.ceil_size = ceil_size
-    net.class_sizes = [
-        pc.class_size[i] if i < pc.k_cap else 0 for i in range(k0)
-    ]
-    net.parts = parts
-    net.alphas = alphas
-    net.u_vertices = u_vertices
-    net.u_node = {v: 1 + idx for idx, v in enumerate(u_vertices)}
-    nu = len(u_vertices)
-    net.source = 0
-    net.sink = 1 + nu + len(parts) * k0 + k0
-    net.num_nodes = net.sink + 1
-    net.value_target = nu
-
-    arcs = []
-    a2_info = []
-    for v in u_vertices:
-        arcs.append((0, net.u_node[v], 0, 1))
-    net.a1_count = nu
-    for j, part in enumerate(parts):
-        f_base = 1 + nu + j * k0
-        for v in part:
-            node_v = net.u_node[v]
-            mask = pc.free_mask(v, k0)
-            while mask:
-                bit = mask & -mask
-                i = bit.bit_length() - 1
-                mask ^= bit
-                arcs.append((node_v, f_base + i, 0, 1))
-                a2_info.append((v, i))
-    net.a2_count = len(arcs) - nu
-    for j in range(len(parts)):
-        f_base = 1 + nu + j * k0
-        alpha = alphas[j]
-        for i in range(k0):
-            arcs.append((f_base + i, net.c_node(i), 0, alpha))
-    net.a3_count = len(parts) * k0
-    for i in range(k0):
-        size = net.class_sizes[i]
-        lo = floor_size - size
-        if lo < 0:
-            lo = 0
-        arcs.append((net.c_node(i), net.sink, lo, ceil_size - size))
-    net.arcs = arcs
-    net.a2_info = a2_info
-    return net
-
-
-class _Dinic:
-    """Array-based max-flow; arc i and its reverse i^1 are paired."""
-
-    __slots__ = ("n", "to", "cap", "adj")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.to = []
-        self.cap = []
-        self.adj = [[] for _ in range(n)]
-
-    def add(self, u: int, v: int, c: int) -> int:
-        a = len(self.to)
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[u].append(a)
-        self.to.append(u)
-        self.cap.append(0)
-        self.adj[v].append(a + 1)
-        return a
-
-    def flow_on(self, a: int) -> int:
-        return self.cap[a ^ 1]
-
-    def disable(self, a: int) -> None:
-        self.cap[a] = 0
-        self.cap[a ^ 1] = 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        to, cap, adj = self.to, self.cap, self.adj
-        n = self.n
-        total = 0
-        while True:
-            level = [-1] * n
-            level[s] = 0
-            queue = [s]
-            for v in queue:
-                lv = level[v] + 1
-                for a in adj[v]:
-                    w = to[a]
-                    if cap[a] > 0 and level[w] < 0:
-                        level[w] = lv
-                        queue.append(w)
-            if level[t] < 0:
-                return total
-            it = [0] * n
-            total += self._blocking_flow(s, t, level, it)
-
-    def _blocking_flow(self, s, t, level, it):
-        to, cap, adj = self.to, self.cap, self.adj
-        pushed = 0
-        path = []
-        v = s
-        while True:
-            if v == t:
-                f = min(cap[a] for a in path)
-                pushed += f
-                cut = None
-                for idx, a in enumerate(path):
-                    cap[a] -= f
-                    cap[a ^ 1] += f
-                    if cut is None and cap[a] == 0:
-                        cut = idx
-                del path[cut:]
-                v = to[path[-1]] if path else s
-                continue
-            advanced = False
-            arcs_here = adj[v]
-            i = it[v]
-            lv1 = level[v] + 1
-            while i < len(arcs_here):
-                a = arcs_here[i]
+def _max_flow(to: list, cap: list, adj: list, s: int, t: int) -> int:
+    """Dinic max-flow on paired arc arrays: arc a runs to `to[a]` with
+    residual capacity `cap[a]`, its reverse is a ^ 1, and `adj[v]` lists
+    the arcs leaving v. Augments `cap` in place; returns the value added."""
+    n = len(adj)
+    total = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for v in queue:
+            lv = level[v] + 1
+            for a in adj[v]:
                 w = to[a]
-                if cap[a] > 0 and level[w] == lv1:
-                    advanced = True
-                    break
-                i += 1
-            it[v] = i
-            if advanced:
-                path.append(a)
-                v = w
-            else:
-                if v == s:
-                    return pushed
-                level[v] = -1
-                a = path.pop()
-                v = to[a ^ 1]
-                it[v] += 1
+                if cap[a] > 0 and level[w] < 0:
+                    level[w] = lv
+                    queue.append(w)
+        if level[t] < 0:
+            return total
+        total += _blocking_flow(to, cap, adj, s, t, level)
 
 
-def feasible_flow(net: FlowNetwork) -> FlowResult:
-    """Decide whether `net` carries a flow of value `value_target` meeting
-    every arc's [lower, upper] window.
-
-    Lower bounds are removed with the standard excess/deficit reduction: an
-    auxiliary super-source/super-sink absorbs the forced units while a
-    circulation arc sink->source closes the loop. A feasible circulation
-    exists iff the auxiliary max flow saturates all super-source arcs; the
-    source->sink flow is then maximized in the residual network and
-    compared against the target. Returns the witness flow when feasible.
-    """
-    arcs = net.arcs
-    num = net.num_nodes
-    ss = num
-    tt = num + 1
-    dinic = _Dinic(num + 2)
-    refs = []
-    excess = [0] * num
-    inf = net.value_target + 1
-    for tail, head, lo, up in arcs:
-        refs.append(dinic.add(tail, head, up - lo))
-        if lo:
-            excess[head] += lo
-            excess[tail] -= lo
-            if lo > 0:
-                inf += lo
-    circ = dinic.add(net.sink, net.source, inf + net.value_target)
-    need = 0
-    for w, e in enumerate(excess):
-        if e > 0:
-            dinic.add(ss, w, e)
-            need += e
-        elif e < 0:
-            dinic.add(w, tt, -e)
-    if dinic.max_flow(ss, tt) != need:
-        return FlowResult(False, None)
-    base = dinic.flow_on(circ)
-    dinic.disable(circ)
-    total = base + dinic.max_flow(net.source, net.sink)
-    if total != net.value_target:
-        return FlowResult(False, None)
-    flow = [arc[2] + dinic.flow_on(ref) for arc, ref in zip(arcs, refs)]
-    return FlowResult(True, flow)
-
-
-def extract_coloring(net: FlowNetwork, result: FlowResult) -> dict[int, int]:
-    """Decode a feasible flow into vertex->color assignments for the
-    uncolored vertices (valid as a proper extension when every part is a
-    clique, i.e. the residual was empty)."""
-    if not result.feasible:
-        raise ValueError("cannot extract a coloring from an infeasible result")
-    assign = {}
-    start = net.a1_count
-    for offset, (v, i) in enumerate(net.a2_info):
-        if result.flow[start + offset] == 1:
-            assign[v] = i
-    return assign
+def _blocking_flow(to, cap, adj, s, t, level) -> int:
+    it = [0] * len(adj)
+    pushed = 0
+    path = []
+    v = s
+    while True:
+        if v == t:
+            f = min(cap[a] for a in path)
+            pushed += f
+            cut = None
+            for idx, a in enumerate(path):
+                cap[a] -= f
+                cap[a ^ 1] += f
+                if cut is None and cap[a] == 0:
+                    cut = idx
+            del path[cut:]
+            v = to[path[-1]] if path else s
+            continue
+        advanced = False
+        arcs_here = adj[v]
+        i = it[v]
+        lv1 = level[v] + 1
+        while i < len(arcs_here):
+            a = arcs_here[i]
+            w = to[a]
+            if cap[a] > 0 and level[w] == lv1:
+                advanced = True
+                break
+            i += 1
+        it[v] = i
+        if advanced:
+            path.append(a)
+            v = w
+        else:
+            if v == s:
+                return pushed
+            level[v] = -1
+            a = path.pop()
+            v = to[a ^ 1]
+            it[v] += 1
 
 
 def _greedy_assignment(pc: PartialColoring, decomp: CliqueDecomposition, k0: int):
@@ -370,49 +153,55 @@ def _exact_feasible(
     can never bind) and color copies nobody can reach are dropped; both
     are feasibility-preserving. A partial assignment from the greedy pass
     pre-saturates its paths so only the deficit needs augmenting.
-    Property-tested against feasible_flow on the literal network."""
+    Property-tested against the literal network in `eqcolor.oracle`."""
     n = pc.n
     floor_size = n // k0
     ceil_size = -(-n // k0)
     class_size = pc.class_size
     k_cap = pc.k_cap
     n_u = len(pc.uncolored)
-    cliques = decomp.cliques
-    live = []
-    n_f = 0
-    for clique in cliques:
+
+    # node ids: s, U block, colors, t, t2, then the F copies as created
+    c_base = 1 + n_u
+    t = c_base + k0
+    t2 = t + 1
+    to = []
+    cap = []
+    adj = [[] for _ in range(t2 + 1)]
+    # route[i]: the node a vertex's color i leads to, its clique's F copy
+    # of i; a residual vertex goes straight to C node i
+    routes = []
+    fc_arc = {}  # F node -> its arc into C
+    for clique in decomp.cliques:
         or_mask = 0
         for v in clique:
             or_mask |= pc.free_mask(v, k0)
-        slots = {}
-        m = or_mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            slots[bit.bit_length() - 1] = n_f
-            n_f += 1
-        live.append(slots)
+        route = [-1] * k0
+        while or_mask:
+            bit = or_mask & -or_mask
+            or_mask ^= bit
+            c = c_base + bit.bit_length() - 1
+            f = len(adj)
+            a = len(to)
+            to.append(c)
+            cap.append(1)
+            to.append(f)
+            cap.append(0)
+            adj.append([a])
+            adj[c].append(a + 1)
+            fc_arc[f] = a
+            route[c - c_base] = f
+        routes.append(route)
+    routes.append(list(range(c_base, t)))
 
-    # node ids: s, U block, F block, colors, t, t2
-    f_base = 1 + n_u
-    c_base = f_base + n_f
-    t = c_base + k0
-    t2 = t + 1
-    num = t2 + 1
-    to = []
-    cap = []
-    adj = [[] for _ in range(num)]
     adj_s = adj[0]
     if seed is None:
         seed = {}
-    # seeded_paths[color] -> list of arc-id pairs (s->u, u->x[, f->c])
+    # seeded_paths[color] -> (s->u arc, u->x arc, x) per greedy-placed vertex
     seeded_paths = [[] for _ in range(k0)]
-
     un = 0
-    fc_arc = {}
-    for j, clique in enumerate(cliques):
-        slots = live[j]
-        for v in clique:
+    for members, route in zip((*decomp.cliques, decomp.residual), routes):
+        for v in members:
             un += 1
             sa = len(to)
             to.append(un)
@@ -428,54 +217,16 @@ def _exact_feasible(
                 bit = mask & -mask
                 mask ^= bit
                 i = bit.bit_length() - 1
-                f = f_base + slots[i]
+                x = route[i]
                 a = len(to)
-                to.append(f)
+                to.append(x)
                 cap.append(1)
                 to.append(un)
                 cap.append(0)
                 node_adj.append(a)
-                adj[f].append(a + 1)
+                adj[x].append(a + 1)
                 if i == sv:
-                    seeded_paths[i].append((sa, a, (j, i)))
-    for j in range(len(cliques)):
-        for i, slot in live[j].items():
-            f = f_base + slot
-            c = c_base + i
-            a = len(to)
-            to.append(c)
-            cap.append(1)
-            to.append(f)
-            cap.append(0)
-            adj[f].append(a)
-            adj[c].append(a + 1)
-            fc_arc[(j, i)] = a
-    for v in decomp.residual:
-        un += 1
-        sa = len(to)
-        to.append(un)
-        cap.append(1)
-        to.append(0)
-        cap.append(0)
-        adj_s.append(sa)
-        node_adj = adj[un]
-        node_adj.append(sa + 1)
-        sv = seed.get(v, -1)
-        mask = pc.free_mask(v, k0)
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            i = bit.bit_length() - 1
-            c = c_base + i
-            a = len(to)
-            to.append(c)
-            cap.append(1)
-            to.append(un)
-            cap.append(0)
-            node_adj.append(a)
-            adj[c].append(a + 1)
-            if i == sv:
-                seeded_paths[i].append((sa, a, None))
+                    seeded_paths[i].append((sa, a, x))
     lo_total = 0
     lo_arc = [-1] * k0
     hi_arc = [-1] * k0
@@ -522,10 +273,8 @@ def _exact_feasible(
     budget_t = n_u - lo_total
     for i in range(k0):
         paths = seeded_paths[i]
-        if not paths:
-            continue
         via_t2 = min(len(paths), lo_of[i])
-        for idx, (sa, va, fc) in enumerate(paths):
+        for idx, (sa, ua, x) in enumerate(paths):
             if idx < via_t2:
                 sink_arc = lo_arc[i]
             elif budget_t > 0 and cap[hi_arc[i]] > 0:
@@ -535,24 +284,20 @@ def _exact_feasible(
                 cap[ta ^ 1] += 1
             else:
                 continue
-            for arc in (sa, va, sink_arc) if fc is None else (sa, va, fc_arc[fc], sink_arc):
+            fc = fc_arc.get(x)
+            for arc in (sa, ua, sink_arc) if fc is None else (sa, ua, fc, sink_arc):
                 cap[arc] -= 1
                 cap[arc ^ 1] += 1
             pushed += 1
 
-    dinic = _Dinic.__new__(_Dinic)
-    dinic.n = num
-    dinic.to = to
-    dinic.cap = cap
-    dinic.adj = adj
-    return pushed + dinic.max_flow(0, t2) == n_u
+    return pushed + _max_flow(to, cap, adj, 0, t2) == n_u
 
 
 def flow_feasible(pc: PartialColoring, decomp: CliqueDecomposition, k0: int) -> bool:
     """Does (pc, decomp) admit a full flow at k0? Fast path for the search:
     a greedy witness settles most feasible cases, an exact max-flow seeded
     with the greedy's partial assignment settles the rest. Equivalent to
-    feasible_flow on the built network."""
+    `oracle.feasible_flow` on the literal network."""
     complete, assign = _greedy_assignment(pc, decomp, k0)
     if complete:
         return True
@@ -565,23 +310,23 @@ def flow_prune(
     k_lower: int,
     k_upper: int,
     stats=None,
-    use_rule_prefilter: bool = True,
 ) -> bool:
     """True iff no k0 in the candidate range admits a feasible flow, i.e.
     the branch cannot reach a strictly better equitable coloring.
 
-    The arithmetic Hall rules are necessary for feasibility, so by default
-    each k0 is screened by them first and the flow problem is solved only
-    when all rules pass; this never changes the verdict (property-tested
-    against the unfiltered path) but skips most infeasible solves.
+    The arithmetic Hall rules are necessary for feasibility, so each k0 is
+    screened by them first and the flow problem is solved only when all
+    rules pass; this never changes the verdict (property-tested against a
+    plain loop of flow_feasible) but skips most infeasible solves.
     """
     for k0 in candidate_k0_values(pc, k_lower, k_upper):
-        if use_rule_prefilter:
-            ctx = hallrules.HallContext(pc, decomp, k0)
-            if hallrules.failing_rule(ctx) is not None:
-                continue
+        ctx = hallrules.HallContext(pc, decomp, k0)
+        if hallrules.failing_rule(ctx) is not None:
+            continue
         if stats is not None:
             stats.flow_solves += 1
         if flow_feasible(pc, decomp, k0):
             return False
+    if stats is not None:
+        stats.prunes_flow += 1
     return True

@@ -30,8 +30,6 @@ class HallContext:
     """
 
     __slots__ = (
-        "pc",
-        "decomp",
         "k0",
         "floor_size",
         "ceil_size",
@@ -47,8 +45,6 @@ class HallContext:
 
     def __init__(self, pc: PartialColoring, decomp: CliqueDecomposition, k0: int):
         n = pc.n
-        self.pc = pc
-        self.decomp = decomp
         self.k0 = k0
         self.floor_size = n // k0
         self.ceil_size = -(-n // k0)
@@ -228,16 +224,17 @@ def comb_prune(
     k_upper: int,
     stats=None,
 ) -> bool:
-    """True iff every candidate k0 fails at least one rule. Weaker than the
-    flow test (a passing rule set proves nothing) but evaluated in
-    O(k0 + |U|) arithmetic per color count."""
+    """True iff every candidate k0 fails at least one rule (so also when
+    the candidate range is empty). Weaker than the flow test (a passing
+    rule set proves nothing) but evaluated in O(k0 + |U|) arithmetic per
+    color count."""
     for k0 in candidate_k0_values(pc, k_lower, k_upper):
         ctx = HallContext(pc, decomp, k0)
         failed = failing_rule(ctx)
         if failed is None:
             return False
         if stats is not None:
-            stats.prunes_hall_by_rule[failed] = (
-                stats.prunes_hall_by_rule.get(failed, 0) + 1
-            )
+            stats.rule_firings[failed] = stats.rule_firings.get(failed, 0) + 1
+    if stats is not None:
+        stats.prunes_hall += 1
     return True

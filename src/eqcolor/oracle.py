@@ -1,5 +1,6 @@
-"""Brute-force ground truth for tests: exact equitable chromatic numbers,
-exact extendability, and exhaustive inequality enumeration on tiny
+"""Ground truth for tests: exact equitable chromatic numbers, exact
+extendability, the literal extendability network with a lower-bound
+feasible-flow solver, and exhaustive inequality enumeration on tiny
 networks. Hard size caps make accidental blowups an error instead of a
 silent hang."""
 
@@ -8,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import PartialColoring
-from .flownet import FlowNetwork
+from .decomposition import CliqueDecomposition
+from .flownet import _max_flow
 from .graph import Graph
 
 
@@ -102,6 +104,193 @@ def brute_extendable(
     color_of = list(pc.color_of)
     order = sorted(pc.uncolored, key=lambda v: (-g.degree[v], v))
     return _search_equitable(g, color_of, sizes, k0, order, 0, symmetry=True)
+
+
+class FlowNetwork:
+    """Layered network with per-arc [lower, upper] bounds.
+
+    Node ids: source=0, then U nodes, then F nodes (part-major, color-minor),
+    then C nodes, then sink. `arcs` is a flat list of
+    (tail, head, lower, upper) in A1, A2, A3, A4 order.
+    """
+
+    __slots__ = (
+        "n_graph",
+        "k0",
+        "floor_size",
+        "ceil_size",
+        "class_sizes",
+        "parts",
+        "alphas",
+        "u_vertices",
+        "u_node",
+        "source",
+        "sink",
+        "num_nodes",
+        "arcs",
+        "a2_info",
+        "a1_count",
+        "a2_count",
+        "a3_count",
+        "value_target",
+    )
+
+    def f_node(self, part: int, color: int) -> int:
+        return 1 + len(self.u_vertices) + part * self.k0 + color
+
+    def c_node(self, color: int) -> int:
+        return 1 + len(self.u_vertices) + len(self.parts) * self.k0 + color
+
+    def internal_node_count(self) -> int:
+        """Nodes other than source and sink (U, F and C layers)."""
+        return self.num_nodes - 2
+
+
+def build_network(
+    pc: PartialColoring, decomp: CliqueDecomposition, k0: int
+) -> FlowNetwork:
+    """Assemble the extendability network for (pc, decomp, k0).
+
+    Raises ValueError when k0 < k_used, when the largest class already
+    exceeds ceil(n/k0) (the caller must treat that as infeasible without
+    building), or when the decomposition does not cover the uncolored set.
+    Lower bounds on the color->sink arcs are clamped at 0: a class already
+    at ceil(n/k0) would otherwise get a vacuous negative bound.
+    """
+    n = pc.n
+    ceil_size = -(-n // k0)
+    floor_size = n // k0
+    if k0 < pc.k_used:
+        raise ValueError(f"k0={k0} below the {pc.k_used} classes already in use")
+    if pc.M > ceil_size:
+        raise ValueError(f"class of size {pc.M} exceeds ceil(n/k0)={ceil_size}")
+    parts = []
+    alphas = []
+    for vertices, alpha in decomp.parts():
+        parts.append(tuple(vertices))
+        alphas.append(alpha)
+    u_vertices = [v for part in parts for v in part]
+    if len(u_vertices) != len(pc.uncolored) or set(u_vertices) != pc.uncolored:
+        raise ValueError("decomposition does not cover the uncolored set exactly")
+
+    net = FlowNetwork()
+    net.n_graph = n
+    net.k0 = k0
+    net.floor_size = floor_size
+    net.ceil_size = ceil_size
+    net.class_sizes = [
+        pc.class_size[i] if i < pc.k_cap else 0 for i in range(k0)
+    ]
+    net.parts = parts
+    net.alphas = alphas
+    net.u_vertices = u_vertices
+    net.u_node = {v: 1 + idx for idx, v in enumerate(u_vertices)}
+    nu = len(u_vertices)
+    net.source = 0
+    net.sink = 1 + nu + len(parts) * k0 + k0
+    net.num_nodes = net.sink + 1
+    net.value_target = nu
+
+    arcs = []
+    a2_info = []
+    for v in u_vertices:
+        arcs.append((0, net.u_node[v], 0, 1))
+    net.a1_count = nu
+    for j, part in enumerate(parts):
+        f_base = 1 + nu + j * k0
+        for v in part:
+            node_v = net.u_node[v]
+            mask = pc.free_mask(v, k0)
+            while mask:
+                bit = mask & -mask
+                i = bit.bit_length() - 1
+                mask ^= bit
+                arcs.append((node_v, f_base + i, 0, 1))
+                a2_info.append((v, i))
+    net.a2_count = len(arcs) - nu
+    for j in range(len(parts)):
+        f_base = 1 + nu + j * k0
+        alpha = alphas[j]
+        for i in range(k0):
+            arcs.append((f_base + i, net.c_node(i), 0, alpha))
+    net.a3_count = len(parts) * k0
+    for i in range(k0):
+        size = net.class_sizes[i]
+        lo = floor_size - size
+        if lo < 0:
+            lo = 0
+        arcs.append((net.c_node(i), net.sink, lo, ceil_size - size))
+    net.arcs = arcs
+    net.a2_info = a2_info
+    return net
+
+
+def feasible_flow(net: FlowNetwork) -> list[int] | None:
+    """Per-arc flow of value `value_target` meeting every arc's
+    [lower, upper] window, or None when the network has none.
+
+    Lower bounds are removed with the standard excess/deficit reduction: an
+    auxiliary super-source/super-sink absorbs the forced units while a
+    circulation arc sink->source closes the loop. A feasible circulation
+    exists iff the auxiliary max flow saturates all super-source arcs; the
+    source->sink flow is then maximized in the residual network and
+    compared against the target.
+    """
+    arcs = net.arcs
+    num = net.num_nodes
+    ss = num
+    tt = num + 1
+    to = []
+    cap = []
+    adj = [[] for _ in range(num + 2)]
+
+    def add(u: int, v: int, c: int) -> int:
+        a = len(to)
+        to.extend((v, u))
+        cap.extend((c, 0))
+        adj[u].append(a)
+        adj[v].append(a + 1)
+        return a
+
+    refs = []
+    excess = [0] * num
+    inf = net.value_target + 1
+    for tail, head, lo, up in arcs:
+        refs.append(add(tail, head, up - lo))
+        if lo:
+            excess[head] += lo
+            excess[tail] -= lo
+            if lo > 0:
+                inf += lo
+    circ = add(net.sink, net.source, inf + net.value_target)
+    need = 0
+    for w, e in enumerate(excess):
+        if e > 0:
+            add(ss, w, e)
+            need += e
+        elif e < 0:
+            add(w, tt, -e)
+    if _max_flow(to, cap, adj, ss, tt) != need:
+        return None
+    base = cap[circ ^ 1]
+    cap[circ] = cap[circ ^ 1] = 0
+    if base + _max_flow(to, cap, adj, net.source, net.sink) != net.value_target:
+        return None
+    return [arc[2] + cap[ref ^ 1] for arc, ref in zip(arcs, refs)]
+
+
+def extract_coloring(net: FlowNetwork, flow: list[int] | None) -> dict[int, int]:
+    """Decode a feasible flow into vertex->color assignments for the
+    uncolored vertices (valid as a proper extension when every part is a
+    clique, i.e. the residual was empty)."""
+    if flow is None:
+        raise ValueError("cannot extract a coloring from an infeasible network")
+    assign = {}
+    start = net.a1_count
+    for offset, (v, i) in enumerate(net.a2_info):
+        if flow[start + offset] == 1:
+            assign[v] = i
+    return assign
 
 
 @dataclass

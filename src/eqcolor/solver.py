@@ -13,6 +13,7 @@ node counts are comparable across variants.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .coloring import PartialColoring, is_equitable, deficit_prune
@@ -32,8 +33,6 @@ class SolverConfig:
     variant: str = "std"
     time_limit: float = 3600.0
     cd_stride: int = 1
-    cd_tries: int = 1
-    seed: int = 0  # reserved for randomized tie-breaks; default path is deterministic
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -46,18 +45,20 @@ class SolverConfig:
 
 @dataclass
 class SearchStats:
+    """Search counters. Each `prunes_*` field counts pruned nodes, one per
+    node, credited to the test that pruned it; `rule_firings` counts the
+    (node, k0) pairs each Hall rule rejected under comb, on pruned and
+    surviving nodes alike."""
+
     nodes: int = 0
     prunes_deficit: int = 0
     prunes_flow: int = 0
-    prunes_hall_by_rule: dict = field(default_factory=dict)
+    prunes_hall: int = 0
+    rule_firings: dict = field(default_factory=dict)
     flow_solves: int = 0
     elapsed: float = 0.0
     timed_out: bool = False
     gap_closed_at_root: bool = False
-
-    @property
-    def prunes_hall(self) -> int:
-        return sum(self.prunes_hall_by_rule.values())
 
 
 @dataclass
@@ -131,44 +132,69 @@ def _capped_greedy(g: Graph, k: int):
 
 
 def initial_bounds(g: Graph):
-    """(k_lower, k_upper, incumbent): clique bound below, capped greedy
-    above. The greedy retries with one more color on failure and cannot
-    fail at k = n."""
+    """(k_lower, k_upper, incumbent, clique): the size of a greedy clique
+    below, capped greedy above. The greedy retries with one more color on
+    failure and cannot fail at k = n."""
     if g.n == 0:
         raise ValueError("graph must be nonempty")
-    k_lower = len(_best_greedy_clique(g))
+    clique = _best_greedy_clique(g)
+    k_lower = len(clique)
     for k in range(k_lower, g.n + 1):
         result = _capped_greedy(g, k)
         if result is not None:
             k_upper, coloring = result
-            return k_lower, k_upper, coloring
+            return k_lower, k_upper, coloring, clique
     raise AssertionError("capped greedy must succeed at k = n")
 
 
+def _check_witness(g: Graph, sol: Solution) -> None:
+    """O(n + m) check of a returned coloring: it colors every vertex, is
+    proper, and has exactly chi_eq nonempty classes whose sizes differ by
+    at most one. Raises RuntimeError otherwise."""
+    coloring = sol.coloring
+    if len(coloring) != g.n or any(c < 0 for c in coloring):
+        raise RuntimeError("witness leaves a vertex uncolored")
+    for u, v in g.edges:
+        if coloring[u] == coloring[v]:
+            raise RuntimeError(f"witness gives both ends of edge ({u}, {v}) one color")
+    sizes = Counter(coloring).values()
+    if len(sizes) != sol.chi_eq:
+        raise RuntimeError(f"witness has {len(sizes)} classes, not {sol.chi_eq}")
+    if sizes and max(sizes) - min(sizes) > 1:
+        raise RuntimeError("witness class sizes differ by more than one")
+
+
 def solve(g: Graph, cfg: SolverConfig | None = None):
-    """Exact chi_eq with witness, or the best incumbent on timeout."""
-    if cfg is None:
-        cfg = SolverConfig()
+    """Exact chi_eq with witness, or the best incumbent on timeout. The
+    witness is checked before it is returned."""
+    sol, stats = _search(g, SolverConfig() if cfg is None else cfg)
+    _check_witness(g, sol)
+    return sol, stats
+
+
+def _search(g: Graph, cfg: SolverConfig):
     t0 = time.perf_counter()
     deadline = t0 + cfg.time_limit
     stats = SearchStats()
-    k_lower, k_upper, incumbent = initial_bounds(g)
+    if g.n == 0:
+        return Solution(0, [], True), stats
+    k_lower, k_upper, incumbent, root_clique = initial_bounds(g)
     if k_lower >= k_upper:
         stats.nodes = 1
         stats.gap_closed_at_root = True
         stats.elapsed = time.perf_counter() - t0
         return Solution(k_upper, incumbent, True), stats
 
-    variant = cfg.variant
+    # looked up per call, so rebinding the module attributes takes effect
+    prune = {"flow": flow_prune, "comb": comb_prune}.get(cfg.variant)
     pc = PartialColoring(g, k_cap=k_upper)
-    root_clique = _best_greedy_clique(g)
     for idx, v in enumerate(root_clique):
         pc.extend(v, idx)
     root_depth = pc.depth
 
     decomp = None
-    if variant != "std":
-        decomp = restarted_decomposition(g, pc.uncolored, cfg.cd_tries)
+    if prune is not None:
+        decomp = restarted_decomposition(g, pc.uncolored)
 
     degree = g.degree
     sat = pc.sat
@@ -196,17 +222,9 @@ def solve(g: Graph, cfg: SolverConfig | None = None):
             pc.extend(v, i)
             if deficit_prune(pc, k_lower):
                 stats.prunes_deficit += 1
-            elif variant == "flow":
-                child_decomp = decomp.restricted_to(uncolored)
-                if flow_prune(pc, child_decomp, k_lower, k_upper, stats):
-                    stats.prunes_flow += 1
-                else:
-                    stack.append((child_depth, v, i))
-            elif variant == "comb":
-                child_decomp = decomp.restricted_to(uncolored)
-                if not comb_prune(pc, child_decomp, k_lower, k_upper, stats):
-                    stack.append((child_depth, v, i))
-            else:
+            elif prune is None or not prune(
+                pc, decomp.restricted_to(uncolored), k_lower, k_upper, stats
+            ):
                 stack.append((child_depth, v, i))
             pc.retract()
 
@@ -236,7 +254,7 @@ def solve(g: Graph, cfg: SolverConfig | None = None):
                 if k_upper <= k_lower:
                     break  # bounds met: optimal proven
             continue
-        if variant != "std" and nodes % stride == 0:
+        if prune is not None and nodes % stride == 0:
             decomp = find_non_adjacent_cliques(g, uncolored)
         push_children(depth)
 

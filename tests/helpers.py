@@ -6,14 +6,10 @@ from __future__ import annotations
 
 import random
 
-from eqcolor import (
-    CliqueDecomposition,
-    FlowNetwork,
-    Graph,
-    PartialColoring,
-    gen_gnp,
-)
-from eqcolor.decomposition import find_non_adjacent_cliques
+from eqcolor import Graph, gen_gnp
+from eqcolor.coloring import PartialColoring
+from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
+from eqcolor.oracle import FlowNetwork
 
 
 def random_partial_coloring(rng, g: Graph, k0: int) -> PartialColoring:

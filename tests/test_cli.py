@@ -44,6 +44,25 @@ def test_solve_parse_error(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_solve_empty_graph(tmp_path, capsys):
+    empty = tmp_path / "empty.col"
+    empty.write_text("p edge 0 0\n")
+    rc = main(["solve", str(empty)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "chi_eq:          0" in out
+    assert "status:          optimal" in out
+
+
+def test_solve_prints_prune_counters(myciel4_file, capsys):
+    assert main(["solve", myciel4_file, "--algo", "comb"]) == 0
+    out = capsys.readouterr().out
+    hall = int(out.split("prunes_hall:")[1].split()[0])
+    firings = out.split("rule_firings:")[1].split()[0]
+    assert hall > 0
+    assert sum(int(kv.split("=")[1]) for kv in firings.split(",")) >= 1
+
+
 def test_solve_timeout_exit_two(tmp_path, capsys):
     from eqcolor import gen_gnp
 

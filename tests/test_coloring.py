@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from eqcolor import (
-    Graph,
+from eqcolor import Graph, gen_gnp
+from eqcolor.coloring import (
     PartialColoring,
     class_size_profile,
-    gen_gnp,
-    is_equitable,
     deficit_prune,
+    is_equitable,
 )
 from helpers import random_partial_coloring, recompute_conflicts
 
@@ -35,7 +34,7 @@ def test_extend_updates_forbidden_sets():
     g = path3()
     pc = PartialColoring(g)
     pc.extend(1, 0)
-    assert pc.classes[0] == [1]
+    assert [v for v, c in enumerate(pc.color_of) if c == 0] == [1]
     assert pc.forbidden_mask[0] == 1 and pc.forbidden_mask[2] == 1
     assert pc.sat[0] == pc.sat[2] == 1
     assert pc.uncolored == {0, 2}

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from eqcolor import (
+from eqcolor import Graph, gen_gnp
+from eqcolor.decomposition import (
     CliqueDecomposition,
-    Graph,
     find_non_adjacent_cliques,
-    gen_gnp,
     restarted_decomposition,
 )
 

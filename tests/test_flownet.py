@@ -2,19 +2,21 @@ import random
 
 import pytest
 
-from eqcolor import (
-    CliqueDecomposition,
-    Graph,
-    PartialColoring,
+from eqcolor import Graph, gen_gnp
+from eqcolor.coloring import PartialColoring, candidate_k0_values
+from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
+from eqcolor.flownet import (
+    _exact_feasible,
+    _greedy_assignment,
+    flow_feasible,
+    flow_prune,
+)
+from eqcolor.oracle import (
     brute_extendable,
     build_network,
     extract_coloring,
     feasible_flow,
-    find_non_adjacent_cliques,
-    flow_prune,
-    gen_gnp,
 )
-from eqcolor.flownet import _exact_feasible, _greedy_assignment, flow_feasible
 from helpers import (
     assignment_feasible,
     check_flow,
@@ -51,11 +53,11 @@ def test_hub_triangles_sink_arc_bounds():
 def test_hub_triangles_not_extendable_at_three_colors():
     g, pc, decomp = hub_triangles_state()
     net = build_network(pc, decomp, 3)
-    assert feasible_flow(net).feasible is False
+    assert feasible_flow(net) is None
     assert brute_extendable(g, pc, 3) is False
     # with a fourth color the state opens up again
     assert brute_extendable(g, pc, 4) is True
-    assert feasible_flow(build_network(pc, decomp, 4)).feasible is True
+    assert feasible_flow(build_network(pc, decomp, 4)) is not None
 
 
 def test_k2_empty_coloring_unit_windows():
@@ -64,10 +66,10 @@ def test_k2_empty_coloring_unit_windows():
     decomp = find_non_adjacent_cliques(g, pc.uncolored)
     net = build_network(pc, decomp, 2)
     assert [arc[2:] for arc in net.arcs[-2:]] == [(1, 1), (1, 1)]
-    res = feasible_flow(net)
-    assert res.feasible
-    check_flow(net, res.flow)
-    assert sum(res.flow[: net.a1_count]) == 2
+    flow = feasible_flow(net)
+    assert flow is not None
+    check_flow(net, flow)
+    assert sum(flow[: net.a1_count]) == 2
 
 
 def test_star_center_colored_seven_colors_feasible():
@@ -77,7 +79,7 @@ def test_star_center_colored_seven_colors_feasible():
     decomp = find_non_adjacent_cliques(g, pc.uncolored)
     assert not decomp.cliques  # leaves are independent: all residual
     net = build_network(pc, decomp, 7)
-    assert feasible_flow(net).feasible is True
+    assert feasible_flow(net) is not None
     assert brute_extendable(g, pc, 7) is True
 
 
@@ -89,7 +91,7 @@ def test_sink_capacity_shortfall_is_infeasible():
     pc = PartialColoring(g)
     decomp = find_non_adjacent_cliques(g, pc.uncolored)
     net = build_network(pc, decomp, 2)
-    assert feasible_flow(net).feasible is True
+    assert feasible_flow(net) is not None
     squeezed = []
     for tail, head, lo, up in net.arcs:
         if head == net.sink:
@@ -98,7 +100,7 @@ def test_sink_capacity_shortfall_is_infeasible():
             squeezed.append((tail, head, lo, up))
     net.arcs = squeezed
     assert sum(arc[3] for arc in net.arcs[-2:]) < net.value_target
-    assert feasible_flow(net).feasible is False
+    assert feasible_flow(net) is None
 
 
 def test_trivial_decomposition_copy_layer_not_binding():
@@ -111,7 +113,7 @@ def test_trivial_decomposition_copy_layer_not_binding():
         net = build_network(pc, trivial, k0)
         for tail, head, lo, up in net.arcs[net.a1_count + net.a2_count :][: net.a3_count]:
             assert lo == 0 and up == len(pc.uncolored)
-        assert feasible_flow(net).feasible == assignment_feasible(net)
+        assert (feasible_flow(net) is not None) == assignment_feasible(net)
 
 
 def test_build_network_rejects_oversized_class():
@@ -149,7 +151,7 @@ def test_feasible_flow_agrees_with_assignment_oracle():
     for _ in range(600):
         _, pc, decomp, k0 = random_state(rng, n_max=7)
         net = build_network(pc, decomp, k0)
-        assert feasible_flow(net).feasible == assignment_feasible(net)
+        assert (feasible_flow(net) is not None) == assignment_feasible(net)
         agree += 1
     assert agree == 600
 
@@ -160,7 +162,7 @@ def test_flow_soundness_against_brute_force():
         g, pc, decomp, k0 = random_state(rng, n_max=8)
         if brute_extendable(g, pc, k0):
             net = build_network(pc, decomp, k0)
-            assert feasible_flow(net).feasible
+            assert feasible_flow(net) is not None
 
 
 def test_flow_exactness_on_clique_decompositions():
@@ -172,7 +174,7 @@ def test_flow_exactness_on_clique_decompositions():
             continue
         g, pc, decomp, k0 = state
         net = build_network(pc, decomp, k0)
-        assert feasible_flow(net).feasible == brute_extendable(g, pc, k0)
+        assert (feasible_flow(net) is not None) == brute_extendable(g, pc, k0)
         done += 1
 
 
@@ -198,11 +200,11 @@ def test_feasible_flow_decodes_to_extension_when_residual_empty():
             continue
         g, pc, decomp, k0 = state
         net = build_network(pc, decomp, k0)
-        res = feasible_flow(net)
-        if not res.feasible:
+        flow = feasible_flow(net)
+        if flow is None:
             continue
-        check_flow(net, res.flow)
-        assign = extract_coloring(net, res)
+        check_flow(net, flow)
+        assign = extract_coloring(net, flow)
         assert set(assign) == pc.uncolored
         full = list(pc.color_of)
         for v, c in assign.items():
@@ -250,16 +252,18 @@ def test_flow_prune_prefilter_equivalent():
         g, pc, decomp, k0 = random_state(rng, n_max=8)
         k_upper = rng.randint(k0, g.n + 1)
         k_lower = rng.randint(1, max(1, pc.k_used))
-        a = flow_prune(pc, decomp, k_lower, k_upper, use_rule_prefilter=True)
-        b = flow_prune(pc, decomp, k_lower, k_upper, use_rule_prefilter=False)
-        assert a == b
+        unfiltered = not any(
+            flow_feasible(pc, decomp, k)
+            for k in candidate_k0_values(pc, k_lower, k_upper)
+        )
+        assert flow_prune(pc, decomp, k_lower, k_upper) == unfiltered
 
 
 def test_fast_path_matches_reference():
     rng = random.Random(53)
     for _ in range(2000):
         _, pc, decomp, k0 = random_state(rng, n_max=9)
-        ref = feasible_flow(build_network(pc, decomp, k0)).feasible
+        ref = feasible_flow(build_network(pc, decomp, k0)) is not None
         assert flow_feasible(pc, decomp, k0) == ref
         complete, assign = _greedy_assignment(pc, decomp, k0)
         if complete:
@@ -284,12 +288,3 @@ def test_flow_prune_never_cuts_optimal_path():
         if feasible_ks:
             assert flow_prune(pc, decomp, 1, feasible_ks[0] + 1) is False
 
-
-def test_network_dump_format():
-    g = Graph(2, [(0, 1)])
-    pc = PartialColoring(g)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored)
-    net = build_network(pc, decomp, 2)
-    lines = net.dump().strip().splitlines()
-    assert len(lines) == len(net.arcs)
-    assert all(len(line.split()) == 4 for line in lines)

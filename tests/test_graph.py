@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from eqcolor import DimacsError, Graph, gen_gnp, greedy_maximal_clique, parse_dimacs, write_dimacs
+from eqcolor import DimacsError, Graph, gen_gnp, parse_dimacs, write_dimacs
+from eqcolor.graph import greedy_maximal_clique
 from eqcolor.instances import mycielski_graph
 
 

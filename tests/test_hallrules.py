@@ -1,24 +1,20 @@
 import random
 
-from eqcolor import (
-    CliqueDecomposition,
-    Graph,
+from eqcolor import Graph, SearchStats, gen_gnp
+from eqcolor.coloring import PartialColoring, deficit_prune
+from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
+from eqcolor.flownet import flow_prune
+from eqcolor.hallrules import (
     HallContext,
-    PartialColoring,
-    brute_extendable,
-    build_network,
+    _clique_has_sdr,
     check_clique_hall,
     check_negative_single_and_complement,
     check_positive_complement,
     check_positive_single,
     comb_prune,
-    feasible_flow,
-    find_non_adjacent_cliques,
-    flow_prune,
-    gen_gnp,
-    deficit_prune,
+    failing_rule,
 )
-from eqcolor.hallrules import _clique_has_sdr, failing_rule
+from eqcolor.oracle import brute_extendable, build_network, feasible_flow
 from helpers import random_state
 
 
@@ -189,7 +185,7 @@ def test_any_failing_rule_implies_flow_infeasible():
         ctx = HallContext(pc, decomp, k0)
         if failing_rule(ctx) is not None:
             net = build_network(pc, decomp, k0)
-            assert feasible_flow(net).feasible is False
+            assert feasible_flow(net) is None
 
 
 def test_deficit_prune_implies_flow_prune_under_full_freedom():
@@ -236,3 +232,20 @@ def test_rule_menu_misses_spread_deficits_that_flow_catches():
     assert comb_prune(pc, decomp, 4, 5) is False
     assert flow_prune(pc, decomp, 4, 5) is True
     assert brute_extendable(g, pc, 4) is False
+
+
+def test_comb_prune_counts_empty_candidate_range_as_pruned_node():
+    """k_used=3 forces k0 >= 3, but the largest class (5) exceeds
+    ceil(12/3)=4: no k0 is left, so the node is pruned with no rule
+    firing."""
+    g = Graph(12, [])
+    pc = PartialColoring(g)
+    for v in range(5):
+        pc.extend(v, 0)
+    pc.extend(5, 1)
+    pc.extend(6, 2)
+    decomp = find_non_adjacent_cliques(g, pc.uncolored)
+    stats = SearchStats()
+    assert comb_prune(pc, decomp, 1, 4, stats) is True
+    assert stats.prunes_hall == 1
+    assert stats.rule_firings == {}

@@ -2,14 +2,10 @@ import random
 
 import pytest
 
-from eqcolor import (
-    Graph,
-    SolverConfig,
-    brute_chi_eq,
-    gen_gnp,
-    initial_bounds,
-    solve,
-)
+from eqcolor import Graph, Solution, SolverConfig, gen_gnp, solve
+from eqcolor import solver
+from eqcolor.oracle import brute_chi_eq
+from eqcolor.solver import initial_bounds
 from helpers import proper_and_equitable
 
 
@@ -37,13 +33,15 @@ def test_config_validation():
 
 
 def test_initial_bounds_complete_graph():
-    k_lower, k_upper, coloring = initial_bounds(complete(5))
+    k_lower, k_upper, coloring, clique = initial_bounds(complete(5))
+    assert sorted(clique) == [0, 1, 2, 3, 4]
     assert (k_lower, k_upper) == (5, 5)
     assert proper_and_equitable(complete(5), coloring, 5)
 
 
 def test_initial_bounds_star12():
-    k_lower, k_upper, coloring = initial_bounds(star(12))
+    k_lower, k_upper, coloring, clique = initial_bounds(star(12))
+    assert len(clique) == k_lower
     assert k_lower == 2
     assert 7 <= k_upper <= 12
     assert proper_and_equitable(star(12), coloring, k_upper)
@@ -51,7 +49,7 @@ def test_initial_bounds_star12():
 
 def test_initial_bounds_edgeless():
     g = Graph(6, [])
-    k_lower, k_upper, coloring = initial_bounds(g)
+    k_lower, k_upper, coloring, _ = initial_bounds(g)
     assert (k_lower, k_upper) == (1, 1)
     assert coloring == [0] * 6
 
@@ -155,9 +153,35 @@ def test_stats_counters_populated():
     assert st_flow.prunes_flow > 0
     _, st_comb = solve(g, SolverConfig(variant="comb"))
     assert st_comb.prunes_hall > 0
-    assert set(st_comb.prunes_hall_by_rule) <= {
+    assert set(st_comb.rule_firings) <= {
         "positive_single",
         "clique_hall",
         "negative",
         "positive_complement",
     }
+
+
+def test_empty_graph_solves_to_zero():
+    for variant in ("std", "flow", "comb"):
+        sol, stats = solve(Graph(0), SolverConfig(variant=variant))
+        assert sol == Solution(0, [], True)
+        assert stats.nodes == 0 and not stats.timed_out
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        [0, 0, 1, 1, 0],  # edge (0, 1) inside one class
+        [0, 1, 0, 1, -1],  # vertex 4 uncolored
+        [0, 1, 2, 0, 1],  # three classes for a claimed two
+        [0, 1, 1, 1, 1],  # class sizes 1 and 4
+    ],
+)
+def test_corrupted_incumbent_rejected(monkeypatch, corrupt):
+    """The root closes the gap (clique of 2, greedy at 2 colors), so the
+    greedy incumbent is what solve would return; a bad one must raise."""
+    g = Graph(5, [(0, 1)])
+    assert solve(g)[0].chi_eq == 2
+    monkeypatch.setattr(solver, "_capped_greedy", lambda g, k: (2, list(corrupt)))
+    with pytest.raises(RuntimeError, match="witness"):
+        solve(g)
