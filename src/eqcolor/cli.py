@@ -32,8 +32,7 @@ class BenchSpec:
         if self.count < 1:
             raise ValueError("count must be >= 1")
         for v in self.variants:
-            if v not in VARIANTS:
-                raise ValueError(f"unknown variant {v!r}")
+            SolverConfig(v, self.time_limit, self.cd_stride)
 
 
 def instance_seed(base: int, n: int, p: float, index: int) -> int:
@@ -46,13 +45,11 @@ def instance_seed(base: int, n: int, p: float, index: int) -> int:
     return h >> 1
 
 
-def _solve_row(g: Graph, variant: str, time_limit: float, cd_stride: int):
-    cfg = SolverConfig(variant=variant, time_limit=time_limit, cd_stride=cd_stride)
-    return solve(g, cfg)
-
-
 def cmd_solve(args) -> int:
     try:
+        cfg = SolverConfig(
+            variant=args.algo, time_limit=args.time_limit, cd_stride=args.cd_stride
+        )
         with open(args.path, "r", encoding="utf-8") as fh:
             g = parse_dimacs(fh.read())
     except OSError as exc:
@@ -61,7 +58,7 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    sol, stats = _solve_row(g, args.algo, args.time_limit, args.cd_stride)
+    sol, stats = solve(g, cfg)
     name = args.path.rsplit("/", 1)[-1]
     print(f"instance:        {name}")
     print(f"n:               {g.n}")
@@ -114,7 +111,8 @@ def run_bench(spec: BenchSpec, out_path: str) -> tuple[str, str]:
                 seed = instance_seed(spec.seed, n, p, index)
                 g = gen_gnp(n, p, seed)
                 for variant in spec.variants:
-                    sol, stats = _solve_row(g, variant, spec.time_limit, spec.cd_stride)
+                    cfg = SolverConfig(variant, spec.time_limit, spec.cd_stride)
+                    sol, stats = solve(g, cfg)
                     rows.append(
                         {
                             "n": n,
@@ -181,18 +179,18 @@ def aggregate_rows(rows, time_limit: float):
 
 
 def cmd_bench(args) -> int:
-    spec = BenchSpec(
-        n_list=args.n,
-        p_list=args.p,
-        count=args.count,
-        seed=args.seed,
-        variants=tuple(args.algos),
-        time_limit=args.time_limit,
-        cd_stride=args.cd_stride,
-    )
     try:
+        spec = BenchSpec(
+            n_list=args.n,
+            p_list=args.p,
+            count=args.count,
+            seed=args.seed,
+            variants=tuple(args.algos),
+            time_limit=args.time_limit,
+            cd_stride=args.cd_stride,
+        )
         data_path, agg_path = run_bench(spec, args.out)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print(f"wrote {data_path} and {agg_path}")
@@ -202,26 +200,27 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     instances: list[tuple[str, Graph]] = []
     try:
+        configs = [SolverConfig(v, args.time_limit) for v in VARIANTS]
         for path in args.paths:
             with open(path, "r", encoding="utf-8") as fh:
                 instances.append((path.rsplit("/", 1)[-1], parse_dimacs(fh.read())))
+        if args.gnp:
+            n, p, count = int(args.gnp[0]), float(args.gnp[1]), int(args.gnp[2])
+            for index in range(count):
+                seed = instance_seed(args.seed, n, p, index)
+                instances.append((f"gnp(n={n},p={p:g},#{index})", gen_gnp(n, p, seed)))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.gnp:
-        n, p, count = int(args.gnp[0]), float(args.gnp[1]), int(args.gnp[2])
-        for index in range(count):
-            seed = instance_seed(args.seed, n, p, index)
-            instances.append((f"gnp(n={n},p={p:g},#{index})", gen_gnp(n, p, seed)))
     if not instances:
         print("error: nothing to verify (give paths or --gnp)", file=sys.stderr)
         return EXIT_ERROR
     mismatches = 0
     for name, g in instances:
         results = {}
-        for variant in VARIANTS:
-            sol, _ = _solve_row(g, variant, args.time_limit, 1)
-            results[variant] = sol.chi_eq if sol.optimal else None
+        for cfg in configs:
+            sol, _ = solve(g, cfg)
+            results[cfg.variant] = sol.chi_eq if sol.optimal else None
         if g.n <= DEFAULT_LIMITS.max_n:
             results["oracle"] = brute_chi_eq(g)
         else:

@@ -8,25 +8,7 @@ histogram of class sizes so the largest-class statistics cost O(1).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .graph import Graph
-
-
-class ClassSizeProfile(NamedTuple):
-    count_ceil: int
-    count_floor: int
-    ceil_size: int
-    floor_size: int
-
-
-def class_size_profile(n: int, k0: int) -> ClassSizeProfile:
-    """Class sizes forced by an equitable k0-coloring of n vertices:
-    n mod k0 classes of size ceil(n/k0) and the rest of size floor(n/k0)."""
-    if not 1 <= k0 <= n:
-        raise ValueError(f"need 1 <= k0 <= n, got k0={k0}, n={n}")
-    p = n % k0
-    return ClassSizeProfile(p, k0 - p, -(-n // k0), n // k0)
 
 
 class PartialColoring:

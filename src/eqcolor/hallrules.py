@@ -2,23 +2,21 @@
 
 Each rule is a necessary condition for the network to carry a full flow,
 so a single failing rule proves the branch dead for that color count. The
-menu follows the practical selection: color sets of size one or all-but-one
-on both the "fill up" (positive) and the "must fit" (negative) side, plus
-a complete per-clique distinct-representatives check done by bipartite
-matching instead of enumerating subsets.
+menu has three rules: per single color, the "fill up" (positive) and the
+"must fit" (negative) side, plus a complete per-clique system of distinct
+representatives (SDR) checked by bipartite matching instead of enumerating
+subsets.
+
+Callers ask only about k0 >= k_used. Then the all-but-one color sets add
+nothing: with class sizes and uncolored vertices summing to n, a starved
+complement of g overfills g (negative rule), and too many vertices
+barred from g leave g short (positive rule).
 """
 
 from __future__ import annotations
 
 from .coloring import PartialColoring, candidate_k0_values
 from .decomposition import CliqueDecomposition
-
-RULE_NAMES = (
-    "positive_single",
-    "clique_hall",
-    "negative",
-    "positive_complement",
-)
 
 
 class HallContext:
@@ -33,12 +31,10 @@ class HallContext:
         "k0",
         "floor_size",
         "ceil_size",
-        "n_u",
         "class_sizes",
         "clique_masks",
         "cliques_with_color",
         "resid_with_color",
-        "free_count",
         "single_free",
         "empty_free",
     )
@@ -48,14 +44,12 @@ class HallContext:
         self.k0 = k0
         self.floor_size = n // k0
         self.ceil_size = -(-n // k0)
-        self.n_u = len(pc.uncolored)
         self.class_sizes = [
             pc.class_size[i] if i < pc.k_cap else 0 for i in range(k0)
         ]
         full = (1 << k0) - 1
         forbidden = pc.forbidden_mask
 
-        free_count = [0] * k0
         single_free = [0] * k0
         empty_free = 0
         cliques_with_color = [0] * k0
@@ -69,7 +63,6 @@ class HallContext:
                 fm = ~forbidden[v] & full
                 masks.append(fm)
                 or_mask |= fm
-                _count_bits(fm, free_count)
                 if fm == 0:
                     empty_free += 1
                 elif fm & (fm - 1) == 0:
@@ -78,7 +71,6 @@ class HallContext:
             clique_masks.append(masks)
         for v in decomp.residual:
             fm = ~forbidden[v] & full
-            _count_bits(fm, free_count)
             _count_bits(fm, resid_with_color)
             if fm == 0:
                 empty_free += 1
@@ -88,7 +80,6 @@ class HallContext:
         self.clique_masks = clique_masks
         self.cliques_with_color = cliques_with_color
         self.resid_with_color = resid_with_color
-        self.free_count = free_count
         self.single_free = single_free
         self.empty_free = empty_free
 
@@ -113,26 +104,6 @@ def check_positive_single(ctx: HallContext) -> bool:
     resid_with = ctx.resid_with_color
     for f, size in enumerate(ctx.class_sizes):
         if floor_size - size > cliques_with[f] + resid_with[f]:
-            return False
-    return True
-
-
-def check_positive_complement(ctx: HallContext) -> bool:
-    """For each color g, the classes of the other k0-1 colors must be
-    fillable from the vertices with a free color outside {g}."""
-    k0 = ctx.k0
-    if k0 == 1:
-        return True
-    floor_size = ctx.floor_size
-    sizes = ctx.class_sizes
-    total = k0 * floor_size - sum(sizes)
-    n_u = ctx.n_u
-    single = ctx.single_free
-    empty = ctx.empty_free
-    for g in range(k0):
-        lhs = total - (floor_size - sizes[g])
-        rhs = n_u - single[g] - empty
-        if lhs > rhs:
             return False
     return True
 
@@ -178,24 +149,15 @@ def check_clique_hall(ctx: HallContext) -> bool:
     return True
 
 
-def check_negative_single_and_complement(ctx: HallContext) -> bool:
-    """Vertices forced into few colors must fit under the ceiling: (a) per
-    single color f, the vertices with free set inside {f}; (b) per color g,
-    the vertices that cannot take g against the combined slack of the other
-    classes."""
-    k0 = ctx.k0
+def check_negative_single(ctx: HallContext) -> bool:
+    """Vertices forced into one color must fit under its ceiling: per
+    color f, the vertices whose free set lies inside {f}."""
     ceil_size = ctx.ceil_size
     sizes = ctx.class_sizes
     single = ctx.single_free
     empty = ctx.empty_free
-    for f in range(k0):
+    for f in range(ctx.k0):
         if single[f] + empty > ceil_size - sizes[f]:
-            return False
-    total_slack = k0 * ceil_size - sum(sizes)
-    n_u = ctx.n_u
-    free_count = ctx.free_count
-    for g in range(k0):
-        if n_u - free_count[g] > total_slack - (ceil_size - sizes[g]):
             return False
     return True
 
@@ -203,8 +165,7 @@ def check_negative_single_and_complement(ctx: HallContext) -> bool:
 _RULES = (
     ("positive_single", check_positive_single),
     ("clique_hall", check_clique_hall),
-    ("negative", check_negative_single_and_complement),
-    ("positive_complement", check_positive_complement),
+    ("negative", check_negative_single),
 )
 
 

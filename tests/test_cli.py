@@ -169,6 +169,30 @@ def test_verify_skips_oracle_beyond_cap(tmp_path, capsys):
     assert "beyond oracle cap" in out
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["solve", "{col}", "--time-limit", "0"], "time_limit"),
+        (["solve", "{col}", "--cd-stride", "0"], "cd_stride"),
+        (["bench", "--n", "5", "--p", "1", "--count", "0", "--out", "{csv}"], "count"),
+        (["verify", "--gnp", "5", "0.5", "2", "--time-limit", "0"], "time_limit"),
+        (["verify", "--gnp", "x", "0.5", "2"], "invalid literal"),
+    ],
+)
+def test_out_of_range_arguments_exit_with_error(
+    myciel4_file, tmp_path, capsys, argv, message
+):
+    """Bad arguments end with one error line before any solve starts,
+    not with a traceback."""
+    csv_path = tmp_path / "bench.csv"
+    argv = [a.format(col=myciel4_file, csv=csv_path) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert not csv_path.exists()
+
+
 def test_verify_requires_input(capsys):
     rc = main(["verify"])
     assert rc == 1

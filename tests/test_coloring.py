@@ -5,7 +5,6 @@ import pytest
 from eqcolor import Graph, gen_gnp
 from eqcolor.coloring import (
     PartialColoring,
-    class_size_profile,
     deficit_prune,
     is_equitable,
 )
@@ -111,33 +110,6 @@ def test_incremental_matches_recompute_on_random_walks():
         assert pc.M == (max(sizes) if sizes else 0)
         assert pc.t == (sizes.count(pc.M) if sizes else 0)
         assert pc.k_used == len(sizes)
-
-
-@pytest.mark.parametrize(
-    "n,k0,expected",
-    [
-        (12, 4, (0, 4, 3, 3)),
-        (11, 4, (3, 1, 3, 2)),
-        (12, 7, (5, 2, 2, 1)),
-    ],
-)
-def test_class_size_profile_examples(n, k0, expected):
-    assert tuple(class_size_profile(n, k0)) == expected
-
-
-def test_class_size_profile_identity():
-    for n in range(1, 201):
-        for k0 in range(1, n + 1):
-            p, q, c, f = class_size_profile(n, k0)
-            assert p + q == k0
-            assert p * c + q * f == n
-
-
-def test_class_size_profile_validates():
-    with pytest.raises(ValueError):
-        class_size_profile(5, 6)
-    with pytest.raises(ValueError):
-        class_size_profile(5, 0)
 
 
 def test_deficit_prune_fires_on_lopsided_state():

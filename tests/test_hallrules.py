@@ -1,19 +1,19 @@
 import random
 
-from eqcolor import Graph, SearchStats, gen_gnp
-from eqcolor.coloring import PartialColoring, deficit_prune
+from eqcolor import Graph, SearchStats, SolverConfig, gen_gnp, solve, solver
+from eqcolor.coloring import PartialColoring, candidate_k0_values, deficit_prune
 from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
-from eqcolor.flownet import flow_prune
+from eqcolor.flownet import flow_feasible, flow_prune
 from eqcolor.hallrules import (
     HallContext,
     _clique_has_sdr,
     check_clique_hall,
-    check_negative_single_and_complement,
-    check_positive_complement,
+    check_negative_single,
     check_positive_single,
     comb_prune,
     failing_rule,
 )
+from eqcolor.instances import by_name
 from eqcolor.oracle import brute_extendable, build_network, feasible_flow
 from helpers import random_state
 
@@ -54,17 +54,12 @@ def test_positive_single_vacuous_when_class_full():
     assert check_positive_single(ctx) is True
 
 
-def test_positive_complement_open_when_everyone_free():
-    g = Graph(4, [])
-    pc = PartialColoring(g)
-    decomp = CliqueDecomposition((), pc.uncolored)
-    ctx = HallContext(pc, decomp, 2)
-    assert check_positive_complement(ctx) is True
-
-
 def test_positive_complement_fires_when_two_classes_starved():
     """Nine vertices, classes (3,2,2), both uncolored vertices can only
-    take the first color: the other two classes cannot be topped up."""
+    take the first color: the other two classes cannot be topped up. The
+    single-color rules see it without the complement set: color 0 would
+    overfill (negative) and color 1 cannot be filled (positive, checked
+    first)."""
     edges = []
     for v in (7, 8):
         for w in (3, 4, 5, 6):
@@ -79,15 +74,9 @@ def test_positive_complement_fires_when_two_classes_starved():
         pc.extend(v, 2)
     decomp = CliqueDecomposition((), pc.uncolored)
     ctx = HallContext(pc, decomp, 3)
-    assert check_positive_complement(ctx) is False
+    assert check_negative_single(ctx) is False
+    assert failing_rule(ctx) == "positive_single"
     assert brute_extendable(g, pc, 3) is False
-
-
-def test_positive_complement_vacuous_single_color():
-    g = Graph(3, [])
-    pc = PartialColoring(g)
-    ctx = HallContext(pc, CliqueDecomposition((), pc.uncolored), 1)
-    assert check_positive_complement(ctx) is True
 
 
 def test_clique_sdr_cases():
@@ -127,12 +116,13 @@ def test_negative_pigeonhole():
     # k0=3: ceil(7/3)=3; 4,5,6 all have free set {0} and class 0 has room 1
     decomp = CliqueDecomposition((), pc.uncolored)
     ctx = HallContext(pc, decomp, 3)
-    assert check_negative_single_and_complement(ctx) is False
+    assert check_negative_single(ctx) is False
     assert brute_extendable(g, pc, 3) is False
 
 
 def test_negative_families_direct_evaluation():
-    """State with spread free sets: family (a) vacuous, family (b) holds."""
+    """State with spread free sets: no vertex is forced into one color, so
+    the negative rule holds."""
     g = Graph(8, [(6, 0), (7, 1)])
     pc = PartialColoring(g)
     for v, c in [(0, 0), (1, 1), (2, 2), (3, 3), (4, 0), (5, 1)]:
@@ -141,8 +131,7 @@ def test_negative_families_direct_evaluation():
     ctx = HallContext(pc, decomp, 4)
     # |F(6)| = |F(7)| = 3, so nobody is forced into a single color
     assert ctx.single_free == [0, 0, 0, 0] and ctx.empty_free == 0
-    # per color g: |{v: g not free}| = 1 <= sum of other ceilings' slack
-    assert check_negative_single_and_complement(ctx) is True
+    assert check_negative_single(ctx) is True
 
 
 def test_negative_open_with_full_freedom():
@@ -150,7 +139,7 @@ def test_negative_open_with_full_freedom():
     pc = PartialColoring(g)
     for k0 in (1, 2, 3):
         ctx = HallContext(pc, CliqueDecomposition((), pc.uncolored), k0)
-        assert check_negative_single_and_complement(ctx) is True
+        assert check_negative_single(ctx) is True
 
 
 def test_comb_prune_hub_triangles():
@@ -213,9 +202,10 @@ def test_deficit_prune_implies_flow_prune_under_full_freedom():
 
 
 def test_rule_menu_misses_spread_deficits_that_flow_catches():
-    """Known gap of the one-or-all-but-one color menu: two classes short by
-    one each with a single uncolored vertex passes every arithmetic rule,
-    while the exact test prunes. Documents why the flow engine dominates."""
+    """Known gap of the single-color rule menu (the all-but-one sets it
+    implies add nothing): two classes short by one each with a single
+    uncolored vertex passes every arithmetic rule, while the exact test
+    prunes. Documents why the flow engine dominates."""
     g = Graph(9, [])
     pc = PartialColoring(g)
     sizes = [3, 3, 1, 1]
@@ -249,3 +239,69 @@ def test_comb_prune_counts_empty_candidate_range_as_pruned_node():
     assert comb_prune(pc, decomp, 1, 4, stats) is True
     assert stats.prunes_hall == 1
     assert stats.rule_firings == {}
+
+
+def _harvest(monkeypatch, g, variant, every):
+    """States a real search hands its pruning engine, one in every `every`
+    calls: (color_of, decomposition, k_lower, k_upper)."""
+    name = f"{variant}_prune"
+    real = getattr(solver, name)
+    states = []
+    calls = 0
+
+    def spy(pc, decomp, k_lower, k_upper, stats=None):
+        nonlocal calls
+        calls += 1
+        if calls % every == 0:
+            states.append((list(pc.color_of), decomp, k_lower, k_upper))
+        return real(pc, decomp, k_lower, k_upper, stats)
+
+    monkeypatch.setattr(solver, name, spy)
+    solve(g, SolverConfig(variant=variant))
+    monkeypatch.undo()
+    return states
+
+
+def test_rules_and_flow_agree_with_literal_network_on_search_states(monkeypatch):
+    """Search-scale cross-check on states real searches reach: the hot-path
+    flow test matches the literal network, a failing rule implies an
+    infeasible network, and when every rule passes the two all-but-one
+    conditions the menu leaves out hold too (they are implied for
+    k0 >= k_used)."""
+    runs = [
+        (by_name("queen6_6"), "comb", 100),
+        (gen_gnp(40, 0.5, 11), "flow", 10),
+        (gen_gnp(40, 0.8, 12), "comb", 1),
+    ]
+    pairs = failures = feasible = 0
+    for g, variant, every in runs:
+        for color_of, decomp, k_lower, k_upper in _harvest(
+            monkeypatch, g, variant, every
+        ):
+            pc = PartialColoring(g)
+            for v, c in enumerate(color_of):
+                if c >= 0:
+                    pc.extend(v, c)
+            for k0 in candidate_k0_values(pc, k_lower, k_upper):
+                pairs += 1
+                exact = feasible_flow(build_network(pc, decomp, k0)) is not None
+                assert flow_feasible(pc, decomp, k0) is exact
+                feasible += exact
+                if failing_rule(HallContext(pc, decomp, k0)) is not None:
+                    failures += 1
+                    assert not exact
+                    continue
+                n_u = len(pc.uncolored)
+                floor_size, ceil_size = g.n // k0, -(-g.n // k0)
+                sizes = pc.class_size[:k0]
+                masks = [pc.free_mask(v, k0) for v in pc.uncolored]
+                for c in range(k0):
+                    only_c = sum(1 for m in masks if m in (0, 1 << c))
+                    with_c = sum(1 for m in masks if m >> c & 1)
+                    # positive, all colors but c
+                    fill = k0 * floor_size - sum(sizes) - (floor_size - sizes[c])
+                    assert k0 == 1 or fill <= n_u - only_c
+                    # negative, all colors but c
+                    room = k0 * ceil_size - sum(sizes) - (ceil_size - sizes[c])
+                    assert n_u - with_c <= room
+    assert pairs > 500 and failures > 50 and feasible > 300

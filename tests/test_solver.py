@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -153,12 +154,7 @@ def test_stats_counters_populated():
     assert st_flow.prunes_flow > 0
     _, st_comb = solve(g, SolverConfig(variant="comb"))
     assert st_comb.prunes_hall > 0
-    assert set(st_comb.rule_firings) <= {
-        "positive_single",
-        "clique_hall",
-        "negative",
-        "positive_complement",
-    }
+    assert set(st_comb.rule_firings) <= {"positive_single", "clique_hall", "negative"}
 
 
 def test_empty_graph_solves_to_zero():
@@ -185,3 +181,15 @@ def test_corrupted_incumbent_rejected(monkeypatch, corrupt):
     monkeypatch.setattr(solver, "_capped_greedy", lambda g, k: (2, list(corrupt)))
     with pytest.raises(RuntimeError, match="witness"):
         solve(g)
+
+
+def test_deadline_checked_at_every_node():
+    """Flow nodes on G(150, 0.9) take milliseconds each, so reading the
+    clock only every 1,024 nodes would overshoot a 0.5 s limit fourfold."""
+    g = gen_gnp(150, 0.9, 7)
+    t0 = time.perf_counter()
+    sol, stats = solve(g, SolverConfig(variant="flow", time_limit=0.5))
+    wall = time.perf_counter() - t0
+    assert stats.timed_out and not sol.optimal
+    assert proper_and_equitable(g, sol.coloring, sol.chi_eq)
+    assert wall <= 1.25
