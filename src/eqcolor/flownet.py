@@ -10,7 +10,10 @@ The partial coloring extends to an equitable k0-coloring only if this
 network carries a flow of value |U|; when the residual part is empty the
 condition is exact. The literal network, built arc by arc with its lower
 bounds, is the test oracle in `eqcolor.oracle`; this module decides the
-same question with a greedy witness and at most one max-flow.
+same question from the free-color masks that `hallrules.HallContext`
+already holds for the rule prefilter: a greedy witness, and when that
+fails one shortest-augmenting-path max-flow seeded with the greedy's
+partial assignment.
 """
 
 from __future__ import annotations
@@ -21,99 +24,67 @@ from . import hallrules
 
 
 def _max_flow(to: list, cap: list, adj: list, s: int, t: int) -> int:
-    """Dinic max-flow on paired arc arrays: arc a runs to `to[a]` with
-    residual capacity `cap[a]`, its reverse is a ^ 1, and `adj[v]` lists
-    the arcs leaving v. Augments `cap` in place; returns the value added."""
-    n = len(adj)
+    """Shortest-augmenting-path max-flow on paired arc arrays: arc a runs
+    to `to[a]` with residual capacity `cap[a]`, its reverse is a ^ 1, and
+    `adj[v]` lists the arcs leaving v. Each round searches breadth-first
+    from s, stops once t is labelled and augments the path found by its
+    bottleneck. Augments `cap` in place; returns the value added."""
     total = 0
     while True:
-        level = [-1] * n
-        level[s] = 0
+        via = [-1] * len(adj)  # the arc that first reached each node
+        via[s] = -2
         queue = [s]
         for v in queue:
-            lv = level[v] + 1
             for a in adj[v]:
                 w = to[a]
-                if cap[a] > 0 and level[w] < 0:
-                    level[w] = lv
+                if cap[a] > 0 and via[w] == -1:
+                    via[w] = a
                     queue.append(w)
-        if level[t] < 0:
-            return total
-        total += _blocking_flow(to, cap, adj, s, t, level)
-
-
-def _blocking_flow(to, cap, adj, s, t, level) -> int:
-    it = [0] * len(adj)
-    pushed = 0
-    path = []
-    v = s
-    while True:
-        if v == t:
-            f = min(cap[a] for a in path)
-            pushed += f
-            cut = None
-            for idx, a in enumerate(path):
-                cap[a] -= f
-                cap[a ^ 1] += f
-                if cut is None and cap[a] == 0:
-                    cut = idx
-            del path[cut:]
-            v = to[path[-1]] if path else s
-            continue
-        advanced = False
-        arcs_here = adj[v]
-        i = it[v]
-        lv1 = level[v] + 1
-        while i < len(arcs_here):
-            a = arcs_here[i]
-            w = to[a]
-            if cap[a] > 0 and level[w] == lv1:
-                advanced = True
+            if via[t] >= 0:
                 break
-            i += 1
-        it[v] = i
-        if advanced:
-            path.append(a)
-            v = w
         else:
-            if v == s:
-                return pushed
-            level[v] = -1
-            a = path.pop()
+            return total
+        path = []
+        v = t
+        while v != s:
+            a = via[v]
+            path.append(a)
             v = to[a ^ 1]
-            it[v] += 1
+        f = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= f
+            cap[a ^ 1] += f
+        total += f
 
 
-def _greedy_assignment(pc: PartialColoring, decomp: CliqueDecomposition, k0: int):
+def _greedy_assignment(ctx: hallrules.HallContext):
     """One-pass heuristic assignment of the uncolored vertices to free
     colors under the class-size windows, one vertex per clique and color.
-    Returns (complete, assignment): `complete` means every vertex was
+    Vertices are numbered in ctx order: clique by clique, then the
+    residual set. Returns (complete, assignment), where assignment[idx] is
+    the color given to vertex idx or -1: `complete` means every vertex was
     placed and every lower bound met, i.e. the assignment witnesses a
     feasible flow; otherwise the partial assignment still respects all
     capacities and can seed an exact solve. Failure proves nothing."""
-    n = pc.n
-    floor_size = n // k0
-    ceil_size = -(-n // k0)
-    class_size = pc.class_size
-    k_cap = pc.k_cap
-    lo = [0] * k0
-    hi = [0] * k0
-    for i in range(k0):
-        s = class_size[i] if i < k_cap else 0
+    floor_size = ctx.floor_size
+    ceil_size = ctx.ceil_size
+    lo = []
+    hi = []
+    for s in ctx.class_sizes:
         need = floor_size - s
-        lo[i] = need if need > 0 else 0
-        hi[i] = ceil_size - s
+        lo.append(need if need > 0 else 0)
+        hi.append(ceil_size - s)
     items = []
-    for j, clique in enumerate(decomp.cliques):
-        for v in clique:
-            items.append((pc.free_mask(v, k0), j, v))
-    for v in decomp.residual:
-        items.append((pc.free_mask(v, k0), -1, v))
+    for j, masks in enumerate(ctx.clique_masks):
+        for mask in masks:
+            items.append((mask, j, len(items)))
+    for mask in ctx.resid_masks:
+        items.append((mask, -1, len(items)))
     items.sort(key=lambda it: it[0].bit_count())
-    clique_used = [0] * len(decomp.cliques)
+    clique_used = [0] * len(ctx.clique_masks)
     lo_unmet = sum(lo)
-    assign = {}
-    for mask, j, v in items:
+    assign = [-1] * len(items)
+    for mask, j, idx in items:
         if j >= 0:
             mask &= ~clique_used[j]
         best = -1
@@ -130,36 +101,31 @@ def _greedy_assignment(pc: PartialColoring, decomp: CliqueDecomposition, k0: int
                 best, best_key = i, key
         if best < 0:
             continue
-        assign[v] = best
+        assign[idx] = best
         hi[best] -= 1
         if lo[best] > 0:
             lo[best] -= 1
             lo_unmet -= 1
         if j >= 0:
             clique_used[j] |= 1 << best
-    return lo_unmet == 0 and len(assign) == len(items), assign
+    return lo_unmet == 0 and -1 not in assign, assign
 
 
-def _exact_feasible(
-    pc: PartialColoring,
-    decomp: CliqueDecomposition,
-    k0: int,
-    seed: dict[int, int] | None = None,
-) -> bool:
+def _exact_feasible(ctx: hallrules.HallContext, seed: list[int] | None = None) -> bool:
     """Single max-flow feasibility for the solver's hot path: lower bounds
     only appear on the color->sink arcs, so splitting each into a bounded
     and a mandatory arc towards an auxiliary sink reduces the test to one
     run. Residual vertices connect straight to colors (their part bound
     can never bind) and color copies nobody can reach are dropped; both
-    are feasibility-preserving. A partial assignment from the greedy pass
-    pre-saturates its paths so only the deficit needs augmenting.
-    Property-tested against the literal network in `eqcolor.oracle`."""
-    n = pc.n
-    floor_size = n // k0
-    ceil_size = -(-n // k0)
-    class_size = pc.class_size
-    k_cap = pc.k_cap
-    n_u = len(pc.uncolored)
+    are feasibility-preserving. A partial assignment from the greedy pass,
+    indexed in ctx order, pre-saturates its paths so only the deficit
+    needs augmenting. Property-tested against the literal network in
+    `eqcolor.oracle`."""
+    k0 = ctx.k0
+    floor_size = ctx.floor_size
+    ceil_size = ctx.ceil_size
+    parts = (*ctx.clique_masks, ctx.resid_masks)
+    n_u = sum(map(len, parts))
 
     # node ids: s, U block, colors, t, t2, then the F copies as created
     c_base = 1 + n_u
@@ -172,10 +138,7 @@ def _exact_feasible(
     # of i; a residual vertex goes straight to C node i
     routes = []
     fc_arc = {}  # F node -> its arc into C
-    for clique in decomp.cliques:
-        or_mask = 0
-        for v in clique:
-            or_mask |= pc.free_mask(v, k0)
+    for or_mask in ctx.clique_or:
         route = [-1] * k0
         while or_mask:
             bit = or_mask & -or_mask
@@ -196,12 +159,12 @@ def _exact_feasible(
 
     adj_s = adj[0]
     if seed is None:
-        seed = {}
+        seed = [-1] * n_u
     # seeded_paths[color] -> (s->u arc, u->x arc, x) per greedy-placed vertex
     seeded_paths = [[] for _ in range(k0)]
     un = 0
-    for members, route in zip((*decomp.cliques, decomp.residual), routes):
-        for v in members:
+    for masks, route in zip(parts, routes):
+        for mask in masks:
             un += 1
             sa = len(to)
             to.append(un)
@@ -211,8 +174,7 @@ def _exact_feasible(
             adj_s.append(sa)
             node_adj = adj[un]
             node_adj.append(sa + 1)
-            sv = seed.get(v, -1)
-            mask = pc.free_mask(v, k0)
+            sv = seed[un - 1]
             while mask:
                 bit = mask & -mask
                 mask ^= bit
@@ -231,8 +193,7 @@ def _exact_feasible(
     lo_arc = [-1] * k0
     hi_arc = [-1] * k0
     lo_of = [0] * k0
-    for i in range(k0):
-        s = class_size[i] if i < k_cap else 0
+    for i, s in enumerate(ctx.class_sizes):
         lo = floor_size - s
         if lo < 0:
             lo = 0
@@ -293,15 +254,15 @@ def _exact_feasible(
     return pushed + _max_flow(to, cap, adj, 0, t2) == n_u
 
 
-def flow_feasible(pc: PartialColoring, decomp: CliqueDecomposition, k0: int) -> bool:
-    """Does (pc, decomp) admit a full flow at k0? Fast path for the search:
-    a greedy witness settles most feasible cases, an exact max-flow seeded
-    with the greedy's partial assignment settles the rest. Equivalent to
-    `oracle.feasible_flow` on the literal network."""
-    complete, assign = _greedy_assignment(pc, decomp, k0)
+def flow_feasible(ctx: hallrules.HallContext) -> bool:
+    """Does the state behind ctx admit a full flow at ctx.k0? Fast path for
+    the search: a greedy witness settles most feasible cases, an exact
+    max-flow seeded with the greedy's partial assignment settles the rest.
+    Equivalent to `oracle.feasible_flow` on the literal network."""
+    complete, assign = _greedy_assignment(ctx)
     if complete:
         return True
-    return _exact_feasible(pc, decomp, k0, assign)
+    return _exact_feasible(ctx, assign)
 
 
 def flow_prune(
@@ -325,7 +286,7 @@ def flow_prune(
             continue
         if stats is not None:
             stats.flow_solves += 1
-        if flow_feasible(pc, decomp, k0):
+        if flow_feasible(ctx):
             return False
     if stats is not None:
         stats.prunes_flow += 1

@@ -20,11 +20,16 @@ from .decomposition import CliqueDecomposition
 
 
 class HallContext:
-    """Per-(coloring, decomposition, k0) aggregates the rules read.
+    """Per-(coloring, decomposition, k0) aggregates the rules and the flow
+    engine read.
 
-    All counts restrict free colors to {0..k0-1}: only those exist in the
-    network. Vertices with no free color at all still count on the
-    "must be colored within T" side.
+    All masks and counts restrict free colors to {0..k0-1}: only those
+    exist in the network. The free masks are kept in one vertex order,
+    clique by clique (`clique_masks`, with each clique's union in
+    `clique_or`) and then the residual set (`resid_masks`). `supply[f]`
+    counts the cliques and residual vertices that can still take f.
+    Vertices with no free color at all still count on the "must be colored
+    within T" side.
     """
 
     __slots__ = (
@@ -33,8 +38,9 @@ class HallContext:
         "ceil_size",
         "class_sizes",
         "clique_masks",
-        "cliques_with_color",
-        "resid_with_color",
+        "clique_or",
+        "resid_masks",
+        "supply",
         "single_free",
         "empty_free",
     )
@@ -52,9 +58,10 @@ class HallContext:
 
         single_free = [0] * k0
         empty_free = 0
-        cliques_with_color = [0] * k0
-        resid_with_color = [0] * k0
+        supply = [0] * k0
         clique_masks = []
+        clique_or = []
+        resid_masks = []
 
         for clique in decomp.cliques:
             masks = []
@@ -67,19 +74,22 @@ class HallContext:
                     empty_free += 1
                 elif fm & (fm - 1) == 0:
                     single_free[fm.bit_length() - 1] += 1
-            _count_bits(or_mask, cliques_with_color)
+            _count_bits(or_mask, supply)
             clique_masks.append(masks)
+            clique_or.append(or_mask)
         for v in decomp.residual:
             fm = ~forbidden[v] & full
-            _count_bits(fm, resid_with_color)
+            resid_masks.append(fm)
+            _count_bits(fm, supply)
             if fm == 0:
                 empty_free += 1
             elif fm & (fm - 1) == 0:
                 single_free[fm.bit_length() - 1] += 1
 
         self.clique_masks = clique_masks
-        self.cliques_with_color = cliques_with_color
-        self.resid_with_color = resid_with_color
+        self.clique_or = clique_or
+        self.resid_masks = resid_masks
+        self.supply = supply
         self.single_free = single_free
         self.empty_free = empty_free
 
@@ -100,10 +110,9 @@ def check_positive_single(ctx: HallContext) -> bool:
     """Every color must be fillable to floor(n/k0): at most one vertex per
     clique plus every residual vertex that can still take it."""
     floor_size = ctx.floor_size
-    cliques_with = ctx.cliques_with_color
-    resid_with = ctx.resid_with_color
+    supply = ctx.supply
     for f, size in enumerate(ctx.class_sizes):
-        if floor_size - size > cliques_with[f] + resid_with[f]:
+        if floor_size - size > supply[f]:
             return False
     return True
 

@@ -135,9 +135,6 @@ class FlowNetwork:
         "value_target",
     )
 
-    def f_node(self, part: int, color: int) -> int:
-        return 1 + len(self.u_vertices) + part * self.k0 + color
-
     def c_node(self, color: int) -> int:
         return 1 + len(self.u_vertices) + len(self.parts) * self.k0 + color
 

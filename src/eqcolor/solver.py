@@ -130,15 +130,19 @@ def _capped_greedy(g: Graph, k: int):
     return len(used), color
 
 
-def initial_bounds(g: Graph):
+def initial_bounds(g: Graph, deadline: float):
     """(k_lower, k_upper, incumbent, clique): the size of a greedy clique
     below, capped greedy above. The greedy retries with one more color on
-    failure and cannot fail at k = n."""
+    failure and cannot fail at k = n. Once `deadline` (a perf_counter
+    time) has passed, no further greedy is started and the upper bound is
+    n, witnessed by one class per vertex."""
     if g.n == 0:
         raise ValueError("graph must be nonempty")
     clique = _best_greedy_clique(g)
     k_lower = len(clique)
     for k in range(k_lower, g.n + 1):
+        if time.perf_counter() > deadline:
+            return k_lower, g.n, list(range(g.n)), clique
         result = _capped_greedy(g, k)
         if result is not None:
             k_upper, coloring = result
@@ -177,7 +181,7 @@ def _search(g: Graph, cfg: SolverConfig):
     stats = SearchStats()
     if g.n == 0:
         return Solution(0, [], True), stats
-    k_lower, k_upper, incumbent, root_clique = initial_bounds(g)
+    k_lower, k_upper, incumbent, root_clique = initial_bounds(g, deadline)
     if k_lower >= k_upper:
         stats.nodes = 1
         stats.gap_closed_at_root = True
@@ -214,6 +218,9 @@ def _search(g: Graph, cfg: SolverConfig):
             limit = k_upper - 1
         mask = pc.free_mask(v, limit)
         child_depth = depth + 1
+        # every child leaves the same uncolored set, so project once
+        if prune is not None:
+            child_decomp = decomp.restricted_to(uncolored - {v})
         # iterate colors descending so the LIFO pop order is ascending
         while mask:
             i = mask.bit_length() - 1
@@ -221,9 +228,7 @@ def _search(g: Graph, cfg: SolverConfig):
             pc.extend(v, i)
             if deficit_prune(pc, k_lower):
                 stats.prunes_deficit += 1
-            elif prune is None or not prune(
-                pc, decomp.restricted_to(uncolored), k_lower, k_upper, stats
-            ):
+            elif prune is None or not prune(pc, child_decomp, k_lower, k_upper, stats):
                 stack.append((child_depth, v, i))
             pc.retract()
 

@@ -8,9 +8,11 @@ from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
 from eqcolor.flownet import (
     _exact_feasible,
     _greedy_assignment,
+    _max_flow,
     flow_feasible,
     flow_prune,
 )
+from eqcolor.hallrules import HallContext
 from eqcolor.oracle import (
     brute_extendable,
     build_network,
@@ -253,7 +255,7 @@ def test_flow_prune_prefilter_equivalent():
         k_upper = rng.randint(k0, g.n + 1)
         k_lower = rng.randint(1, max(1, pc.k_used))
         unfiltered = not any(
-            flow_feasible(pc, decomp, k)
+            flow_feasible(HallContext(pc, decomp, k))
             for k in candidate_k0_values(pc, k_lower, k_upper)
         )
         assert flow_prune(pc, decomp, k_lower, k_upper) == unfiltered
@@ -264,13 +266,53 @@ def test_fast_path_matches_reference():
     for _ in range(2000):
         _, pc, decomp, k0 = random_state(rng, n_max=9)
         ref = feasible_flow(build_network(pc, decomp, k0)) is not None
-        assert flow_feasible(pc, decomp, k0) == ref
-        complete, assign = _greedy_assignment(pc, decomp, k0)
+        ctx = HallContext(pc, decomp, k0)
+        assert flow_feasible(ctx) == ref
+        complete, assign = _greedy_assignment(ctx)
         if complete:
             assert ref is True
         else:
-            assert _exact_feasible(pc, decomp, k0, assign) == ref
-            assert _exact_feasible(pc, decomp, k0, None) == ref
+            assert _exact_feasible(ctx, assign) == ref
+            assert _exact_feasible(ctx, None) == ref
+
+
+def _random_paired_network(rng):
+    n = rng.randint(2, 7)
+    to, cap, adj, arcs = [], [], [[] for _ in range(n)], []
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v, c = rng.randrange(n), rng.randrange(n), rng.randint(0, 3)
+        arcs.append((u, v, c))
+        adj[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        adj[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+    return n, to, cap, adj, arcs
+
+
+def test_max_flow_equals_min_cut_and_leaves_a_valid_flow():
+    """On small random paired-arc networks the value is the brute-force
+    minimum s-t cut, and the residual capacities encode a flow within
+    every arc's capacity that is conserved at every inner node."""
+    rng = random.Random(55)
+    for _ in range(3000):
+        n, to, cap, adj, arcs = _random_paired_network(rng)
+        s, t = rng.sample(range(n), 2)
+        min_cut = min(
+            sum(c for u, v, c in arcs if side >> u & 1 and not side >> v & 1)
+            for side in range(1 << n)
+            if side >> s & 1 and not side >> t & 1
+        )
+        assert _max_flow(to, cap, adj, s, t) == min_cut
+        balance = [0] * n
+        for a, (u, v, c) in enumerate(arcs):
+            flow = cap[2 * a + 1]
+            assert 0 <= flow <= c and cap[2 * a] == c - flow
+            balance[u] -= flow
+            balance[v] += flow
+        assert balance[t] == min_cut == -balance[s]
+        assert all(b == 0 for w, b in enumerate(balance) if w not in (s, t))
 
 
 def test_flow_prune_never_cuts_optimal_path():

@@ -285,7 +285,7 @@ def test_rules_and_flow_agree_with_literal_network_on_search_states(monkeypatch)
             for k0 in candidate_k0_values(pc, k_lower, k_upper):
                 pairs += 1
                 exact = feasible_flow(build_network(pc, decomp, k0)) is not None
-                assert flow_feasible(pc, decomp, k0) is exact
+                assert flow_feasible(HallContext(pc, decomp, k0)) is exact
                 feasible += exact
                 if failing_rule(HallContext(pc, decomp, k0)) is not None:
                     failures += 1

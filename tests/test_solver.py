@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -34,14 +35,14 @@ def test_config_validation():
 
 
 def test_initial_bounds_complete_graph():
-    k_lower, k_upper, coloring, clique = initial_bounds(complete(5))
+    k_lower, k_upper, coloring, clique = initial_bounds(complete(5), math.inf)
     assert sorted(clique) == [0, 1, 2, 3, 4]
     assert (k_lower, k_upper) == (5, 5)
     assert proper_and_equitable(complete(5), coloring, 5)
 
 
 def test_initial_bounds_star12():
-    k_lower, k_upper, coloring, clique = initial_bounds(star(12))
+    k_lower, k_upper, coloring, clique = initial_bounds(star(12), math.inf)
     assert len(clique) == k_lower
     assert k_lower == 2
     assert 7 <= k_upper <= 12
@@ -50,7 +51,7 @@ def test_initial_bounds_star12():
 
 def test_initial_bounds_edgeless():
     g = Graph(6, [])
-    k_lower, k_upper, coloring, _ = initial_bounds(g)
+    k_lower, k_upper, coloring, _ = initial_bounds(g, math.inf)
     assert (k_lower, k_upper) == (1, 1)
     assert coloring == [0] * 6
 
@@ -193,3 +194,22 @@ def test_deadline_checked_at_every_node():
     assert stats.timed_out and not sol.optimal
     assert proper_and_equitable(g, sol.coloring, sol.chi_eq)
     assert wall <= 1.25
+
+
+def test_initial_bounds_honor_the_deadline():
+    """The capped greedy alone runs for seconds on G(400, 0.9); past the
+    deadline initial_bounds stops retrying and hands back one class per
+    vertex, so the search times out at its first node."""
+    g = gen_gnp(400, 0.9, 7)
+    t0 = time.perf_counter()
+    sol, stats = solve(g, SolverConfig(variant="comb", time_limit=0.5))
+    wall = time.perf_counter() - t0
+    assert stats.timed_out and not sol.optimal
+    assert proper_and_equitable(g, sol.coloring, sol.chi_eq)
+    assert wall <= 1.25
+
+
+def test_initial_bounds_past_deadline_is_one_class_per_vertex():
+    k_lower, k_upper, coloring, clique = initial_bounds(star(12), -math.inf)
+    assert (k_lower, k_upper) == (len(clique), 12)
+    assert coloring == list(range(12))
