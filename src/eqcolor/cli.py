@@ -69,6 +69,7 @@ def cmd_solve(args) -> int:
     else:
         print(f"best_found:      {sol.chi_eq}")
         print("status:          TIMEOUT")
+    print(f"lower_bound:     {stats.k_lower}")
     print(f"nodes:           {stats.nodes}")
     print(f"prunes_deficit:  {stats.prunes_deficit}")
     print(f"prunes_flow:     {stats.prunes_flow}")

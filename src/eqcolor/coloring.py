@@ -1,9 +1,11 @@
 """Partial colorings with incremental bookkeeping and arithmetic pruning.
 
 Colors are 0-based indices internally. A partial coloring tracks, per
-vertex, the set of colors used by colored neighbors (as a bitmask plus a
-multiplicity counter so retraction is exact), the saturation degree, and a
-histogram of class sizes so the largest-class statistics cost O(1).
+vertex, the set of colors used by colored neighbors as a bitmask, and a
+histogram of class sizes so the largest-class statistics cost O(1). The
+search undoes strictly last-in-first-out, so each trail entry records the
+neighbors its extend barred from a color, and a retract clears exactly
+those bits.
 """
 
 from __future__ import annotations
@@ -14,43 +16,34 @@ from .graph import Graph
 class PartialColoring:
     """Mutable partial coloring supporting O(deg) extend/retract.
 
-    `conflicts[v][i]` counts colored neighbors of v wearing color i;
-    `forbidden_mask[v]` has bit i set iff conflicts[v][i] > 0 and `sat[v]`
-    is the popcount of that mask. These are maintained for every vertex,
-    colored or not, so a retract sequence restores earlier states exactly.
-
-    `k_cap` bounds the largest color index ever assigned (memory for the
-    conflict counters); it defaults to n.
+    `forbidden_mask[v]` has bit i set iff some colored neighbor of v wears
+    color i; its popcount is v's saturation degree. The mask is kept for
+    every vertex, colored or not. Each `_trail` entry is `(v, i, barred)`,
+    where `barred` lists the neighbors of v that lacked bit i before v was
+    colored i, so a retract sequence restores earlier states exactly.
     """
 
     __slots__ = (
         "g",
         "n",
-        "k_cap",
         "color_of",
         "class_size",
         "uncolored",
-        "conflicts",
         "forbidden_mask",
-        "sat",
         "k_used",
         "M",
         "_size_hist",
         "_trail",
     )
 
-    def __init__(self, g: Graph, k_cap: int | None = None):
+    def __init__(self, g: Graph):
         n = g.n
-        k_cap = n if k_cap is None else k_cap
         self.g = g
         self.n = n
-        self.k_cap = k_cap
         self.color_of = [-1] * n
-        self.class_size = [0] * k_cap
+        self.class_size = [0] * n
         self.uncolored = set(range(n))
-        self.conflicts = [[0] * k_cap for _ in range(n)]
         self.forbidden_mask = [0] * n
-        self.sat = [0] * n
         self.k_used = 0
         self.M = 0
         self._size_hist = [0] * (n + 1)
@@ -86,20 +79,18 @@ class PartialColoring:
         if s + 1 > self.M:
             self.M = s + 1
         bit = 1 << i
-        color_of = self.color_of
         forbidden = self.forbidden_mask
-        sat = self.sat
+        barred = []
         for w in self.g.adj[v]:
-            cw = self.conflicts[w]
-            if cw[i] == 0:
-                forbidden[w] |= bit
-                sat[w] += 1
-            cw[i] += 1
-        self._trail.append((v, i))
+            fw = forbidden[w]
+            if not fw & bit:
+                forbidden[w] = fw | bit
+                barred.append(w)
+        self._trail.append((v, i, barred))
 
     def retract(self) -> tuple[int, int]:
         """Undo the most recent extend; returns the (vertex, color) undone."""
-        v, i = self._trail.pop()
+        v, i, barred = self._trail.pop()
         self.color_of[v] = -1
         self.uncolored.add(v)
         s = self.class_size[i]
@@ -111,15 +102,10 @@ class PartialColoring:
             self._size_hist[s - 1] += 1
         if s == self.M and self._size_hist[s] == 0:
             self.M = s - 1
-        bit = 1 << i
+        clear = ~(1 << i)
         forbidden = self.forbidden_mask
-        sat = self.sat
-        for w in self.g.adj[v]:
-            cw = self.conflicts[w]
-            cw[i] -= 1
-            if cw[i] == 0:
-                forbidden[w] &= ~bit
-                sat[w] -= 1
+        for w in barred:
+            forbidden[w] &= clear
         return v, i
 
 

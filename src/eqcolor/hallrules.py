@@ -50,9 +50,7 @@ class HallContext:
         self.k0 = k0
         self.floor_size = n // k0
         self.ceil_size = -(-n // k0)
-        self.class_sizes = [
-            pc.class_size[i] if i < pc.k_cap else 0 for i in range(k0)
-        ]
+        self.class_sizes = pc.class_size[:k0]
         full = (1 << k0) - 1
         forbidden = pc.forbidden_mask
 

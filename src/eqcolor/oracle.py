@@ -175,9 +175,7 @@ def build_network(
     net.k0 = k0
     net.floor_size = floor_size
     net.ceil_size = ceil_size
-    net.class_sizes = [
-        pc.class_size[i] if i < pc.k_cap else 0 for i in range(k0)
-    ]
+    net.class_sizes = pc.class_size[:k0]
     net.parts = parts
     net.alphas = alphas
     net.u_vertices = u_vertices

@@ -47,7 +47,8 @@ class SearchStats:
     """Search counters. Each `prunes_*` field counts pruned nodes, one per
     node, credited to the test that pruned it; `rule_firings` counts the
     (node, k0) pairs each Hall rule rejected under comb, on pruned and
-    surviving nodes alike."""
+    surviving nodes alike. `k_lower` is the root's lower bound, so a
+    timed-out run's gap is chi_eq - k_lower."""
 
     nodes: int = 0
     prunes_deficit: int = 0
@@ -55,6 +56,7 @@ class SearchStats:
     prunes_hall: int = 0
     rule_firings: dict = field(default_factory=dict)
     flow_solves: int = 0
+    k_lower: int = 0
     elapsed: float = 0.0
     timed_out: bool = False
     gap_closed_at_root: bool = False
@@ -182,15 +184,20 @@ def _search(g: Graph, cfg: SolverConfig):
     if g.n == 0:
         return Solution(0, [], True), stats
     k_lower, k_upper, incumbent, root_clique = initial_bounds(g, deadline)
-    if k_lower >= k_upper:
+    stats.k_lower = k_lower
+    closed = k_lower >= k_upper
+    # past the deadline, screening the root's children alone could take
+    # k_upper engine calls per child
+    if closed or time.perf_counter() > deadline:
         stats.nodes = 1
-        stats.gap_closed_at_root = True
+        stats.gap_closed_at_root = closed
+        stats.timed_out = not closed
         stats.elapsed = time.perf_counter() - t0
-        return Solution(k_upper, incumbent, True), stats
+        return Solution(k_upper, incumbent, closed), stats
 
     # looked up per call, so rebinding the module attributes takes effect
     prune = {"flow": flow_prune, "comb": comb_prune}.get(cfg.variant)
-    pc = PartialColoring(g, k_cap=k_upper)
+    pc = PartialColoring(g)
     for idx, v in enumerate(root_clique):
         pc.extend(v, idx)
     root_depth = pc.depth
@@ -200,7 +207,7 @@ def _search(g: Graph, cfg: SolverConfig):
         decomp = restarted_decomposition(g, pc.uncolored)
 
     degree = g.degree
-    sat = pc.sat
+    forbidden = pc.forbidden_mask
     uncolored = pc.uncolored
     stride = cfg.cd_stride
     stack = []
@@ -210,7 +217,7 @@ def _search(g: Graph, cfg: SolverConfig):
         v = -1
         best_key = None
         for u in uncolored:
-            key = (sat[u], degree[u], -u)
+            key = (forbidden[u].bit_count(), degree[u], -u)
             if best_key is None or key > best_key:
                 v, best_key = u, key
         limit = pc.k_used + 1

@@ -234,22 +234,17 @@ def assignment_feasible(net: FlowNetwork) -> bool:
     return rec(0)
 
 
-def recompute_conflicts(pc: PartialColoring):
-    """From-scratch forbidden sets and saturation, for comparing against
-    the incrementally maintained ones."""
+def recompute_forbidden(pc: PartialColoring):
+    """From-scratch forbidden sets, for comparing against the
+    incrementally maintained ones."""
     g = pc.g
     forbidden = [0] * g.n
-    sat = [0] * g.n
     for v in range(g.n):
-        seen = set()
         for w in g.adj[v]:
             c = pc.color_of[w]
             if c >= 0:
-                seen.add(c)
-        for c in seen:
-            forbidden[v] |= 1 << c
-        sat[v] = len(seen)
-    return forbidden, sat
+                forbidden[v] |= 1 << c
+    return forbidden
 
 
 def proper_and_equitable(g: Graph, coloring, k: int) -> bool:

@@ -59,6 +59,7 @@ def test_solve_prints_prune_counters(myciel4_file, capsys):
     out = capsys.readouterr().out
     hall = int(out.split("prunes_hall:")[1].split()[0])
     firings = out.split("rule_firings:")[1].split()[0]
+    assert int(out.split("lower_bound:")[1].split()[0]) == 2  # triangle-free
     assert hall > 0
     assert sum(int(kv.split("=")[1]) for kv in firings.split(",")) >= 1
 

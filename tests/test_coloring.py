@@ -8,7 +8,7 @@ from eqcolor.coloring import (
     deficit_prune,
     is_equitable,
 )
-from helpers import random_partial_coloring, recompute_conflicts
+from helpers import random_partial_coloring, recompute_forbidden
 
 
 def path3():
@@ -35,7 +35,7 @@ def test_extend_updates_forbidden_sets():
     pc.extend(1, 0)
     assert [v for v, c in enumerate(pc.color_of) if c == 0] == [1]
     assert pc.forbidden_mask[0] == 1 and pc.forbidden_mask[2] == 1
-    assert pc.sat[0] == pc.sat[2] == 1
+    assert pc.forbidden_mask[0].bit_count() == pc.forbidden_mask[2].bit_count() == 1
     assert pc.uncolored == {0, 2}
 
 
@@ -62,29 +62,32 @@ def test_lopsided_state_statistics():
     assert pc.M == 3 and pc.t == 1 and pc.k_used == 4
 
 
+def snapshot(pc):
+    return (
+        list(pc.color_of),
+        set(pc.uncolored),
+        list(pc.forbidden_mask),
+        pc.M,
+        pc.t,
+        pc.k_used,
+    )
+
+
 def test_retract_restores_prior_state():
-    g, pc = lopsided_state()
-    before = (
-        list(pc.color_of),
-        set(pc.uncolored),
-        list(pc.forbidden_mask),
-        pc.M,
-        pc.t,
-        pc.k_used,
-    )
-    pc.extend(6, 1)
-    pc.extend(7, 2)
-    pc.retract()
-    pc.retract()
-    after = (
-        list(pc.color_of),
-        set(pc.uncolored),
-        list(pc.forbidden_mask),
-        pc.M,
-        pc.t,
-        pc.k_used,
-    )
-    assert before == after
+    inputs = [
+        (lopsided_state()[1], [(6, 1), (7, 2)]),
+        # both ends bar the middle vertex from color 0: after one retract
+        # it is still barred, after both it is free
+        (PartialColoring(path3()), [(0, 0), (2, 0)]),
+    ]
+    for pc, moves in inputs:
+        before = []
+        for v, c in moves:
+            before.append(snapshot(pc))
+            pc.extend(v, c)
+        while before:
+            pc.retract()
+            assert snapshot(pc) == before.pop()
 
 
 def test_incremental_matches_recompute_on_random_walks():
@@ -103,13 +106,11 @@ def test_incremental_matches_recompute_on_random_walks():
             elif moves:
                 pc.retract()
                 moves -= 1
-        forb, sat = recompute_conflicts(pc)
-        assert forb == pc.forbidden_mask
-        assert sat == pc.sat
-        sizes = sorted(s for s in pc.class_size if s)
-        assert pc.M == (max(sizes) if sizes else 0)
-        assert pc.t == (sizes.count(pc.M) if sizes else 0)
-        assert pc.k_used == len(sizes)
+            assert recompute_forbidden(pc) == pc.forbidden_mask
+            sizes = sorted(s for s in pc.class_size if s)
+            assert pc.M == (max(sizes) if sizes else 0)
+            assert pc.t == (sizes.count(pc.M) if sizes else 0)
+            assert pc.k_used == len(sizes)
 
 
 def test_deficit_prune_fires_on_lopsided_state():

@@ -213,3 +213,31 @@ def test_initial_bounds_past_deadline_is_one_class_per_vertex():
     k_lower, k_upper, coloring, clique = initial_bounds(star(12), -math.inf)
     assert (k_lower, k_upper) == (len(clique), 12)
     assert coloring == list(range(12))
+
+
+def test_root_children_not_screened_past_the_deadline(monkeypatch):
+    """Once initial_bounds has used up the time limit the search stops
+    before the root's children are screened, which could cost k_upper
+    engine calls per child."""
+    g = gen_gnp(40, 0.5, 3)
+    bounds = solver.initial_bounds
+    prune = solver.comb_prune
+    calls = []
+
+    def late_bounds(g, deadline):
+        result = bounds(g, deadline)
+        while time.perf_counter() <= deadline:
+            time.sleep(0.01)
+        return result
+
+    def counted_prune(*args):
+        calls.append(args)
+        return prune(*args)
+
+    monkeypatch.setattr(solver, "initial_bounds", late_bounds)
+    monkeypatch.setattr(solver, "comb_prune", counted_prune)
+    sol, stats = solve(g, SolverConfig(variant="comb", time_limit=0.05))
+    assert len(calls) == 0
+    assert stats.timed_out and not sol.optimal
+    assert proper_and_equitable(g, sol.coloring, sol.chi_eq)
+    assert stats.k_lower < sol.chi_eq
