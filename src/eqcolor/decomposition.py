@@ -3,7 +3,8 @@ cliques plus a residual set.
 
 The residual set carries the trivial stability bound (its own size); each
 clique carries bound 1, which is what makes the flow model tight on the
-clique-covered part.
+clique-covered part. Seeds and growth both follow `Graph.order`, the
+static priority of decreasing degree with ties to the lowest index.
 """
 
 from __future__ import annotations
@@ -80,31 +81,41 @@ def find_non_adjacent_cliques(
 ) -> CliqueDecomposition:
     """Greedy extraction of pairwise non-adjacent cliques from `uncolored`.
 
-    Repeatedly seed a clique with the highest-degree remaining vertex
-    (static degree in g, ties to the lowest index), grow it by the
-    highest-degree common neighbor among the remaining vertices, then move
-    the clique's outside neighbors into the residual so later cliques
-    cannot touch it. Singleton cliques fold straight into the residual.
+    Repeatedly seed a clique with the remaining vertex that comes first in
+    `g.order` (highest degree in g, ties to the lowest index), grow it by
+    the common neighbor among the remaining vertices that comes first in
+    that order, then move the clique's outside neighbors into the residual
+    so later cliques cannot touch it. Singleton cliques fold straight into
+    the residual.
 
     `first_pick` overrides the first seed only (used for restarts).
     """
     remaining = set(uncolored)
-    degree = g.degree
     adj = g.adj
+    order = [v for v in g.order if v in remaining]
+    pos = -1
     cliques = []
     residual = set()
     while remaining:
         if first_pick is not None:
-            v = first_pick
-            first_pick = None
+            v, first_pick = first_pick, None
+            scan = order
         else:
-            v = min(remaining, key=lambda w: (-degree[w], w))
+            # the first remaining vertex: every candidate comes after it
+            pos += 1
+            while order[pos] not in remaining:
+                pos += 1
+            v = order[pos]
+            scan = order[pos + 1 :]
+        # as in greedy_maximal_clique, one forward scan grows the clique
         clique = [v]
         common = adj[v] & remaining
-        while common:
-            w = min(common, key=lambda x: (-degree[x], x))
-            clique.append(w)
-            common = common & adj[w]
+        for w in scan:
+            if not common:
+                break
+            if w in common:
+                clique.append(w)
+                common = common & adj[w]
         remaining.difference_update(clique)
         if len(clique) == 1:
             residual.add(v)
@@ -121,14 +132,14 @@ def find_non_adjacent_cliques(
 
 def restarted_decomposition(g: Graph, uncolored, tries: int = 1) -> CliqueDecomposition:
     """Run the greedy decomposition from up to `tries` distinct first seeds
-    (highest-degree candidates in order) and keep the one covering the most
-    vertices by cliques; ties go to the first found."""
+    (the first uncolored vertices of `g.order`) and keep the one covering
+    the most vertices by cliques; ties go to the first found."""
     if tries < 1:
         raise ValueError("tries must be >= 1")
     uncolored = set(uncolored)
     if not uncolored:
         return CliqueDecomposition((), ())
-    starts = sorted(uncolored, key=lambda w: (-g.degree[w], w))[:tries]
+    starts = [v for v in g.order if v in uncolored][:tries]
     best = None
     best_key = None
     for s in starts:

@@ -1,4 +1,5 @@
-"""Immutable simple graphs, DIMACS .col I/O, G(n,p) generation, greedy cliques."""
+"""Immutable simple graphs with one static vertex order, DIMACS .col I/O,
+G(n,p) generation, greedy cliques."""
 
 from __future__ import annotations
 
@@ -21,9 +22,12 @@ class Graph:
 
     Duplicate edges and both orientations of the same pair collapse to a
     single undirected edge. Self-loops are rejected.
+
+    Besides `n`, `adj`, `edges` and `degree`, it keeps `order`: the vertex
+    priority every greedy scans, by decreasing degree, ties to lower index.
     """
 
-    __slots__ = ("n", "adj", "edges", "degree")
+    __slots__ = ("n", "adj", "edges", "degree", "order")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -45,7 +49,9 @@ class Graph:
         self.n = n
         self.adj = tuple(frozenset(s) for s in adj)
         self.edges = frozenset(edge_set)
-        self.degree = tuple(len(s) for s in adj)
+        self.degree = degree = tuple(len(s) for s in adj)
+        # sorted is stable, so equal degrees stay in increasing index order
+        self.order = tuple(sorted(range(n), key=degree.__getitem__, reverse=True))
 
     @property
     def m(self) -> int:
@@ -150,17 +156,21 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
 
 def greedy_maximal_clique(g: Graph, start: int) -> list[int]:
     """Grow an inclusion-maximal clique from `start` by repeatedly adding the
-    highest-degree common neighbor (ties broken to the lowest index).
+    common neighbor that comes first in `g.order`. One forward scan of the
+    order suffices: the common neighbors only shrink, so a vertex passed
+    over never becomes one again.
 
     Returns the clique in growth order.
     """
     if not 0 <= start < g.n:
         raise ValueError(f"start vertex {start} out of range")
-    degree = g.degree
+    adj = g.adj
     clique = [start]
-    common = set(g.adj[start])
-    while common:
-        v = min(common, key=lambda w: (-degree[w], w))
-        clique.append(v)
-        common &= g.adj[v]
+    common = adj[start]
+    for v in g.order:
+        if not common:
+            break
+        if v in common:
+            clique.append(v)
+            common = common & adj[v]
     return clique

@@ -1,13 +1,14 @@
 """Exact equitable coloring by saturation-guided branch and bound.
 
 Search contract: depth-first, root seeded with a greedily colored maximal
-clique; at each node branch on an uncolored vertex of maximum saturation
-(ties: maximum degree, then lowest index) over the free colors up to one
-new class, in increasing order. A child survives only if its color index
-stays below the incumbent bound, the arithmetic largest-class test passes,
-and (for the flow/comb variants) the chosen pruning engine finds some
-candidate color count still alive. All tie-breaking is deterministic so
-node counts are comparable across variants.
+clique grown from the first vertices of `Graph.order`; at each node branch
+on an uncolored vertex of maximum saturation (ties: maximum degree, then
+lowest index) over the free colors up to one new class, in increasing
+order. A child survives only if its color index stays below the incumbent
+bound, the arithmetic largest-class test passes, and (for the flow/comb
+variants) the chosen pruning engine finds some candidate color count
+still alive. All tie-breaking is deterministic so node counts are
+comparable across variants.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class SolverConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.cd_stride < 1:
             raise ValueError("cd_stride must be >= 1")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # rejects NaN too
             raise ValueError("time_limit must be positive")
 
 
@@ -70,66 +71,54 @@ class Solution:
 
 
 def _best_greedy_clique(g: Graph) -> list[int]:
-    """Largest of a few greedy maximal cliques, grown from the
-    highest-degree vertices; deterministic."""
-    starts = sorted(range(g.n), key=lambda v: (-g.degree[v], v))[:_CLIQUE_STARTS]
+    """Largest of a few greedy maximal cliques, grown from the first
+    vertices of `g.order`; deterministic."""
     best = None
-    for s in starts:
+    for s in g.order[:_CLIQUE_STARTS]:
         clique = greedy_maximal_clique(g, s)
         if best is None or len(clique) > len(best):
             best = clique
     return best
 
 
+def _dsatur_pick(pc: PartialColoring) -> int:
+    """The uncolored vertex of maximum saturation, ties to maximum degree,
+    then to the lowest index."""
+    degree = pc.g.degree
+    forbidden = pc.forbidden_mask
+    v, best_key = -1, None
+    for u in pc.uncolored:
+        key = (forbidden[u].bit_count(), degree[u], -u)
+        if best_key is None or key > best_key:
+            v, best_key = u, key
+    return v
+
+
 def _capped_greedy(g: Graph, k: int):
-    """Saturation-order greedy into k classes capped at ceil(n/k); returns
+    """DSATUR greedy into k classes capped at ceil(n/k); returns
     (colors_used, coloring) when the result is a complete equitable
-    coloring, else None."""
-    n = g.n
-    cap = -(-n // k)
-    full = (1 << k) - 1
-    color = [-1] * n
-    fmask = [0] * n
-    sat = [0] * n
-    degree = g.degree
-    adj = g.adj
-    size = [0] * k
-    for _ in range(n):
-        best_v = -1
-        best_key = None
-        for v in range(n):
-            if color[v] >= 0:
-                continue
-            key = (sat[v], degree[v], -v)
-            if best_key is None or key > best_key:
-                best_v, best_key = v, key
-        v = best_v
-        mask = ~fmask[v] & full
-        chosen = -1
+    coloring, else None.
+
+    Each vertex takes its lowest free color whose class is below the cap.
+    An unused color is free for every vertex and below the cap, so no
+    vertex skips one: the colors used are always 0..colors_used-1."""
+    pc = PartialColoring(g)
+    cap = -(-g.n // k)
+    size = pc.class_size
+    for _ in range(g.n):
+        v = _dsatur_pick(pc)
+        mask = pc.free_mask(v, k)
         while mask:
-            bit = mask & -mask
-            i = bit.bit_length() - 1
+            i = (mask & -mask).bit_length() - 1
             if size[i] < cap:
-                chosen = i
                 break
-            mask ^= bit
-        if chosen < 0:
+            mask &= mask - 1
+        else:
             return None
-        color[v] = chosen
-        size[chosen] += 1
-        bit = 1 << chosen
-        for w in adj[v]:
-            if color[w] < 0 and not fmask[w] & bit:
-                fmask[w] |= bit
-                sat[w] += 1
-    used = [i for i in range(k) if size[i] > 0]
-    sizes = [size[i] for i in used]
-    if max(sizes) - min(sizes) > 1:
+        pc.extend(v, i)
+    if not is_equitable(pc, pc.k_used):
         return None
-    if len(used) < k:
-        remap = {old: new for new, old in enumerate(used)}
-        color = [remap[c] for c in color]
-    return len(used), color
+    return pc.k_used, pc.color_of
 
 
 def initial_bounds(g: Graph, deadline: float):
@@ -206,20 +195,13 @@ def _search(g: Graph, cfg: SolverConfig):
     if prune is not None:
         decomp = restarted_decomposition(g, pc.uncolored)
 
-    degree = g.degree
-    forbidden = pc.forbidden_mask
     uncolored = pc.uncolored
     stride = cfg.cd_stride
     stack = []
     timed_out = False
 
     def push_children(depth: int) -> None:
-        v = -1
-        best_key = None
-        for u in uncolored:
-            key = (forbidden[u].bit_count(), degree[u], -u)
-            if best_key is None or key > best_key:
-                v, best_key = u, key
+        v = _dsatur_pick(pc)
         limit = pc.k_used + 1
         if limit > k_upper - 1:
             limit = k_upper - 1
@@ -240,12 +222,8 @@ def _search(g: Graph, cfg: SolverConfig):
             pc.retract()
 
     nodes = 1  # root
-    if uncolored:
-        push_children(0)
-    else:
-        if is_equitable(pc, pc.k_used) and pc.k_used < k_upper:
-            k_upper = pc.k_used
-            incumbent = list(pc.color_of)
+    # a root clique covering every vertex gives k_lower = n, closed above
+    push_children(0)
 
     while stack:
         depth, v, i = stack.pop()

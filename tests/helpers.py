@@ -234,6 +234,44 @@ def assignment_feasible(net: FlowNetwork) -> bool:
     return rec(0)
 
 
+def reference_clique(g: Graph, start: int, candidates) -> list[int]:
+    """Literal greedy growth: add the candidate of highest degree (ties to
+    the lowest index) by a `min` over the candidates left, keep only its
+    neighbors, repeat."""
+    clique = [start]
+    common = set(candidates)
+    while common:
+        v = min(common, key=lambda w: (-g.degree[w], w))
+        clique.append(v)
+        common &= g.adj[v]
+    return clique
+
+
+def reference_decomposition(g: Graph, uncolored, first_pick=None):
+    """Literal greedy decomposition, (cliques, residual): seed with the
+    remaining vertex of highest degree (ties to the lowest index), grow by
+    `reference_clique`, move the clique's remaining neighbors into the
+    residual; a singleton joins the residual."""
+    remaining = set(uncolored)
+    cliques = []
+    residual = set()
+    while remaining:
+        if first_pick is not None:
+            v, first_pick = first_pick, None
+        else:
+            v = min(remaining, key=lambda w: (-g.degree[w], w))
+        clique = reference_clique(g, v, g.adj[v] & remaining)
+        remaining.difference_update(clique)
+        if len(clique) == 1:
+            residual.add(v)
+            continue
+        boundary = set().union(*(g.adj[u] for u in clique)) & remaining
+        remaining -= boundary
+        residual |= boundary
+        cliques.append(tuple(clique))
+    return cliques, residual
+
+
 def recompute_forbidden(pc: PartialColoring):
     """From-scratch forbidden sets, for comparing against the
     incrementally maintained ones."""

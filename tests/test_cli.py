@@ -174,6 +174,7 @@ def test_verify_skips_oracle_beyond_cap(tmp_path, capsys):
     "argv,message",
     [
         (["solve", "{col}", "--time-limit", "0"], "time_limit"),
+        (["solve", "{col}", "--time-limit", "nan"], "time_limit"),
         (["solve", "{col}", "--cd-stride", "0"], "cd_stride"),
         (["bench", "--n", "5", "--p", "1", "--count", "0", "--out", "{csv}"], "count"),
         (["verify", "--gnp", "5", "0.5", "2", "--time-limit", "0"], "time_limit"),

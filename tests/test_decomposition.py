@@ -8,6 +8,7 @@ from eqcolor.decomposition import (
     find_non_adjacent_cliques,
     restarted_decomposition,
 )
+from helpers import reference_decomposition
 
 
 def hub_triangles_graph():
@@ -121,3 +122,19 @@ def test_restricted_to_projects_cleanly():
 def test_tries_validation():
     with pytest.raises(ValueError):
         restarted_decomposition(Graph(2, []), {0, 1}, tries=0)
+
+
+def test_decomposition_matches_min_reference():
+    """Seeds and growth taken from `g.order` give exactly the cliques, in
+    the same order, and the residual of the `min`-by-(-degree, index)
+    reference, with and without a first pick."""
+    rng = random.Random(8)
+    for _ in range(400):
+        g = gen_gnp(rng.randint(1, 30), rng.uniform(0.05, 0.95), rng.getrandbits(32))
+        uncolored = {v for v in range(g.n) if rng.random() < rng.uniform(0.3, 1.0)}
+        picks = [None] + ([rng.choice(sorted(uncolored))] if uncolored else [])
+        for first_pick in picks:
+            d = find_non_adjacent_cliques(g, uncolored, first_pick=first_pick)
+            cliques, residual = reference_decomposition(g, uncolored, first_pick)
+            assert list(d.cliques) == cliques
+            assert d.residual == residual

@@ -6,6 +6,7 @@ import pytest
 from eqcolor import DimacsError, Graph, gen_gnp, parse_dimacs, write_dimacs
 from eqcolor.graph import greedy_maximal_clique
 from eqcolor.instances import mycielski_graph
+from helpers import reference_clique
 
 
 def test_parse_basic():
@@ -153,3 +154,23 @@ def test_greedy_clique_is_maximal_clique():
         for w in range(g.n):
             if w not in clique:
                 assert not all(w in g.adj[u] for u in clique)
+
+
+def test_order_is_decreasing_degree_ties_to_lowest_index():
+    # degrees: 0:1, 1:3, 2:2, 3:3, 4:2, 5:1, 6:0
+    g = Graph(7, [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+    assert g.degree == (1, 3, 2, 3, 2, 1, 0)
+    assert g.order == (1, 3, 2, 4, 0, 5, 6)
+    assert Graph(0).order == ()
+
+
+def test_greedy_clique_matches_min_reference():
+    """Scanning `g.order` picks exactly what a `min` by (-degree, index)
+    over the common neighbors picks, in the same growth order."""
+    rng = random.Random(5)
+    for _ in range(300):
+        g = gen_gnp(rng.randint(1, 30), rng.uniform(0.05, 0.95), rng.getrandbits(32))
+        for start in range(g.n):
+            assert greedy_maximal_clique(g, start) == reference_clique(
+                g, start, g.adj[start]
+            )

@@ -32,6 +32,8 @@ def test_config_validation():
         SolverConfig(cd_stride=0)
     with pytest.raises(ValueError):
         SolverConfig(time_limit=0)
+    with pytest.raises(ValueError):
+        SolverConfig(time_limit=float("nan"))
 
 
 def test_initial_bounds_complete_graph():
@@ -156,6 +158,26 @@ def test_stats_counters_populated():
     _, st_comb = solve(g, SolverConfig(variant="comb"))
     assert st_comb.prunes_hall > 0
     assert set(st_comb.rule_firings) <= {"positive_single", "clique_hall", "negative"}
+
+
+def test_capped_greedy_output_is_proper_complete_and_equitable():
+    """A result uses exactly the colors 0..used-1 (no renumbering is
+    needed), colors every vertex properly, stays within k colors and
+    keeps class sizes within one of each other."""
+    rng = random.Random(13)
+    results = 0
+    for _ in range(150):
+        g = gen_gnp(rng.randint(1, 25), rng.uniform(0.05, 0.95), rng.getrandbits(32))
+        for k in range(1, g.n + 1):
+            result = solver._capped_greedy(g, k)
+            if result is None:
+                continue
+            results += 1
+            used, coloring = result
+            assert used <= k
+            assert sorted(set(coloring)) == list(range(used))
+            assert proper_and_equitable(g, coloring, used)
+    assert results > 1000
 
 
 def test_empty_graph_solves_to_zero():
