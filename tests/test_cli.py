@@ -174,11 +174,11 @@ def test_verify_skips_oracle_beyond_cap(tmp_path, capsys):
     "argv,message",
     [
         (["solve", "{col}", "--time-limit", "0"], "time_limit"),
-        (["solve", "{col}", "--time-limit", "nan"], "time_limit"),
         (["solve", "{col}", "--cd-stride", "0"], "cd_stride"),
         (["bench", "--n", "5", "--p", "1", "--count", "0", "--out", "{csv}"], "count"),
         (["verify", "--gnp", "5", "0.5", "2", "--time-limit", "0"], "time_limit"),
         (["verify", "--gnp", "x", "0.5", "2"], "invalid literal"),
+        (["solve", "{col}", "--time-limit", "nan"], "time_limit"),
     ],
 )
 def test_out_of_range_arguments_exit_with_error(
