@@ -216,7 +216,7 @@ def cmd_verify(args) -> int:
     if not instances:
         print("error: nothing to verify (give paths or --gnp)", file=sys.stderr)
         return EXIT_ERROR
-    mismatches = 0
+    mismatches = timeouts = 0
     for name, g in instances:
         results = {}
         for cfg in configs:
@@ -227,15 +227,23 @@ def cmd_verify(args) -> int:
         else:
             print(f"note: {name}: n={g.n} beyond oracle cap, comparing variants only")
         values = {v for v in results.values() if v is not None}
-        if len(values) == 1:
-            print(f"OK       {name}  chi_eq={values.pop()}")
-        else:
+        timed_out = ",".join(k for k, v in sorted(results.items()) if v is None)
+        if len(values) > 1:
             mismatches += 1
             detail = " ".join(f"{k}={v}" for k, v in sorted(results.items()))
             print(f"MISMATCH {name}  {detail}")
+        elif timed_out:
+            timeouts += 1
+            proven = f" chi_eq={values.pop()}" if values else ""
+            print(f"TIMEOUT  {name}  timed_out={timed_out}{proven}")
+        else:
+            print(f"OK       {name}  chi_eq={values.pop()}")
     if mismatches:
         print(f"{mismatches} mismatching instance(s)", file=sys.stderr)
         return EXIT_ERROR
+    if timeouts:
+        print(f"{timeouts} instance(s) timed out", file=sys.stderr)
+        return EXIT_TIMEOUT
     return EXIT_OK
 
 

@@ -8,12 +8,12 @@ free color, that a clique can contribute at most one vertex per color, and
 that every color class must end up at floor(n/k0) or ceil(n/k0) vertices.
 The partial coloring extends to an equitable k0-coloring only if this
 network carries a flow of value |U|; when the residual part is empty the
-condition is exact. The literal network, built arc by arc with its lower
-bounds, is the test oracle in `eqcolor.oracle`; this module decides the
-same question from the free-color masks that `hallrules.HallContext`
-already holds for the rule prefilter: a greedy witness, and when that
-fails one shortest-augmenting-path max-flow seeded with the greedy's
-partial assignment.
+condition is exact. Only the test oracle in `eqcolor.oracle` builds that
+network, arc by arc with its lower bounds. This module decides the same
+question from the free-color masks that `hallrules.HallContext` already
+holds for the rule prefilter: a greedy witness, and when that fails a
+breadth-first augmenting search that repairs the greedy's partial
+assignment in place, with no network built.
 """
 
 from __future__ import annotations
@@ -23,38 +23,16 @@ from .decomposition import CliqueDecomposition
 from . import hallrules
 
 
-def _max_flow(to: list, cap: list, adj: list, s: int, t: int) -> int:
-    """Shortest-augmenting-path max-flow on paired arc arrays: arc a runs
-    to `to[a]` with residual capacity `cap[a]`, its reverse is a ^ 1, and
-    `adj[v]` lists the arcs leaving v. Each round searches breadth-first
-    from s, stops once t is labelled and augments the path found by its
-    bottleneck. Augments `cap` in place; returns the value added."""
-    total = 0
-    while True:
-        via = [-1] * len(adj)  # the arc that first reached each node
-        via[s] = -2
-        queue = [s]
-        for v in queue:
-            for a in adj[v]:
-                w = to[a]
-                if cap[a] > 0 and via[w] == -1:
-                    via[w] = a
-                    queue.append(w)
-            if via[t] >= 0:
-                break
-        else:
-            return total
-        path = []
-        v = t
-        while v != s:
-            a = via[v]
-            path.append(a)
-            v = to[a ^ 1]
-        f = min(cap[a] for a in path)
-        for a in path:
-            cap[a] -= f
-            cap[a ^ 1] += f
-        total += f
+def _windows(ctx: hallrules.HallContext):
+    """Per color, how many uncolored vertices it must still take (lo) and
+    may still take (hi) for its class to end within [floor, ceil]."""
+    lo = []
+    hi = []
+    for s in ctx.class_sizes:
+        need = ctx.floor_size - s
+        lo.append(need if need > 0 else 0)
+        hi.append(ctx.ceil_size - s)
+    return lo, hi
 
 
 def _greedy_assignment(ctx: hallrules.HallContext):
@@ -66,14 +44,7 @@ def _greedy_assignment(ctx: hallrules.HallContext):
     placed and every lower bound met, i.e. the assignment witnesses a
     feasible flow; otherwise the partial assignment still respects all
     capacities and can seed an exact solve. Failure proves nothing."""
-    floor_size = ctx.floor_size
-    ceil_size = ctx.ceil_size
-    lo = []
-    hi = []
-    for s in ctx.class_sizes:
-        need = floor_size - s
-        lo.append(need if need > 0 else 0)
-        hi.append(ceil_size - s)
+    lo, hi = _windows(ctx)
     items = []
     for j, masks in enumerate(ctx.clique_masks):
         for mask in masks:
@@ -112,152 +83,125 @@ def _greedy_assignment(ctx: hallrules.HallContext):
 
 
 def _exact_feasible(ctx: hallrules.HallContext, seed: list[int] | None = None) -> bool:
-    """Single max-flow feasibility for the solver's hot path: lower bounds
-    only appear on the color->sink arcs, so splitting each into a bounded
-    and a mandatory arc towards an auxiliary sink reduces the test to one
-    run. Residual vertices connect straight to colors (their part bound
-    can never bind) and color copies nobody can reach are dropped; both
-    are feasibility-preserving. A partial assignment from the greedy pass,
-    indexed in ctx order, pre-saturates its paths so only the deficit
-    needs augmenting. Property-tested against the literal network in
+    """Exact feasibility by augmenting a partial assignment in place.
+
+    The assignment `color` (indexed in ctx order, -1 when unplaced) is a
+    flow in the network with each color's lower bound split off: a class
+    of load L sends min(L, lo) units down its mandatory arc and the rest
+    through the hub t, whose shared budget has `spare` units left. Each
+    unplaced vertex u then gets one breadth-first search of the residual
+    network over vertices, colors and the hub: a vertex may take any other
+    free color, bumping its clique's holder of that color if there is one
+    (this stands in for the clique's copy of the color); a color ends the
+    path while it is below its floor, or below its ceiling with budget to
+    spare, and otherwise leads to its wearers and, below its ceiling, to
+    the hub; the hub leads to every color above its floor. When no path
+    exists the flow is maximum on the placed vertices plus u, so no full
+    flow exists. Property-tested against the literal network in
     `eqcolor.oracle`."""
     k0 = ctx.k0
-    floor_size = ctx.floor_size
-    ceil_size = ctx.ceil_size
-    parts = (*ctx.clique_masks, ctx.resid_masks)
-    n_u = sum(map(len, parts))
+    lo, hi = _windows(ctx)
+    masks = []
+    part = []  # clique index per vertex, -1 in the residual set
+    for j, clique in enumerate(ctx.clique_masks):
+        masks += clique
+        part += [j] * len(clique)
+    masks += ctx.resid_masks
+    part += [-1] * len(ctx.resid_masks)
+    n_u = len(masks)
+    color = [-1] * n_u
+    on = [[] for _ in range(k0)]  # the vertices wearing each color
+    holder = {}  # (clique, color) -> the member wearing it
 
-    # node ids: s, U block, colors, t, t2, then the F copies as created
-    c_base = 1 + n_u
-    t = c_base + k0
-    t2 = t + 1
-    to = []
-    cap = []
-    adj = [[] for _ in range(t2 + 1)]
-    # route[i]: the node a vertex's color i leads to, its clique's F copy
-    # of i; a residual vertex goes straight to C node i
-    routes = []
-    fc_arc = {}  # F node -> its arc into C
-    for or_mask in ctx.clique_or:
-        route = [-1] * k0
-        while or_mask:
-            bit = or_mask & -or_mask
-            or_mask ^= bit
-            c = c_base + bit.bit_length() - 1
-            f = len(adj)
-            a = len(to)
-            to.append(c)
-            cap.append(1)
-            to.append(f)
-            cap.append(0)
-            adj.append([a])
-            adj[c].append(a + 1)
-            fc_arc[f] = a
-            route[c - c_base] = f
-        routes.append(route)
-    routes.append(list(range(c_base, t)))
+    def move(x, c):
+        """Recolor x to c (-1 unplaces it); returns its old color."""
+        old = color[x]
+        if old >= 0:
+            on[old].remove(x)
+            if part[x] >= 0:
+                del holder[part[x], old]
+        color[x] = c
+        if c >= 0:
+            on[c].append(x)
+            if part[x] >= 0:
+                holder[part[x], c] = x
+        return old
 
-    adj_s = adj[0]
-    if seed is None:
-        seed = [-1] * n_u
-    # seeded_paths[color] -> (s->u arc, u->x arc, x) per greedy-placed vertex
-    seeded_paths = [[] for _ in range(k0)]
-    un = 0
-    for masks, route in zip(parts, routes):
-        for mask in masks:
-            un += 1
-            sa = len(to)
-            to.append(un)
-            cap.append(1)
-            to.append(0)
-            cap.append(0)
-            adj_s.append(sa)
-            node_adj = adj[un]
-            node_adj.append(sa + 1)
-            sv = seed[un - 1]
-            while mask:
-                bit = mask & -mask
-                mask ^= bit
-                i = bit.bit_length() - 1
-                x = route[i]
-                a = len(to)
-                to.append(x)
-                cap.append(1)
-                to.append(un)
-                cap.append(0)
-                node_adj.append(a)
-                adj[x].append(a + 1)
-                if i == sv:
-                    seeded_paths[i].append((sa, a, x))
-    lo_total = 0
-    lo_arc = [-1] * k0
-    hi_arc = [-1] * k0
-    lo_of = [0] * k0
-    for i, s in enumerate(ctx.class_sizes):
-        lo = floor_size - s
-        if lo < 0:
-            lo = 0
-        lo_of[i] = lo
-        lo_total += lo
-        c = c_base + i
-        c_adj = adj[c]
-        a = len(to)
-        to.append(t)
-        cap.append(ceil_size - s - lo)
-        to.append(c)
-        cap.append(0)
-        c_adj.append(a)
-        adj[t].append(a + 1)
-        hi_arc[i] = a
-        if lo:
-            a = len(to)
-            to.append(t2)
-            cap.append(lo)
-            to.append(c)
-            cap.append(0)
-            c_adj.append(a)
-            adj[t2].append(a + 1)
-            lo_arc[i] = a
-    if lo_total > n_u:
+    for x, c in enumerate(seed or ()):
+        if c >= 0:
+            move(x, c)
+    spare = n_u - sum(lo) - sum(max(0, len(on[c]) - lo[c]) for c in range(k0))
+    # give back units above a floor until the hub's budget holds
+    for x in range(n_u):
+        c = color[x]
+        if spare < 0 and c >= 0 and len(on[c]) > lo[c]:
+            move(x, -1)
+            spare += 1
+    if spare < 0:
         return False
-    ta = len(to)
-    to.append(t2)
-    cap.append(n_u - lo_total)
-    to.append(t)
-    cap.append(0)
-    adj[t].append(ta)
-    adj[t2].append(ta + 1)
 
-    # pre-push the greedy units: lower-bound arcs first, then the bounded
-    # route while the t->t2 budget lasts; leftovers stay unseeded
-    pushed = 0
-    budget_t = n_u - lo_total
-    for i in range(k0):
-        paths = seeded_paths[i]
-        via_t2 = min(len(paths), lo_of[i])
-        for idx, (sa, ua, x) in enumerate(paths):
-            if idx < via_t2:
-                sink_arc = lo_arc[i]
-            elif budget_t > 0 and cap[hi_arc[i]] > 0:
-                sink_arc = hi_arc[i]
-                budget_t -= 1
-                cap[ta] -= 1
-                cap[ta ^ 1] += 1
+    hub = n_u + k0  # node ids: vertices, then colors, then the hub
+    for u in range(n_u):
+        if color[u] >= 0:
+            continue
+        prev = [-1] * (hub + 1)
+        prev[u] = u
+        queue = [u]
+        end = -1
+        for node in queue:
+            if node < n_u:
+                mask = masks[node]
+                if color[node] >= 0:
+                    mask ^= 1 << color[node]
+                j = part[node]
+                while mask and end < 0:
+                    bit = mask & -mask
+                    mask ^= bit
+                    c = bit.bit_length() - 1
+                    nxt = holder.get((j, c), n_u + c)
+                    if prev[nxt] < 0:
+                        prev[nxt] = node
+                        queue.append(nxt)
+                        if nxt >= n_u:
+                            load = len(on[c])
+                            if load < lo[c] or load < hi[c] and spare > 0:
+                                end = nxt
+                if end >= 0:
+                    break
+            elif node < hub:
+                c = node - n_u
+                for y in on[c]:
+                    if prev[y] < 0:
+                        prev[y] = node
+                        queue.append(y)
+                if len(on[c]) < hi[c] and prev[hub] < 0:
+                    prev[hub] = node
+                    queue.append(hub)
             else:
-                continue
-            fc = fc_arc.get(x)
-            for arc in (sa, ua, sink_arc) if fc is None else (sa, ua, fc, sink_arc):
-                cap[arc] -= 1
-                cap[arc ^ 1] += 1
-            pushed += 1
-
-    return pushed + _max_flow(to, cap, adj, 0, t2) == n_u
+                for c in range(k0):
+                    if len(on[c]) > lo[c] and prev[n_u + c] < 0:
+                        prev[n_u + c] = hub
+                        queue.append(n_u + c)
+        if end < 0:
+            return False
+        c = end - n_u
+        if len(on[c]) >= lo[c]:
+            spare -= 1
+        # recolor back from the end, so each target is vacated first; a
+        # bumped vertex hands its old color to the vertex before it
+        node = end
+        while node != u:
+            x = prev[node]
+            if x < n_u:
+                old = move(x, node - n_u if node >= n_u else old)
+            node = x
+    return True
 
 
 def flow_feasible(ctx: hallrules.HallContext) -> bool:
     """Does the state behind ctx admit a full flow at ctx.k0? Fast path for
     the search: a greedy witness settles most feasible cases, an exact
-    max-flow seeded with the greedy's partial assignment settles the rest.
+    augmenting search from the greedy's partial assignment the rest.
     Equivalent to `oracle.feasible_flow` on the literal network."""
     complete, assign = _greedy_assignment(ctx)
     if complete:

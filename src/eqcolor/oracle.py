@@ -1,8 +1,10 @@
 """Ground truth for tests: exact equitable chromatic numbers, exact
 extendability, the literal extendability network with a lower-bound
 feasible-flow solver, and exhaustive inequality enumeration on tiny
-networks. Hard size caps make accidental blowups an error instead of a
-silent hang."""
+networks. The max-flow routine `_max_flow` lives here: the search's flow
+engine in `eqcolor.flownet` builds no network and shares no flow code
+with this module. Hard size caps make accidental blowups an error instead
+of a silent hang."""
 
 from __future__ import annotations
 
@@ -10,7 +12,6 @@ from dataclasses import dataclass
 
 from .coloring import PartialColoring
 from .decomposition import CliqueDecomposition
-from .flownet import _max_flow
 from .graph import Graph
 
 
@@ -104,6 +105,40 @@ def brute_extendable(
     color_of = list(pc.color_of)
     order = sorted(pc.uncolored, key=lambda v: (-g.degree[v], v))
     return _search_equitable(g, color_of, sizes, k0, order, 0, symmetry=True)
+
+
+def _max_flow(to: list, cap: list, adj: list, s: int, t: int) -> int:
+    """Shortest-augmenting-path max-flow on paired arc arrays: arc a runs
+    to `to[a]` with residual capacity `cap[a]`, its reverse is a ^ 1, and
+    `adj[v]` lists the arcs leaving v. Each round searches breadth-first
+    from s, stops once t is labelled and augments the path found by its
+    bottleneck. Augments `cap` in place; returns the value added."""
+    total = 0
+    while True:
+        via = [-1] * len(adj)  # the arc that first reached each node
+        via[s] = -2
+        queue = [s]
+        for v in queue:
+            for a in adj[v]:
+                w = to[a]
+                if cap[a] > 0 and via[w] == -1:
+                    via[w] = a
+                    queue.append(w)
+            if via[t] >= 0:
+                break
+        else:
+            return total
+        path = []
+        v = t
+        while v != s:
+            a = via[v]
+            path.append(a)
+            v = to[a ^ 1]
+        f = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= f
+            cap[a ^ 1] += f
+        total += f
 
 
 class FlowNetwork:

@@ -37,8 +37,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.cd_stride < 1:
-            raise ValueError("cd_stride must be >= 1")
+        if not isinstance(self.cd_stride, int) or self.cd_stride < 1:
+            raise ValueError("cd_stride must be an integer >= 1")
         if not self.time_limit > 0:  # rejects NaN too
             raise ValueError("time_limit must be positive")
 

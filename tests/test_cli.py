@@ -2,10 +2,11 @@ import csv
 
 import pytest
 
+from eqcolor import cli
 from eqcolor.cli import BenchSpec, instance_seed, main, run_bench
 from eqcolor.graph import write_dimacs
 from eqcolor.instances import by_name
-from eqcolor import Graph
+from eqcolor import Graph, Solution
 
 
 @pytest.fixture()
@@ -168,6 +169,43 @@ def test_verify_skips_oracle_beyond_cap(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "beyond oracle cap" in out
+
+
+def _time_out(monkeypatch, variants):
+    """Make `verify`'s solves of the given variants report a timeout."""
+    real_solve = cli.solve
+
+    def solve(g, cfg):
+        sol, stats = real_solve(g, cfg)
+        if cfg.variant in variants:
+            sol = Solution(sol.chi_eq, sol.coloring, optimal=False)
+        return sol, stats
+
+    monkeypatch.setattr(cli, "solve", solve)
+
+
+def test_verify_reports_one_engine_timeout(monkeypatch, capsys):
+    """A timeout is not a disagreement: the line names the engine that
+    timed out, keeps the proven value and exits 2, as `solve` does."""
+    _time_out(monkeypatch, {"flow"})
+    rc = main(["verify", "--gnp", "8", "0.5", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    lines = captured.out.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert line.startswith("TIMEOUT  gnp(n=8,p=0.5,#")
+        assert "timed_out=flow chi_eq=" in line
+    assert "2 instance(s) timed out" in captured.err
+
+
+def test_verify_reports_all_engines_timing_out(monkeypatch, capsys):
+    _time_out(monkeypatch, {"std", "flow", "comb"})
+    rc = main(["verify", "--gnp", "13", "0.5", "1"])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert "MISMATCH" not in out
+    assert out.endswith("TIMEOUT  gnp(n=13,p=0.5,#0)  timed_out=comb,flow,std\n")
 
 
 @pytest.mark.parametrize(

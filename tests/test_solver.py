@@ -31,6 +31,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(cd_stride=0)
     with pytest.raises(ValueError):
+        SolverConfig(cd_stride=float("nan"))
+    with pytest.raises(ValueError):
+        SolverConfig(cd_stride=1.5)
+    with pytest.raises(ValueError):
         SolverConfig(time_limit=0)
     with pytest.raises(ValueError):
         SolverConfig(time_limit=float("nan"))
