@@ -100,12 +100,31 @@ AGG_HEADER = ["n", "p", "variant", "avg_time", "timeouts", "avg_nodes"]
 
 def run_bench(spec: BenchSpec, out_path: str) -> tuple[str, str]:
     """Execute the campaign; write the per-run CSV to `out_path` and the
-    aggregate CSV next to it (suffix `.agg.csv`). Returns both paths.
+    aggregate CSV next to it (suffix `.agg.csv`). Returns both paths. Both
+    files are opened before the first solve, so a bad path fails at once.
 
     Timeout accounting: a timed-out run contributes the full time limit to
     the average time and is excluded from the node average.
     """
-    rows = []
+    agg_path = _agg_path(out_path)
+    with open(out_path, "w", encoding="utf-8", newline="") as fh, open(
+        agg_path, "w", encoding="utf-8", newline=""
+    ) as agg_fh:
+        rows = sorted(
+            _campaign_rows(spec),
+            key=lambda r: (r["n"], r["p"], r["index"], r["variant"]),
+        )
+        writer = csv.DictWriter(fh, fieldnames=DATA_HEADER, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        writer = csv.writer(agg_fh, lineterminator="\n")
+        writer.writerow(AGG_HEADER)
+        writer.writerows(aggregate_rows(rows, spec.time_limit))
+    return out_path, agg_path
+
+
+def _campaign_rows(spec: BenchSpec):
+    """One row per (instance, variant) solve, in campaign order."""
     for n in spec.n_list:
         for p in spec.p_list:
             for index in range(spec.count):
@@ -114,33 +133,20 @@ def run_bench(spec: BenchSpec, out_path: str) -> tuple[str, str]:
                 for variant in spec.variants:
                     cfg = SolverConfig(variant, spec.time_limit, spec.cd_stride)
                     sol, stats = solve(g, cfg)
-                    rows.append(
-                        {
-                            "n": n,
-                            "p": _fmt_p(p),
-                            "index": index,
-                            "seed": seed,
-                            "variant": variant,
-                            "chi_eq": sol.chi_eq,
-                            "nodes": stats.nodes,
-                            "time_s": f"{stats.elapsed:.6f}",
-                            "timed_out": int(stats.timed_out),
-                            "prunes_deficit": stats.prunes_deficit,
-                            "prunes_flow": stats.prunes_flow,
-                            "prunes_hall": stats.prunes_hall,
-                        }
-                    )
-    rows.sort(key=lambda r: (r["n"], r["p"], r["index"], r["variant"]))
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=DATA_HEADER, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    agg_path = _agg_path(out_path)
-    with open(agg_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGG_HEADER)
-        writer.writerows(aggregate_rows(rows, spec.time_limit))
-    return out_path, agg_path
+                    yield {
+                        "n": n,
+                        "p": _fmt_p(p),
+                        "index": index,
+                        "seed": seed,
+                        "variant": variant,
+                        "chi_eq": sol.chi_eq,
+                        "nodes": stats.nodes,
+                        "time_s": f"{stats.elapsed:.6f}",
+                        "timed_out": int(stats.timed_out),
+                        "prunes_deficit": stats.prunes_deficit,
+                        "prunes_flow": stats.prunes_flow,
+                        "prunes_hall": stats.prunes_hall,
+                    }
 
 
 def _fmt_p(p: float) -> str:

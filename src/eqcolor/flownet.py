@@ -11,9 +11,10 @@ network carries a flow of value |U|; when the residual part is empty the
 condition is exact. Only the test oracle in `eqcolor.oracle` builds that
 network, arc by arc with its lower bounds. This module decides the same
 question from the free-color masks that `hallrules.HallContext` already
-holds for the rule prefilter: a greedy witness, and when that fails a
-breadth-first augmenting search that repairs the greedy's partial
-assignment in place, with no network built.
+holds for the rule prefilter, in one pass that places the uncolored
+vertices one at a time: directly on a color with room when it can, and
+otherwise along a breadth-first augmenting path through the assignment
+built so far, with no network built.
 """
 
 from __future__ import annotations
@@ -23,84 +24,36 @@ from .decomposition import CliqueDecomposition
 from . import hallrules
 
 
-def _windows(ctx: hallrules.HallContext):
-    """Per color, how many uncolored vertices it must still take (lo) and
-    may still take (hi) for its class to end within [floor, ceil]."""
-    lo = []
-    hi = []
+def flow_feasible(ctx: hallrules.HallContext) -> bool:
+    """Does the state behind ctx admit a full flow at ctx.k0? Equivalent
+    to `oracle.feasible_flow` on the literal network, property-tested
+    against it.
+
+    The assignment `color` (indexed in ctx order, -1 while unplaced) is a
+    flow in the network with each color's lower bound split off: a class
+    of load L sends min(L, lo) units down its mandatory arc and the rest
+    through the hub t, whose shared budget has `spare` units left. The
+    vertices are placed one at a time, fewest free colors first. A vertex
+    takes a free color its clique does not hold directly when the class
+    is below its floor, or below its ceiling with budget to spare,
+    preferring colors below the floor, then the most room: this is an
+    augmenting path of length one. Otherwise one breadth-first search of
+    the residual network over vertices, colors and the hub looks for a
+    longer path: a vertex may take any other free color, bumping its
+    clique's holder of that color if there is one (this stands in for the
+    clique's copy of the color); a color ends the path while it is below
+    its floor, or below its ceiling with budget to spare, and otherwise
+    leads to its wearers and, below its ceiling, to the hub; the hub leads
+    to every color above its floor. When no path exists the flow is
+    maximum on the placed vertices plus this one, so no full flow exists.
+    """
+    k0 = ctx.k0
+    lo = []  # per color, how many uncolored vertices it must still take
+    hi = []  # and may still take, for its class to end within the window
     for s in ctx.class_sizes:
         need = ctx.floor_size - s
         lo.append(need if need > 0 else 0)
         hi.append(ctx.ceil_size - s)
-    return lo, hi
-
-
-def _greedy_assignment(ctx: hallrules.HallContext):
-    """One-pass heuristic assignment of the uncolored vertices to free
-    colors under the class-size windows, one vertex per clique and color.
-    Vertices are numbered in ctx order: clique by clique, then the
-    residual set. Returns (complete, assignment), where assignment[idx] is
-    the color given to vertex idx or -1: `complete` means every vertex was
-    placed and every lower bound met, i.e. the assignment witnesses a
-    feasible flow; otherwise the partial assignment still respects all
-    capacities and can seed an exact solve. Failure proves nothing."""
-    lo, hi = _windows(ctx)
-    items = []
-    for j, masks in enumerate(ctx.clique_masks):
-        for mask in masks:
-            items.append((mask, j, len(items)))
-    for mask in ctx.resid_masks:
-        items.append((mask, -1, len(items)))
-    items.sort(key=lambda it: it[0].bit_count())
-    clique_used = [0] * len(ctx.clique_masks)
-    lo_unmet = sum(lo)
-    assign = [-1] * len(items)
-    for mask, j, idx in items:
-        if j >= 0:
-            mask &= ~clique_used[j]
-        best = -1
-        best_key = None
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            i = bit.bit_length() - 1
-            h = hi[i]
-            if h <= 0:
-                continue
-            key = (lo[i] > 0, h)
-            if best_key is None or key > best_key:
-                best, best_key = i, key
-        if best < 0:
-            continue
-        assign[idx] = best
-        hi[best] -= 1
-        if lo[best] > 0:
-            lo[best] -= 1
-            lo_unmet -= 1
-        if j >= 0:
-            clique_used[j] |= 1 << best
-    return lo_unmet == 0 and -1 not in assign, assign
-
-
-def _exact_feasible(ctx: hallrules.HallContext, seed: list[int] | None = None) -> bool:
-    """Exact feasibility by augmenting a partial assignment in place.
-
-    The assignment `color` (indexed in ctx order, -1 when unplaced) is a
-    flow in the network with each color's lower bound split off: a class
-    of load L sends min(L, lo) units down its mandatory arc and the rest
-    through the hub t, whose shared budget has `spare` units left. Each
-    unplaced vertex u then gets one breadth-first search of the residual
-    network over vertices, colors and the hub: a vertex may take any other
-    free color, bumping its clique's holder of that color if there is one
-    (this stands in for the clique's copy of the color); a color ends the
-    path while it is below its floor, or below its ceiling with budget to
-    spare, and otherwise leads to its wearers and, below its ceiling, to
-    the hub; the hub leads to every color above its floor. When no path
-    exists the flow is maximum on the placed vertices plus u, so no full
-    flow exists. Property-tested against the literal network in
-    `eqcolor.oracle`."""
-    k0 = ctx.k0
-    lo, hi = _windows(ctx)
     masks = []
     part = []  # clique index per vertex, -1 in the residual set
     for j, clique in enumerate(ctx.clique_masks):
@@ -109,41 +62,55 @@ def _exact_feasible(ctx: hallrules.HallContext, seed: list[int] | None = None) -
     masks += ctx.resid_masks
     part += [-1] * len(ctx.resid_masks)
     n_u = len(masks)
-    color = [-1] * n_u
-    on = [[] for _ in range(k0)]  # the vertices wearing each color
-    holder = {}  # (clique, color) -> the member wearing it
-
-    def move(x, c):
-        """Recolor x to c (-1 unplaces it); returns its old color."""
-        old = color[x]
-        if old >= 0:
-            on[old].remove(x)
-            if part[x] >= 0:
-                del holder[part[x], old]
-        color[x] = c
-        if c >= 0:
-            on[c].append(x)
-            if part[x] >= 0:
-                holder[part[x], c] = x
-        return old
-
-    for x, c in enumerate(seed or ()):
-        if c >= 0:
-            move(x, c)
-    spare = n_u - sum(lo) - sum(max(0, len(on[c]) - lo[c]) for c in range(k0))
-    # give back units above a floor until the hub's budget holds
-    for x in range(n_u):
-        c = color[x]
-        if spare < 0 and c >= 0 and len(on[c]) > lo[c]:
-            move(x, -1)
-            spare += 1
+    spare = n_u - sum(lo)
     if spare < 0:
         return False
+    color = [-1] * n_u
+    load = [0] * k0  # len(on[c]), read far more often than on[c]
+    on = [[] for _ in range(k0)]  # the vertices wearing each color
+    holder = {}  # (clique, color) -> the member wearing it
+    held = [0] * len(ctx.clique_masks)  # per clique, the colors it holds
+
+    def move(x, c):
+        """Recolor x to c; returns its old color."""
+        old = color[x]
+        j = part[x]
+        if old >= 0:
+            load[old] -= 1
+            on[old].remove(x)
+            if j >= 0:
+                del holder[j, old]
+                held[j] ^= 1 << old
+        color[x] = c
+        load[c] += 1
+        on[c].append(x)
+        if j >= 0:
+            holder[j, c] = x
+            held[j] |= 1 << c
+        return old
 
     hub = n_u + k0  # node ids: vertices, then colors, then the hub
-    for u in range(n_u):
-        if color[u] >= 0:
+    for u in sorted(range(n_u), key=lambda x: masks[x].bit_count()):
+        j = part[u]
+        mask = masks[u] & ~held[j] if j >= 0 else masks[u]
+        best = -1
+        best_key = None
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            c = bit.bit_length() - 1
+            room = hi[c] - load[c]
+            below = load[c] < lo[c]
+            if below or room > 0 and spare > 0:
+                key = (below, room)
+                if best_key is None or key > best_key:
+                    best, best_key = c, key
+        if best >= 0:
+            if load[best] >= lo[best]:
+                spare -= 1
+            move(u, best)
             continue
+
         prev = [-1] * (hub + 1)
         prev[u] = u
         queue = [u]
@@ -162,10 +129,10 @@ def _exact_feasible(ctx: hallrules.HallContext, seed: list[int] | None = None) -
                     if prev[nxt] < 0:
                         prev[nxt] = node
                         queue.append(nxt)
-                        if nxt >= n_u:
-                            load = len(on[c])
-                            if load < lo[c] or load < hi[c] and spare > 0:
-                                end = nxt
+                        if nxt >= n_u and (
+                            load[c] < lo[c] or load[c] < hi[c] and spare > 0
+                        ):
+                            end = nxt
                 if end >= 0:
                     break
             elif node < hub:
@@ -174,18 +141,18 @@ def _exact_feasible(ctx: hallrules.HallContext, seed: list[int] | None = None) -
                     if prev[y] < 0:
                         prev[y] = node
                         queue.append(y)
-                if len(on[c]) < hi[c] and prev[hub] < 0:
+                if load[c] < hi[c] and prev[hub] < 0:
                     prev[hub] = node
                     queue.append(hub)
             else:
                 for c in range(k0):
-                    if len(on[c]) > lo[c] and prev[n_u + c] < 0:
+                    if load[c] > lo[c] and prev[n_u + c] < 0:
                         prev[n_u + c] = hub
                         queue.append(n_u + c)
         if end < 0:
             return False
         c = end - n_u
-        if len(on[c]) >= lo[c]:
+        if load[c] >= lo[c]:
             spare -= 1
         # recolor back from the end, so each target is vacated first; a
         # bumped vertex hands its old color to the vertex before it
@@ -196,17 +163,6 @@ def _exact_feasible(ctx: hallrules.HallContext, seed: list[int] | None = None) -
                 old = move(x, node - n_u if node >= n_u else old)
             node = x
     return True
-
-
-def flow_feasible(ctx: hallrules.HallContext) -> bool:
-    """Does the state behind ctx admit a full flow at ctx.k0? Fast path for
-    the search: a greedy witness settles most feasible cases, an exact
-    augmenting search from the greedy's partial assignment the rest.
-    Equivalent to `oracle.feasible_flow` on the literal network."""
-    complete, assign = _greedy_assignment(ctx)
-    if complete:
-        return True
-    return _exact_feasible(ctx, assign)
 
 
 def flow_prune(

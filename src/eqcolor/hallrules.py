@@ -25,11 +25,10 @@ class HallContext:
 
     All masks and counts restrict free colors to {0..k0-1}: only those
     exist in the network. The free masks are kept in one vertex order,
-    clique by clique (`clique_masks`, with each clique's union in
-    `clique_or`) and then the residual set (`resid_masks`). `supply[f]`
-    counts the cliques and residual vertices that can still take f.
-    Vertices with no free color at all still count on the "must be colored
-    within T" side.
+    clique by clique (`clique_masks`) and then the residual set
+    (`resid_masks`). `supply[f]` counts the cliques and residual vertices
+    that can still take f. Vertices with no free color at all still count
+    on the "must be colored within T" side.
     """
 
     __slots__ = (
@@ -38,7 +37,6 @@ class HallContext:
         "ceil_size",
         "class_sizes",
         "clique_masks",
-        "clique_or",
         "resid_masks",
         "supply",
         "single_free",
@@ -58,7 +56,6 @@ class HallContext:
         empty_free = 0
         supply = [0] * k0
         clique_masks = []
-        clique_or = []
         resid_masks = []
 
         for clique in decomp.cliques:
@@ -74,7 +71,6 @@ class HallContext:
                     single_free[fm.bit_length() - 1] += 1
             _count_bits(or_mask, supply)
             clique_masks.append(masks)
-            clique_or.append(or_mask)
         for v in decomp.residual:
             fm = ~forbidden[v] & full
             resid_masks.append(fm)
@@ -85,7 +81,6 @@ class HallContext:
                 single_free[fm.bit_length() - 1] += 1
 
         self.clique_masks = clique_masks
-        self.clique_or = clique_or
         self.resid_masks = resid_masks
         self.supply = supply
         self.single_free = single_free

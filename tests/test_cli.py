@@ -128,6 +128,25 @@ def test_bench_replay_identical_modulo_time(tmp_path):
     assert stripped[0] == stripped[1]
 
 
+def test_bench_unwritable_out_fails_before_any_solve(monkeypatch, tmp_path, capsys):
+    """An --out that cannot be opened ends the campaign before its first
+    solve, not after all of them."""
+    real_solve = cli.solve
+    calls = 0
+
+    def solve(g, cfg):
+        nonlocal calls
+        calls += 1
+        return real_solve(g, cfg)
+
+    monkeypatch.setattr(cli, "solve", solve)
+    out = tmp_path / "missing" / "x.csv"
+    argv = ["bench", "--n", "20", "--p", "0.5", "--count", "3", "--out", str(out)]
+    assert main(argv) == 1
+    assert calls == 0
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_instance_seed_stable_and_spread():
     assert instance_seed(1, 40, 0.5, 0) == instance_seed(1, 40, 0.5, 0)
     seen = {

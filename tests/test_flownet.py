@@ -5,12 +5,7 @@ import pytest
 from eqcolor import Graph, gen_gnp
 from eqcolor.coloring import PartialColoring, candidate_k0_values
 from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
-from eqcolor.flownet import (
-    _exact_feasible,
-    _greedy_assignment,
-    flow_feasible,
-    flow_prune,
-)
+from eqcolor.flownet import flow_feasible, flow_prune
 from eqcolor.hallrules import HallContext
 from eqcolor.oracle import (
     _max_flow,
@@ -268,46 +263,26 @@ def test_fast_path_matches_reference():
         ref = feasible_flow(build_network(pc, decomp, k0)) is not None
         ctx = HallContext(pc, decomp, k0)
         assert flow_feasible(ctx) == ref
-        complete, assign = _greedy_assignment(ctx)
-        if complete:
-            assert ref is True
-        else:
-            assert _exact_feasible(ctx, assign) == ref
-            assert _exact_feasible(ctx, None) == ref
 
 
 def test_exact_search_reroutes_through_the_hub():
-    """Classes 0/1/2 hold 2/2/1 of 7 vertices at k0 = 3, so only class 2
-    must grow and one unit may go above a floor. Vertex 3 (free: 1, 2) is
-    placed first and spends that unit on color 1; vertex 6 (free: 0) then
-    has one augmenting path, 6 -> color 0 -> hub -> color 1 -> 3 -> color
-    2, which trades the unit above a floor from class 1 to class 0."""
-    g = Graph(7, [(0, 1), (0, 4), (1, 2), (1, 5), (1, 6), (2, 6), (3, 4)])
+    """At k0 = 5, 11 vertices give class windows [2, 3]; classes 0-4 hold
+    2/1/1/2/0, so only one unit may go above a floor. Direct placements
+    put 2 on color 4, 6 on 1, 8 on 2 and spend the unit on 7 -> 1. That
+    leaves 3 only color 3, and its one augmenting path, 3 -> color 3 ->
+    hub -> color 1 -> 6 -> color 4, moves the unit from class 1 to 3."""
+    g = Graph(11, [
+        (0, 1), (0, 5), (0, 6), (0, 8), (0, 10), (1, 2), (1, 4), (1, 5),
+        (1, 9), (2, 3), (2, 4), (2, 6), (2, 7), (2, 8), (2, 9), (3, 7),
+        (3, 8), (3, 9), (4, 7), (4, 8), (5, 6), (5, 10), (6, 10), (7, 8),
+        (7, 9), (8, 10),
+    ])
     pc = PartialColoring(g)
-    for v, c in ((0, 1), (1, 2), (2, 1), (4, 0), (5, 0)):
+    for v, c in ((0, 0), (1, 1), (4, 3), (5, 2), (9, 0), (10, 3)):
         pc.extend(v, c)
-    decomp = CliqueDecomposition((), {3, 6})
-    ctx = HallContext(pc, decomp, 3)
-    assert ctx.resid_masks == [0b110, 0b001]
-    assert feasible_flow(build_network(pc, decomp, 3)) is not None
-    assert _exact_feasible(ctx, None) is True
-
-
-def test_exact_search_gives_back_what_the_greedy_overspent():
-    """Classes 0/1/2 hold 1/2/1 of 7 vertices at k0 = 3, so classes 0 and
-    2 must each grow and only one unit may go above a floor. The greedy
-    puts 5 on color 1 and both 1 and 2 on color 0, two units above a
-    floor and none for class 2. The exact search gives one back and
-    re-places it."""
-    g = Graph(7, [(0, 2), (0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (3, 4), (3, 5)])
-    pc = PartialColoring(g)
-    for v, c in ((0, 2), (3, 0), (4, 1), (6, 1)):
-        pc.extend(v, c)
-    decomp = CliqueDecomposition([(5, 1)], {2})
-    ctx = HallContext(pc, decomp, 3)
-    assert _greedy_assignment(ctx) == (False, [1, 0, 0])
-    assert feasible_flow(build_network(pc, decomp, 3)) is not None
-    assert _exact_feasible(ctx, [1, 0, 0]) is True
+    decomp = CliqueDecomposition([(8, 2, 7, 3)], {6})
+    ref = feasible_flow(build_network(pc, decomp, 5)) is not None
+    assert flow_feasible(HallContext(pc, decomp, 5)) == ref
 
 
 def _random_paired_network(rng):
