@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ from .solver import VARIANTS, SolverConfig, solve
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_TIMEOUT = 2
+EXIT_INTERRUPTED = 130  # the shell's code for a run ended by SIGINT
 
 
 @dataclass
@@ -59,16 +61,37 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     sol, stats = solve(g, cfg)
+    if sol.optimal:
+        status, code = "optimal", EXIT_OK
+    elif stats.interrupted:
+        status, code = "INTERRUPTED", EXIT_INTERRUPTED
+    else:
+        status, code = "TIMEOUT", EXIT_TIMEOUT
+    if args.json:
+        print(json.dumps({
+            "chi_eq": sol.chi_eq,
+            "optimal": sol.optimal,
+            "status": status,
+            "lower_bound": stats.k_lower,
+            "nodes": stats.nodes,
+            "prunes_deficit": stats.prunes_deficit,
+            "prunes_flow": stats.prunes_flow,
+            "prunes_hall": stats.prunes_hall,
+            "rule_firings": dict(sorted(stats.rule_firings.items())),
+            "flow_solves": stats.flow_solves,
+            "time_s": round(stats.elapsed, 6),
+            "coloring": sol.coloring,
+        }))
+        return code
     name = args.path.rsplit("/", 1)[-1]
     print(f"instance:        {name}")
     print(f"n:               {g.n}")
     print(f"density:         {g.density():.4f}")
     if sol.optimal:
         print(f"chi_eq:          {sol.chi_eq}")
-        print("status:          optimal")
     else:
         print(f"best_found:      {sol.chi_eq}")
-        print("status:          TIMEOUT")
+    print(f"status:          {status}")
     print(f"lower_bound:     {stats.k_lower}")
     print(f"nodes:           {stats.nodes}")
     print(f"prunes_deficit:  {stats.prunes_deficit}")
@@ -78,7 +101,7 @@ def cmd_solve(args) -> int:
     print(f"rule_firings:    {firings or 0}")
     print(f"flow_solves:     {stats.flow_solves}")
     print(f"time_s:          {stats.elapsed:.3f}")
-    return EXIT_OK if sol.optimal else EXIT_TIMEOUT
+    return code
 
 
 DATA_HEADER = [
@@ -265,6 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algo", choices=VARIANTS, default="comb")
     p_solve.add_argument("--time-limit", type=float, default=3600.0)
     p_solve.add_argument("--cd-stride", type=int, default=1)
+    p_solve.add_argument(
+        "--json", action="store_true", help="print one JSON object instead of text"
+    )
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run a seeded G(n,p) campaign to CSV")

@@ -1,11 +1,15 @@
 """Partial colorings with incremental bookkeeping and arithmetic pruning.
 
 Colors are 0-based indices internally. A partial coloring tracks, per
-vertex, the set of colors used by colored neighbors as a bitmask, and a
-histogram of class sizes so the largest-class statistics cost O(1). The
-search undoes strictly last-in-first-out, so each trail entry records the
-neighbors its extend barred from a color, and a retract clears exactly
-those bits.
+vertex, the set of colors used by colored neighbors as a bitmask, the
+DSATUR branching priority that follows from it, and a histogram of class
+sizes so the largest-class statistics cost O(1). The search undoes
+strictly last-in-first-out, so each trail entry records the neighbors its
+extend barred from a color, and a retract clears exactly those bits.
+
+The largest-class test (`deficit_prune`) is decided for a child before
+the move: from the parent's statistics and the child's color alone, so a
+child it prunes is never extended.
 """
 
 from __future__ import annotations
@@ -18,7 +22,12 @@ class PartialColoring:
 
     `forbidden_mask[v]` has bit i set iff some colored neighbor of v wears
     color i; its popcount is v's saturation degree. The mask is kept for
-    every vertex, colored or not. Each `_trail` entry is `(v, i, barred)`,
+    every vertex, colored or not, and so is
+    `priority[v] = popcount(forbidden_mask[v]) * n + (n - 1 - r)`, where r
+    is v's position in `g.order`. The keys are distinct, and a larger key
+    means higher saturation, then higher degree, then lower index, since
+    `g.order` ranks by decreasing degree with ties to the lower index.
+    Each `_trail` entry is `(v, i, barred)`,
     where `barred` lists the neighbors of v that lacked bit i before v was
     colored i, so a retract sequence restores earlier states exactly.
     """
@@ -30,6 +39,7 @@ class PartialColoring:
         "class_size",
         "uncolored",
         "forbidden_mask",
+        "priority",
         "k_used",
         "M",
         "_size_hist",
@@ -44,6 +54,9 @@ class PartialColoring:
         self.class_size = [0] * n
         self.uncolored = set(range(n))
         self.forbidden_mask = [0] * n
+        self.priority = priority = [0] * n
+        for r, v in enumerate(g.order):
+            priority[v] = n - 1 - r
         self.k_used = 0
         self.M = 0
         self._size_hist = [0] * (n + 1)
@@ -80,11 +93,14 @@ class PartialColoring:
             self.M = s + 1
         bit = 1 << i
         forbidden = self.forbidden_mask
+        priority = self.priority
+        n = self.n
         barred = []
         for w in self.g.adj[v]:
             fw = forbidden[w]
             if not fw & bit:
                 forbidden[w] = fw | bit
+                priority[w] += n
                 barred.append(w)
         self._trail.append((v, i, barred))
 
@@ -104,22 +120,32 @@ class PartialColoring:
             self.M = s - 1
         clear = ~(1 << i)
         forbidden = self.forbidden_mask
+        priority = self.priority
+        n = self.n
         for w in barred:
             forbidden[w] &= clear
+            priority[w] -= n
         return v, i
 
 
-def deficit_prune(pc: PartialColoring, k_lower: int) -> bool:
-    """Necessary-condition prune: a partial coloring extendable to an
-    equitable coloring satisfies n >= (M-1)*max(k_lower, k_used) + t.
-    Returns True when that fails (prune); False guarantees nothing."""
+def deficit_prune(pc: PartialColoring, k_lower: int, i: int) -> bool:
+    """Necessary-condition prune for the child that puts one more vertex
+    into class i, decided before the move: a partial coloring extendable
+    to an equitable coloring satisfies n >= (M-1)*max(k_lower, k_used) + t,
+    with M, t and k_used those of the child. Returns True when that fails
+    (prune); False guarantees nothing."""
+    s = pc.class_size[i] + 1  # class i's size in the child
     M = pc.M
-    if M == 0:
-        return False
-    k = pc.k_used
+    if s > M:
+        M, t = s, 1
+    elif s == M:
+        t = pc._size_hist[M] + 1
+    else:
+        t = pc._size_hist[M]
+    k = pc.k_used + (s == 1)
     if k_lower > k:
         k = k_lower
-    return pc.n < (M - 1) * k + pc._size_hist[M]
+    return pc.n < (M - 1) * k + t
 
 
 def is_equitable(pc: PartialColoring, k0: int) -> bool:

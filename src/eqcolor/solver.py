@@ -9,6 +9,15 @@ bound, the arithmetic largest-class test passes, and (for the flow/comb
 variants) the chosen pruning engine finds some candidate color count
 still alive. All tie-breaking is deterministic so node counts are
 comparable across variants.
+
+Branching does O(1) Python work per child: the pick is one C-level `max`
+over the uncolored set keyed by `PartialColoring.priority`, and the
+largest-class test is decided before the move. Under std a surviving
+child is queued without being extended; flow and comb extend, test and
+retract only the children that pass it.
+
+A KeyboardInterrupt during the search ends it like a timeout: the checked
+incumbent comes back with `optimal=False` and `SearchStats.interrupted`.
 """
 
 from __future__ import annotations
@@ -49,7 +58,8 @@ class SearchStats:
     node, credited to the test that pruned it; `rule_firings` counts the
     (node, k0) pairs each Hall rule rejected under comb, on pruned and
     surviving nodes alike. `k_lower` is the root's lower bound, so a
-    timed-out run's gap is chi_eq - k_lower."""
+    timed-out run's gap is chi_eq - k_lower. `interrupted` marks a search
+    a KeyboardInterrupt ended."""
 
     nodes: int = 0
     prunes_deficit: int = 0
@@ -60,6 +70,7 @@ class SearchStats:
     k_lower: int = 0
     elapsed: float = 0.0
     timed_out: bool = False
+    interrupted: bool = False
     gap_closed_at_root: bool = False
 
 
@@ -83,15 +94,9 @@ def _best_greedy_clique(g: Graph) -> list[int]:
 
 def _dsatur_pick(pc: PartialColoring) -> int:
     """The uncolored vertex of maximum saturation, ties to maximum degree,
-    then to the lowest index."""
-    degree = pc.g.degree
-    forbidden = pc.forbidden_mask
-    v, best_key = -1, None
-    for u in pc.uncolored:
-        key = (forbidden[u].bit_count(), degree[u], -u)
-        if best_key is None or key > best_key:
-            v, best_key = u, key
-    return v
+    then to the lowest index: the largest `pc.priority` key. The keys are
+    distinct, so the set's iteration order does not matter."""
+    return max(pc.uncolored, key=pc.priority.__getitem__)
 
 
 def _capped_greedy(g: Graph, k: int):
@@ -214,40 +219,51 @@ def _search(g: Graph, cfg: SolverConfig):
         while mask:
             i = mask.bit_length() - 1
             mask ^= 1 << i
-            pc.extend(v, i)
-            if deficit_prune(pc, k_lower):
+            if deficit_prune(pc, k_lower, i):
                 stats.prunes_deficit += 1
-            elif prune is None or not prune(pc, child_decomp, k_lower, k_upper, stats):
-                stack.append((child_depth, v, i))
-            pc.retract()
+                continue
+            if prune is not None:
+                pc.extend(v, i)
+                pruned = prune(pc, child_decomp, k_lower, k_upper, stats)
+                pc.retract()
+                if pruned:
+                    continue
+            stack.append((child_depth, v, i))
 
     nodes = 1  # root
-    # a root clique covering every vertex gives k_lower = n, closed above
-    push_children(0)
+    interrupted = False
+    try:
+        # a root clique covering every vertex gives k_lower = n, closed above
+        push_children(0)
 
-    while stack:
-        depth, v, i = stack.pop()
-        if i > k_upper - 2:
-            continue  # bound improved since this child was queued
-        while pc.depth - root_depth >= depth:
-            pc.retract()
-        pc.extend(v, i)
-        nodes += 1
-        if time.perf_counter() > deadline:
-            timed_out = True
-            break
-        if not uncolored:
-            if pc.k_used < k_upper and is_equitable(pc, pc.k_used):
-                k_upper = pc.k_used
-                incumbent = list(pc.color_of)
-                if k_upper <= k_lower:
-                    break  # bounds met: optimal proven
-            continue
-        if prune is not None and nodes % stride == 0:
-            decomp = find_non_adjacent_cliques(g, uncolored)
-        push_children(depth)
+        while stack:
+            depth, v, i = stack.pop()
+            if i > k_upper - 2:
+                continue  # bound improved since this child was queued
+            while pc.depth - root_depth >= depth:
+                pc.retract()
+            pc.extend(v, i)
+            nodes += 1
+            if time.perf_counter() > deadline:
+                timed_out = True
+                break
+            if not uncolored:
+                if pc.k_used < k_upper and is_equitable(pc, pc.k_used):
+                    k_upper = pc.k_used
+                    incumbent = list(pc.color_of)
+                    if k_upper <= k_lower:
+                        break  # bounds met: optimal proven
+                continue
+            if prune is not None and nodes % stride == 0:
+                decomp = find_non_adjacent_cliques(g, uncolored)
+            push_children(depth)
+    except KeyboardInterrupt:
+        interrupted = True
+        # the interrupt may fall between the two incumbent assignments
+        k_upper = len(set(incumbent))
 
     stats.nodes = nodes
     stats.elapsed = time.perf_counter() - t0
     stats.timed_out = timed_out
-    return Solution(k_upper, incumbent, not timed_out), stats
+    stats.interrupted = interrupted
+    return Solution(k_upper, incumbent, not (timed_out or interrupted)), stats

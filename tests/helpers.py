@@ -285,6 +285,35 @@ def recompute_forbidden(pc: PartialColoring):
     return forbidden
 
 
+def recompute_priority(pc: PartialColoring):
+    """From-scratch DSATUR keys: saturation * n plus n - 1 - r, with r the
+    vertex's rank by decreasing degree, ties to the lower index (ranked
+    here without `Graph.order`)."""
+    g = pc.g
+    n = g.n
+    ranked = sorted(range(n), key=lambda v: (-g.degree[v], v))
+    priority = [0] * n
+    for r, v in enumerate(ranked):
+        priority[v] = n - 1 - r
+    for v, mask in enumerate(recompute_forbidden(pc)):
+        priority[v] += mask.bit_count() * n
+    return priority
+
+
+def raising_on_call(fn, at: int, exc=KeyboardInterrupt):
+    """`fn` wrapped to raise `exc` on its `at`-th call instead of running."""
+    calls = 0
+
+    def wrapped(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == at:
+            raise exc
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
 def proper_and_equitable(g: Graph, coloring, k: int) -> bool:
     """Independent validity check of a complete coloring."""
     if any(c < 0 for c in coloring):

@@ -1,12 +1,14 @@
 import csv
+import json
 
 import pytest
 
-from eqcolor import cli
+from eqcolor import cli, solver
 from eqcolor.cli import BenchSpec, instance_seed, main, run_bench
 from eqcolor.graph import write_dimacs
 from eqcolor.instances import by_name
 from eqcolor import Graph, Solution
+from helpers import proper_and_equitable, raising_on_call
 
 
 @pytest.fixture()
@@ -63,6 +65,37 @@ def test_solve_prints_prune_counters(myciel4_file, capsys):
     assert int(out.split("lower_bound:")[1].split()[0]) == 2  # triangle-free
     assert hall > 0
     assert sum(int(kv.split("=")[1]) for kv in firings.split(",")) >= 1
+
+
+def test_solve_json(myciel4_file, capsys):
+    assert main(["solve", myciel4_file, "--algo", "comb", "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert set(result) == {
+        "chi_eq", "optimal", "status", "lower_bound", "nodes", "prunes_deficit",
+        "prunes_flow", "prunes_hall", "rule_firings", "flow_solves", "time_s",
+        "coloring",
+    }
+    assert (result["chi_eq"], result["optimal"], result["status"]) == (5, True, "optimal")
+    assert result["lower_bound"] == 2 and result["nodes"] >= 1
+    assert result["prunes_hall"] > 0 and sum(result["rule_firings"].values()) >= 1
+    assert proper_and_equitable(by_name("myciel4"), result["coloring"], 5)
+
+
+def test_solve_interrupted_exit_130(tmp_path, monkeypatch, capsys):
+    """Ctrl-C during the search prints the best coloring found so far as
+    INTERRUPTED and exits 130, in text and in JSON."""
+    path = tmp_path / "queen6_6.col"
+    path.write_text(write_dimacs(by_name("queen6_6"), name="queen6_6"))
+    prune = solver.comb_prune
+    monkeypatch.setattr(solver, "comb_prune", raising_on_call(prune, 20))
+    assert main(["solve", str(path)]) == 130
+    out = capsys.readouterr().out
+    assert "status:          INTERRUPTED" in out and "best_found:" in out
+    monkeypatch.setattr(solver, "comb_prune", raising_on_call(prune, 20))
+    assert main(["solve", str(path), "--json"]) == 130
+    result = json.loads(capsys.readouterr().out)
+    assert (result["status"], result["optimal"]) == ("INTERRUPTED", False)
+    assert proper_and_equitable(by_name("queen6_6"), result["coloring"], result["chi_eq"])
 
 
 def test_solve_timeout_exit_two(tmp_path, capsys):

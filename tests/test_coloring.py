@@ -8,7 +8,9 @@ from eqcolor.coloring import (
     deficit_prune,
     is_equitable,
 )
-from helpers import random_partial_coloring, recompute_forbidden
+from eqcolor.instances import by_name
+from eqcolor.solver import _dsatur_pick
+from helpers import random_partial_coloring, recompute_forbidden, recompute_priority
 
 
 def path3():
@@ -107,22 +109,57 @@ def test_incremental_matches_recompute_on_random_walks():
                 pc.retract()
                 moves -= 1
             assert recompute_forbidden(pc) == pc.forbidden_mask
+            assert recompute_priority(pc) == pc.priority
             sizes = sorted(s for s in pc.class_size if s)
             assert pc.M == (max(sizes) if sizes else 0)
             assert pc.t == (sizes.count(pc.M) if sizes else 0)
             assert pc.k_used == len(sizes)
 
 
+def test_dsatur_pick_matches_literal_key_on_random_walks():
+    """After every move of random extend/retract walks, the pick is the
+    literal max over (saturation, degree, -index). Regular graphs and
+    sparse G(n,p) give many degree ties, so the index tie-break decides."""
+    rng = random.Random(72)
+    graphs = [Graph(8, [(v, (v + 1) % 8) for v in range(8)]), by_name("queen5_5")]
+    graphs += [gen_gnp(rng.randint(3, 14), rng.uniform(0.1, 0.6), rng.getrandbits(32))
+               for _ in range(60)]
+    checked = 0
+    for g in graphs:
+        pc = PartialColoring(g)
+        moves = 0
+        for _ in range(3 * g.n):
+            if pc.uncolored and (moves == 0 or rng.random() < 0.6):
+                v = rng.choice(sorted(pc.uncolored))
+                mask = pc.free_mask(v, g.n)
+                pc.extend(v, rng.choice([i for i in range(g.n) if (mask >> i) & 1]))
+                moves += 1
+            elif moves:
+                pc.retract()
+                moves -= 1
+            if pc.uncolored:
+                expected = max(
+                    pc.uncolored,
+                    key=lambda u: (pc.forbidden_mask[u].bit_count(), g.degree[u], -u),
+                )
+                assert _dsatur_pick(pc) == expected
+                checked += 1
+    assert checked > 1000
+
+
 def test_deficit_prune_fires_on_lopsided_state():
     _, pc = lopsided_state()
-    # n=8, M=3, t=1, k=4: (3-1)*4+1 = 9 > 8
-    assert deficit_prune(pc, 2) is True
-    assert deficit_prune(pc, 4) is True
+    v, i = pc.retract()
+    # child: n=8, M=3, t=1, k=4: (3-1)*4+1 = 9 > 8
+    assert deficit_prune(pc, 2, i) is True
+    assert deficit_prune(pc, 4, i) is True
 
 
 def test_deficit_prune_empty_never_prunes():
     pc = PartialColoring(gen_gnp(6, 0.5, 1))
-    assert deficit_prune(pc, 3) is False
+    pc.extend(0, 0)
+    v, i = pc.retract()
+    assert deficit_prune(pc, 3, i) is False
 
 
 def test_deficit_prune_triangle_singletons():
@@ -130,26 +167,41 @@ def test_deficit_prune_triangle_singletons():
     pc = PartialColoring(g)
     for v in range(3):
         pc.extend(v, v)
-    # (1-1)*3 + 3 = 3 <= 3
-    assert deficit_prune(pc, 3) is False
+    v, i = pc.retract()
+    # child: (1-1)*3 + 3 = 3 <= 3
+    assert deficit_prune(pc, 3, i) is False
 
 
 def test_deficit_prune_equivalent_sum_form():
-    """With max(k_lower, k) = k the test matches the fill-deficit form:
-    prune iff |U| < sum over classes below M-1 of (M-1-size)."""
+    """The one-step prediction for every color a child may take, the new
+    class k_used included, matches the fill-deficit form on the extended
+    state (where max(k_lower, k) = k): prune iff |U| < sum over classes
+    below M-1 of (M-1-size). With a k_lower above k it matches the
+    product form n < (M-1)*k_lower + t on the extended state."""
     rng = random.Random(17)
-    checked = 0
-    for _ in range(10_000):
+    cases = {">": 0, "==": 0, "<": 0}
+    for _ in range(4_000):
         g = gen_gnp(rng.randint(2, 10), rng.random(), rng.getrandbits(32))
         k0 = rng.randint(1, g.n)
         pc = random_partial_coloring(rng, g, k0)
-        if pc.M == 0:
+        if not pc.uncolored:
             continue
-        deficit = sum(pc.M - 1 - s for s in pc.class_size if 0 < s < pc.M - 1)
-        prune = len(pc.uncolored) < deficit
-        assert deficit_prune(pc, 0) == prune
-        checked += 1
-    assert checked > 5_000
+        for i in range(pc.k_used + 1):
+            free = [u for u in sorted(pc.uncolored) if not (pc.forbidden_mask[u] >> i) & 1]
+            if not free:
+                continue
+            s = pc.class_size[i]
+            cases[">" if s + 1 > pc.M else "==" if s + 1 == pc.M else "<"] += 1
+            k_lower = rng.randint(0, g.n)
+            predicted = deficit_prune(pc, 0, i)
+            predicted_lower = deficit_prune(pc, k_lower, i)
+            pc.extend(rng.choice(free), i)
+            deficit = sum(pc.M - 1 - c for c in pc.class_size if 0 < c < pc.M - 1)
+            assert predicted == (len(pc.uncolored) < deficit)
+            k = max(k_lower, pc.k_used)
+            assert predicted_lower == (g.n < (pc.M - 1) * k + pc.t)
+            pc.retract()
+    assert min(cases.values()) > 500, cases
 
 
 def test_is_equitable_cases():

@@ -193,8 +193,10 @@ def test_deficit_prune_implies_flow_prune_under_full_freedom():
         for v in range(n_col):
             lim = min(pc.k_used + 1, k_used_target)
             pc.extend(v, rng.randrange(lim))
-        if not deficit_prune(pc, 0):
+        v, i = pc.retract()
+        if not deficit_prune(pc, 0, i):
             continue
+        pc.extend(v, i)
         decomp = CliqueDecomposition((), pc.uncolored)
         assert flow_prune(pc, decomp, pc.k_used, n + 1) is True
         checked += 1
@@ -216,7 +218,9 @@ def test_rule_menu_misses_spread_deficits_that_flow_catches():
             v += 1
     assert len(pc.uncolored) == 1
     decomp = CliqueDecomposition((), pc.uncolored)
-    assert deficit_prune(pc, 0) is True
+    v, i = pc.retract()
+    assert deficit_prune(pc, 0, i) is True
+    pc.extend(v, i)
     ctx = HallContext(pc, decomp, 4)
     assert failing_rule(ctx) is None  # every rule passes at k0=4
     assert comb_prune(pc, decomp, 4, 5) is False

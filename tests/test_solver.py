@@ -6,9 +6,10 @@ import pytest
 
 from eqcolor import Graph, Solution, SolverConfig, gen_gnp, solve
 from eqcolor import solver
+from eqcolor.instances import by_name
 from eqcolor.oracle import brute_chi_eq
 from eqcolor.solver import initial_bounds
-from helpers import proper_and_equitable
+from helpers import proper_and_equitable, raising_on_call
 
 
 def star(n):
@@ -267,3 +268,15 @@ def test_root_children_not_screened_past_the_deadline(monkeypatch):
     assert stats.timed_out and not sol.optimal
     assert proper_and_equitable(g, sol.coloring, sol.chi_eq)
     assert stats.k_lower < sol.chi_eq
+
+
+def test_interrupt_returns_checked_incumbent(monkeypatch):
+    """Ctrl-C in the node loop ends the search like a timeout: the
+    incumbent comes back checked, with optimal=False."""
+    g = by_name("queen6_6")
+    monkeypatch.setattr(solver, "comb_prune", raising_on_call(solver.comb_prune, 20))
+    sol, stats = solve(g, SolverConfig(variant="comb"))
+    assert stats.interrupted and not stats.timed_out and not sol.optimal
+    assert stats.nodes > 1
+    solver._check_witness(g, sol)
+    assert proper_and_equitable(g, sol.coloring, sol.chi_eq)
