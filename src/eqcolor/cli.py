@@ -156,6 +156,8 @@ def _campaign_rows(spec: BenchSpec):
                 for variant in spec.variants:
                     cfg = SolverConfig(variant, spec.time_limit, spec.cd_stride)
                     sol, stats = solve(g, cfg)
+                    if stats.interrupted:
+                        raise KeyboardInterrupt  # Ctrl-C ends the campaign
                     yield {
                         "n": n,
                         "p": _fmt_p(p),
@@ -249,7 +251,9 @@ def cmd_verify(args) -> int:
     for name, g in instances:
         results = {}
         for cfg in configs:
-            sol, _ = solve(g, cfg)
+            sol, stats = solve(g, cfg)
+            if stats.interrupted:
+                raise KeyboardInterrupt  # Ctrl-C ends the cross-check
             results[cfg.variant] = sol.chi_eq if sol.optimal else None
         if g.n <= DEFAULT_LIMITS.max_n:
             results["oracle"] = brute_chi_eq(g)

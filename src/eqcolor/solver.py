@@ -18,6 +18,7 @@ retract only the children that pass it.
 
 A KeyboardInterrupt during the search ends it like a timeout: the checked
 incumbent comes back with `optimal=False` and `SearchStats.interrupted`.
+A caller that runs many solves checks that flag and stops on it.
 """
 
 from __future__ import annotations
@@ -164,8 +165,9 @@ def _check_witness(g: Graph, sol: Solution) -> None:
 
 
 def solve(g: Graph, cfg: SolverConfig | None = None):
-    """Exact chi_eq with witness, or the best incumbent on timeout. The
-    witness is checked before it is returned."""
+    """Exact chi_eq with witness, or the best incumbent on timeout or
+    Ctrl-C (`stats.interrupted`). The witness is checked before it is
+    returned."""
     sol, stats = _search(g, SolverConfig() if cfg is None else cfg)
     _check_witness(g, sol)
     return sol, stats

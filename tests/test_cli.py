@@ -98,6 +98,27 @@ def test_solve_interrupted_exit_130(tmp_path, monkeypatch, capsys):
     assert proper_and_equitable(by_name("queen6_6"), result["coloring"], result["chi_eq"])
 
 
+def test_bench_and_verify_stop_on_interrupt(tmp_path, monkeypatch, capsys):
+    """Ctrl-C ends a campaign or a cross-check: no interrupted solve is
+    written as a row or reported as a timeout."""
+    prune = solver.comb_prune
+    out = tmp_path / "bench.csv"
+    monkeypatch.setattr(solver, "comb_prune", raising_on_call(prune, 1))
+    with pytest.raises(KeyboardInterrupt):
+        main(
+            [
+                "bench", "--n", "20", "--p", "0.5", "--count", "2",
+                "--algos", "comb", "--out", str(out),
+            ]
+        )
+    with open(out) as fh:
+        assert list(csv.DictReader(fh)) == []
+    monkeypatch.setattr(solver, "comb_prune", raising_on_call(prune, 1))
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "--gnp", "20", "0.5", "1"])
+    assert "TIMEOUT" not in capsys.readouterr().out
+
+
 def test_solve_timeout_exit_two(tmp_path, capsys):
     from eqcolor import gen_gnp
 
