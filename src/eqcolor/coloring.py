@@ -3,9 +3,13 @@
 Colors are 0-based indices internally. A partial coloring tracks, per
 vertex, the set of colors used by colored neighbors as a bitmask, the
 DSATUR branching priority that follows from it, and a histogram of class
-sizes so the largest-class statistics cost O(1). The search undoes
-strictly last-in-first-out, so each trail entry records the neighbors its
-extend barred from a color, and a retract clears exactly those bits.
+sizes so the largest-class statistics cost O(1). It also keeps the same
+facts sliced the other way, as vertex bitmasks: the uncolored set, and per
+color the vertices with a neighbor of that color. The clique decomposition
+and the Hall context are built from these with a few big-int operations
+per clique and per color. The search undoes strictly last-in-first-out, so
+each trail entry records the neighbors its extend barred from a color and
+the color's old vertex bitmask, and a retract restores exactly those.
 
 The largest-class test (`deficit_prune`) is decided for a child before
 the move: from the parent's statistics and the child's color alone, so a
@@ -27,9 +31,13 @@ class PartialColoring:
     is v's position in `g.order`. The keys are distinct, and a larger key
     means higher saturation, then higher degree, then lower index, since
     `g.order` ranks by decreasing degree with ties to the lower index.
-    Each `_trail` entry is `(v, i, barred)`,
+
+    `uncolored_mask` has bit v set iff v is uncolored (the bitmask of the
+    set `uncolored`), and `barred_mask[i]` has bit w set iff some neighbor
+    of w wears color i. Each `_trail` entry is `(v, i, barred, old)`,
     where `barred` lists the neighbors of v that lacked bit i before v was
-    colored i, so a retract sequence restores earlier states exactly.
+    colored i and `old` is `barred_mask[i]` before the move, so a retract
+    sequence restores earlier states exactly.
     """
 
     __slots__ = (
@@ -38,7 +46,10 @@ class PartialColoring:
         "color_of",
         "class_size",
         "uncolored",
+        "uncolored_mask",
         "forbidden_mask",
+        "barred_mask",
+        "adj_mask",
         "priority",
         "k_used",
         "M",
@@ -53,7 +64,10 @@ class PartialColoring:
         self.color_of = [-1] * n
         self.class_size = [0] * n
         self.uncolored = set(range(n))
+        self.uncolored_mask = (1 << n) - 1
         self.forbidden_mask = [0] * n
+        self.barred_mask = [0] * n
+        self.adj_mask = g.adj_mask
         self.priority = priority = [0] * n
         for r, v in enumerate(g.order):
             priority[v] = n - 1 - r
@@ -82,6 +96,7 @@ class PartialColoring:
         assert not (self.forbidden_mask[v] >> i) & 1, f"color {i} forbidden for {v}"
         self.color_of[v] = i
         self.uncolored.remove(v)
+        self.uncolored_mask ^= 1 << v
         s = self.class_size[i]
         self.class_size[i] = s + 1
         if s == 0:
@@ -91,6 +106,8 @@ class PartialColoring:
         self._size_hist[s + 1] += 1
         if s + 1 > self.M:
             self.M = s + 1
+        old = self.barred_mask[i]
+        self.barred_mask[i] = old | self.adj_mask[v]
         bit = 1 << i
         forbidden = self.forbidden_mask
         priority = self.priority
@@ -102,13 +119,15 @@ class PartialColoring:
                 forbidden[w] = fw | bit
                 priority[w] += n
                 barred.append(w)
-        self._trail.append((v, i, barred))
+        self._trail.append((v, i, barred, old))
 
     def retract(self) -> tuple[int, int]:
         """Undo the most recent extend; returns the (vertex, color) undone."""
-        v, i, barred = self._trail.pop()
+        v, i, barred, old = self._trail.pop()
         self.color_of[v] = -1
         self.uncolored.add(v)
+        self.uncolored_mask |= 1 << v
+        self.barred_mask[i] = old
         s = self.class_size[i]
         self.class_size[i] = s - 1
         self._size_hist[s] -= 1

@@ -3,8 +3,12 @@ cliques plus a residual set.
 
 The residual set carries the trivial stability bound (its own size); each
 clique carries bound 1, which is what makes the flow model tight on the
-clique-covered part. Seeds and growth both follow `Graph.order`, the
-static priority of decreasing degree with ties to the lowest index.
+clique-covered part. Vertex sets are bitmasks (bit v set iff v is in the
+set), so growing a clique, fencing off its neighbors and projecting onto a
+smaller uncolored set cost a few big-int operations per clique. Seeds and
+growth both take the lowest vertex index: the solver searches a copy of
+its graph relabeled by `Graph.order` (`Graph.relabeled`), where that is
+the static priority of decreasing degree with ties to the lowest index.
 """
 
 from __future__ import annotations
@@ -12,139 +16,158 @@ from __future__ import annotations
 from .graph import Graph
 
 
+def mask_vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a vertex bitmask (its set bits), ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 class CliqueDecomposition:
     """Partition of an uncolored set U into cliques of size >= 2 (no edge
-    joins two distinct cliques) and a residual set U0 covering the rest."""
+    joins two distinct cliques) and a residual set U0 covering the rest.
 
-    __slots__ = ("cliques", "residual")
+    `masks` holds the cliques and `residual_mask` the residual set, as
+    vertex bitmasks; `cliques` and `residual` list the same sets as vertex
+    ids, for callers off the hot path."""
 
-    def __init__(self, cliques, residual):
-        self.cliques = tuple(tuple(c) for c in cliques)
-        self.residual = frozenset(residual)
+    __slots__ = ("masks", "residual_mask")
+
+    def __init__(self, masks, residual_mask: int):
+        self.masks = tuple(masks)
+        self.residual_mask = residual_mask
+
+    @property
+    def cliques(self) -> tuple[tuple[int, ...], ...]:
+        """The cliques, each as its vertices in ascending order."""
+        return tuple(mask_vertices(c) for c in self.masks)
+
+    @property
+    def residual(self) -> frozenset:
+        return frozenset(mask_vertices(self.residual_mask))
 
     def covered(self) -> int:
-        return sum(len(c) for c in self.cliques)
+        return sum(c.bit_count() for c in self.masks)
 
     def parts(self):
         """Yield (vertices, alpha) pairs: cliques with alpha=1 first, then
         the residual part with alpha=|U0| when nonempty."""
-        for c in self.cliques:
-            yield c, 1
-        if self.residual:
-            yield tuple(sorted(self.residual)), len(self.residual)
+        for c in self.masks:
+            yield mask_vertices(c), 1
+        if self.residual_mask:
+            yield mask_vertices(self.residual_mask), self.residual_mask.bit_count()
 
-    def restricted_to(self, uncolored) -> "CliqueDecomposition":
-        """Project onto a new uncolored set: a clique minus colored members
-        stays a clique; parts shrunk below size 2 and any vertices this
-        decomposition never saw fall into the residual."""
-        uncolored = set(uncolored)
+    def restricted_to(self, uncolored: int) -> "CliqueDecomposition":
+        """Project onto a new uncolored set (a bitmask): a clique minus
+        colored members stays a clique; parts shrunk below size 2 and any
+        vertices this decomposition never saw fall into the residual."""
         cliques = []
-        leftover = set(uncolored)
-        for c in self.cliques:
-            kept = [v for v in c if v in uncolored]
-            if len(kept) >= 2:
-                cliques.append(kept)
-                leftover.difference_update(kept)
-        return CliqueDecomposition(cliques, leftover)
+        covered = 0
+        for c in self.masks:
+            c &= uncolored
+            if c & (c - 1):  # two or more members
+                cliques.append(c)
+                covered |= c
+        return CliqueDecomposition(cliques, uncolored & ~covered)
 
-    def validate(self, g: Graph, uncolored) -> None:
-        """Raise ValueError unless all structural invariants hold."""
-        uncolored = set(uncolored)
-        seen = set()
-        for c in self.cliques:
-            cs = set(c)
-            if len(cs) != len(c) or len(c) < 2:
-                raise ValueError(f"clique {c} too small or has repeats")
-            if cs & seen:
+    def validate(self, g: Graph, uncolored: int) -> None:
+        """Raise ValueError unless all structural invariants hold for the
+        uncolored set (a bitmask)."""
+        adj = g.adj_mask
+        seen = 0
+        for c in self.masks:
+            if c.bit_count() < 2:
+                raise ValueError(f"clique {mask_vertices(c)} too small")
+            if c & seen:
                 raise ValueError("parts are not disjoint")
-            seen |= cs
-            for u in c:
-                for v in c:
-                    if u < v and v not in g.adj[u]:
-                        raise ValueError(f"{c} is not a clique: {u}-{v} missing")
-        if seen & self.residual:
+            seen |= c
+            for u in mask_vertices(c):
+                missing = c & ~adj[u] & ~(1 << u)
+                if missing:
+                    v = missing.bit_length() - 1
+                    raise ValueError(
+                        f"{mask_vertices(c)} is not a clique: {u}-{v} missing"
+                    )
+        if seen & self.residual_mask:
             raise ValueError("residual overlaps a clique")
-        if seen | self.residual != uncolored:
+        if seen | self.residual_mask != uncolored:
             raise ValueError("parts do not cover the uncolored set exactly")
-        for i, a in enumerate(self.cliques):
-            for b in self.cliques[i + 1 :]:
-                for u in a:
-                    if g.adj[u] & set(b):
-                        raise ValueError(f"cliques {a} and {b} are adjacent")
+        for i, a in enumerate(self.masks):
+            reach = 0
+            for u in mask_vertices(a):
+                reach |= adj[u]
+            for b in self.masks[i + 1 :]:
+                if reach & b:
+                    raise ValueError(
+                        f"cliques {mask_vertices(a)} and {mask_vertices(b)} are adjacent"
+                    )
 
     def __repr__(self):
         return f"CliqueDecomposition(cliques={self.cliques}, residual={sorted(self.residual)})"
 
 
 def find_non_adjacent_cliques(
-    g: Graph, uncolored, first_pick: int | None = None
+    g: Graph, uncolored: int, first_pick: int | None = None
 ) -> CliqueDecomposition:
-    """Greedy extraction of pairwise non-adjacent cliques from `uncolored`.
+    """Greedy extraction of pairwise non-adjacent cliques from the
+    uncolored set (a bitmask).
 
-    Repeatedly seed a clique with the remaining vertex that comes first in
-    `g.order` (highest degree in g, ties to the lowest index), grow it by
-    the common neighbor among the remaining vertices that comes first in
-    that order, then move the clique's outside neighbors into the residual
-    so later cliques cannot touch it. Singleton cliques fold straight into
-    the residual.
+    Repeatedly seed a clique with the lowest remaining vertex, grow it by
+    the lowest common neighbor among the remaining vertices, then move the
+    clique's outside neighbors (the OR of its members' neighborhoods) into
+    the residual so later cliques cannot touch it. Singleton cliques fold
+    straight into the residual.
 
     `first_pick` overrides the first seed only (used for restarts).
     """
-    remaining = set(uncolored)
-    adj = g.adj
-    order = [v for v in g.order if v in remaining]
-    pos = -1
+    adj = g.adj_mask
+    remaining = uncolored
     cliques = []
-    residual = set()
+    residual = 0
     while remaining:
         if first_pick is not None:
             v, first_pick = first_pick, None
-            scan = order
         else:
-            # the first remaining vertex: every candidate comes after it
-            pos += 1
-            while order[pos] not in remaining:
-                pos += 1
-            v = order[pos]
-            scan = order[pos + 1 :]
-        # as in greedy_maximal_clique, one forward scan grows the clique
-        clique = [v]
-        common = adj[v] & remaining
-        for w in scan:
-            if not common:
-                break
-            if w in common:
-                clique.append(w)
-                common = common & adj[w]
-        remaining.difference_update(clique)
-        if len(clique) == 1:
-            residual.add(v)
-            continue
-        boundary = set()
-        for u in clique:
-            boundary |= adj[u]
-        boundary &= remaining
-        remaining -= boundary
-        residual |= boundary
-        cliques.append(clique)
+            v = (remaining & -remaining).bit_length() - 1
+        clique = 1 << v
+        boundary = adj[v]
+        common = boundary & remaining
+        while common:
+            low = common & -common
+            clique |= low
+            w = low.bit_length() - 1
+            common &= adj[w]
+            boundary |= adj[w]
+        remaining &= ~clique
+        if clique & (clique - 1):
+            cliques.append(clique)
+            # a singleton has no remaining neighbor to move
+            boundary &= remaining
+            remaining ^= boundary
+            residual |= boundary
+        else:
+            residual |= clique
     return CliqueDecomposition(cliques, residual)
 
 
-def restarted_decomposition(g: Graph, uncolored, tries: int = 1) -> CliqueDecomposition:
+def restarted_decomposition(
+    g: Graph, uncolored: int, tries: int = 1
+) -> CliqueDecomposition:
     """Run the greedy decomposition from up to `tries` distinct first seeds
-    (the first uncolored vertices of `g.order`) and keep the one covering
-    the most vertices by cliques; ties go to the first found."""
+    (the lowest uncolored vertices) and keep the one covering the most
+    vertices by cliques; ties go to the first found."""
     if tries < 1:
         raise ValueError("tries must be >= 1")
-    uncolored = set(uncolored)
     if not uncolored:
-        return CliqueDecomposition((), ())
-    starts = [v for v in g.order if v in uncolored][:tries]
+        return CliqueDecomposition((), 0)
     best = None
     best_key = None
-    for s in starts:
+    for s in mask_vertices(uncolored)[:tries]:
         d = find_non_adjacent_cliques(g, uncolored, first_pick=s)
-        key = (d.covered(), -len(d.residual))
+        key = (d.covered(), -d.residual_mask.bit_count())
         if best is None or key > best_key:
             best, best_key = d, key
     return best

@@ -10,11 +10,13 @@ The partial coloring extends to an equitable k0-coloring only if this
 network carries a flow of value |U|; when the residual part is empty the
 condition is exact. Only the test oracle in `eqcolor.oracle` builds that
 network, arc by arc with its lower bounds. This module decides the same
-question from the free-color masks that `hallrules.HallContext` already
-holds for the rule prefilter, in one pass that places the uncolored
-vertices one at a time: directly on a color with room when it can, and
-otherwise along a breadth-first augmenting path through the assignment
-built so far, with no network built.
+question from the clique members' free-color masks that
+`hallrules.HallContext` already holds for the rule prefilter, plus the
+residual vertices' masks it asks the context for (`resid_masks`, made
+only here), in one pass that places the uncolored vertices one at a
+time: directly on a color with room when it can, and otherwise along a
+breadth-first augmenting path through the assignment built so far, with
+no network built.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ def flow_feasible(ctx: hallrules.HallContext) -> bool:
     for j, clique in enumerate(ctx.clique_masks):
         masks += clique
         part += [j] * len(clique)
-    masks += ctx.resid_masks
-    part += [-1] * len(ctx.resid_masks)
+    resid_masks = ctx.resid_masks()
+    masks += resid_masks
+    part += [-1] * len(resid_masks)
     n_u = len(masks)
     spare = n_u - sum(lo)
     if spare < 0:

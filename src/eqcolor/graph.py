@@ -25,9 +25,10 @@ class Graph:
 
     Besides `n`, `adj`, `edges` and `degree`, it keeps `order`: the vertex
     priority every greedy scans, by decreasing degree, ties to lower index.
+    `adj_mask` holds the neighborhoods as bitmasks, built on first use.
     """
 
-    __slots__ = ("n", "adj", "edges", "degree", "order")
+    __slots__ = ("n", "adj", "edges", "degree", "order", "_adj_mask")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -52,6 +53,24 @@ class Graph:
         self.degree = degree = tuple(len(s) for s in adj)
         # sorted is stable, so equal degrees stay in increasing index order
         self.order = tuple(sorted(range(n), key=degree.__getitem__, reverse=True))
+        self._adj_mask = None
+
+    @property
+    def adj_mask(self) -> tuple[int, ...]:
+        """Per vertex, the bitmask of its neighbors (bit w set iff w is
+        adjacent). Built on first use, so only a search pays for it."""
+        if self._adj_mask is None:
+            self._adj_mask = tuple(sum(1 << w for w in s) for s in self.adj)
+        return self._adj_mask
+
+    def relabeled(self) -> "Graph":
+        """The same graph with vertex r standing for `order[r]`. Its own
+        order is the identity, so "first in `order`" becomes "lowest
+        index", and a bitmask's lowest set bit is its first vertex."""
+        rank = [0] * self.n
+        for r, v in enumerate(self.order):
+            rank[v] = r
+        return Graph(self.n, ((rank[u], rank[v]) for u, v in self.edges))
 
     @property
     def m(self) -> int:

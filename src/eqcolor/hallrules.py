@@ -16,7 +16,7 @@ barred from g leave g short (positive rule).
 from __future__ import annotations
 
 from .coloring import PartialColoring, candidate_k0_values
-from .decomposition import CliqueDecomposition
+from .decomposition import CliqueDecomposition, mask_vertices
 
 
 class HallContext:
@@ -24,11 +24,18 @@ class HallContext:
     engine read.
 
     All masks and counts restrict free colors to {0..k0-1}: only those
-    exist in the network. The free masks are kept in one vertex order,
-    clique by clique (`clique_masks`) and then the residual set
-    (`resid_masks`). `supply[f]` counts the cliques and residual vertices
-    that can still take f. Vertices with no free color at all still count
-    on the "must be colored within T" side.
+    exist in the network. They are computed bit-sliced, one vertex bitmask
+    per color: `free_f`, the uncolored vertices no neighbor of color f
+    bars, is `U & ~pc.barred_mask[f]`. `supply[f]` counts the cliques that
+    meet free_f plus the residual vertices in it; `single_free[f]` counts
+    the vertices in free_f and in no other, and `empty_free` the vertices
+    in none (they still count on the "must be colored within T" side).
+    Both come from running "in at least one" and "in at least two"
+    accumulators over the free_f. Building the context costs
+    O(k0 * #cliques) big-int operations plus one free-color mask per clique
+    member, which `clique_masks` holds clique by clique for the SDR rule.
+    The residual's per-vertex masks are made only on request
+    (`resid_masks`), by the flow test.
     """
 
     __slots__ = (
@@ -37,7 +44,8 @@ class HallContext:
         "ceil_size",
         "class_sizes",
         "clique_masks",
-        "resid_masks",
+        "residual",
+        "forbidden",
         "supply",
         "single_free",
         "empty_free",
@@ -49,54 +57,38 @@ class HallContext:
         self.floor_size = n // k0
         self.ceil_size = -(-n // k0)
         self.class_sizes = pc.class_size[:k0]
-        full = (1 << k0) - 1
-        forbidden = pc.forbidden_mask
+        self.forbidden = forbidden = pc.forbidden_mask
+        self.residual = residual = decomp.residual_mask
+        cliques = decomp.masks
+        uncolored = pc.uncolored_mask
 
-        single_free = [0] * k0
-        empty_free = 0
-        supply = [0] * k0
-        clique_masks = []
-        resid_masks = []
-
-        for clique in decomp.cliques:
-            masks = []
-            or_mask = 0
-            for v in clique:
-                fm = ~forbidden[v] & full
-                masks.append(fm)
-                or_mask |= fm
-                if fm == 0:
-                    empty_free += 1
-                elif fm & (fm - 1) == 0:
-                    single_free[fm.bit_length() - 1] += 1
-            _count_bits(or_mask, supply)
-            clique_masks.append(masks)
-        for v in decomp.residual:
-            fm = ~forbidden[v] & full
-            resid_masks.append(fm)
-            _count_bits(fm, supply)
-            if fm == 0:
-                empty_free += 1
-            elif fm & (fm - 1) == 0:
-                single_free[fm.bit_length() - 1] += 1
-
-        self.clique_masks = clique_masks
-        self.resid_masks = resid_masks
+        supply = []
+        frees = []
+        one = two = 0  # vertices free for at least one, two colors so far
+        for barred in pc.barred_mask[:k0]:
+            free = uncolored & ~barred
+            frees.append(free)
+            two |= one & free
+            one |= free
+            s = (residual & free).bit_count()
+            for c in cliques:
+                if c & free:
+                    s += 1
+            supply.append(s)
         self.supply = supply
-        self.single_free = single_free
-        self.empty_free = empty_free
+        self.empty_free = (uncolored & ~one).bit_count()
+        lone = one & ~two  # free for exactly one color
+        self.single_free = [(free & lone).bit_count() for free in frees]
+        full = (1 << k0) - 1
+        self.clique_masks = [
+            [~forbidden[v] & full for v in mask_vertices(c)] for c in cliques
+        ]
 
-
-_BITS8 = [tuple(b for b in range(8) if (x >> b) & 1) for x in range(256)]
-
-
-def _count_bits(mask: int, counts: list[int]) -> None:
-    base = 0
-    while mask:
-        for b in _BITS8[mask & 255]:
-            counts[base + b] += 1
-        mask >>= 8
-        base += 8
+    def resid_masks(self) -> list[int]:
+        """Free-color masks of the residual vertices, ascending."""
+        full = (1 << self.k0) - 1
+        forbidden = self.forbidden
+        return [~forbidden[v] & full for v in mask_vertices(self.residual)]
 
 
 def check_positive_single(ctx: HallContext) -> bool:
@@ -189,8 +181,10 @@ def comb_prune(
 ) -> bool:
     """True iff every candidate k0 fails at least one rule (so also when
     the candidate range is empty). Weaker than the flow test (a passing
-    rule set proves nothing) but evaluated in O(k0 + |U|) arithmetic per
-    color count."""
+    rule set proves nothing) but evaluated per color count in
+    O(k0 * #cliques) big-int operations plus O(k0) per clique member for
+    the context, and O(k0) arithmetic plus one small matching per clique
+    for the rules."""
     for k0 in candidate_k0_values(pc, k_lower, k_upper):
         ctx = HallContext(pc, decomp, k0)
         failed = failing_rule(ctx)

@@ -16,9 +16,17 @@ largest-class test is decided before the move. Under std a surviving
 child is queued without being extended; flow and comb extend, test and
 retract only the children that pass it.
 
-A KeyboardInterrupt during the search ends it like a timeout: the checked
-incumbent comes back with `optimal=False` and `SearchStats.interrupted`.
-A caller that runs many solves checks that flag and stops on it.
+The search runs on a copy of the graph relabeled by `Graph.order`, so
+vertex r is the r-th vertex of the order and "first in the order" is
+"lowest index": the clique decomposition and the Hall context work on
+vertex bitmasks, where that is the lowest set bit. The witness is mapped
+back to the caller's vertex ids before it is checked.
+
+A KeyboardInterrupt anywhere in the solve, the initial bounds and the
+root decomposition included, ends it like a timeout: the checked
+incumbent comes back with `optimal=False` and `SearchStats.interrupted`,
+one class per vertex if no greedy had finished yet. A caller that runs
+many solves checks that flag and stops on it.
 """
 
 from __future__ import annotations
@@ -168,73 +176,82 @@ def solve(g: Graph, cfg: SolverConfig | None = None):
     """Exact chi_eq with witness, or the best incumbent on timeout or
     Ctrl-C (`stats.interrupted`). The witness is checked before it is
     returned."""
-    sol, stats = _search(g, SolverConfig() if cfg is None else cfg)
+    cfg = SolverConfig() if cfg is None else cfg
+    # the relabel counts toward the time limit
+    t0 = time.perf_counter()
+    deadline = t0 + cfg.time_limit
+    sol, stats = _search(g.relabeled(), cfg, t0, deadline)
+    coloring = [0] * g.n
+    for r, v in enumerate(g.order):
+        coloring[v] = sol.coloring[r]
+    sol.coloring = coloring
     _check_witness(g, sol)
     return sol, stats
 
 
-def _search(g: Graph, cfg: SolverConfig):
-    t0 = time.perf_counter()
-    deadline = t0 + cfg.time_limit
+def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
+    """Branch and bound on g, whose `order` is the identity."""
     stats = SearchStats()
     if g.n == 0:
         return Solution(0, [], True), stats
-    k_lower, k_upper, incumbent, root_clique = initial_bounds(g, deadline)
-    stats.k_lower = k_lower
-    closed = k_lower >= k_upper
-    # past the deadline, screening the root's children alone could take
-    # k_upper engine calls per child
-    if closed or time.perf_counter() > deadline:
-        stats.nodes = 1
-        stats.gap_closed_at_root = closed
-        stats.timed_out = not closed
-        stats.elapsed = time.perf_counter() - t0
-        return Solution(k_upper, incumbent, closed), stats
-
+    # one class per vertex until a greedy finishes
+    k_upper, incumbent = g.n, list(range(g.n))
     # looked up per call, so rebinding the module attributes takes effect
     prune = {"flow": flow_prune, "comb": comb_prune}.get(cfg.variant)
-    pc = PartialColoring(g)
-    for idx, v in enumerate(root_clique):
-        pc.extend(v, idx)
-    root_depth = pc.depth
-
-    decomp = None
-    if prune is not None:
-        decomp = restarted_decomposition(g, pc.uncolored)
-
-    uncolored = pc.uncolored
-    stride = cfg.cd_stride
     stack = []
-    timed_out = False
-
-    def push_children(depth: int) -> None:
-        v = _dsatur_pick(pc)
-        limit = pc.k_used + 1
-        if limit > k_upper - 1:
-            limit = k_upper - 1
-        mask = pc.free_mask(v, limit)
-        child_depth = depth + 1
-        # every child leaves the same uncolored set, so project once
-        if prune is not None:
-            child_decomp = decomp.restricted_to(uncolored - {v})
-        # iterate colors descending so the LIFO pop order is ascending
-        while mask:
-            i = mask.bit_length() - 1
-            mask ^= 1 << i
-            if deficit_prune(pc, k_lower, i):
-                stats.prunes_deficit += 1
-                continue
-            if prune is not None:
-                pc.extend(v, i)
-                pruned = prune(pc, child_decomp, k_lower, k_upper, stats)
-                pc.retract()
-                if pruned:
-                    continue
-            stack.append((child_depth, v, i))
-
     nodes = 1  # root
-    interrupted = False
+    timed_out = interrupted = False
     try:
+        k_lower, k_upper, incumbent, root_clique = initial_bounds(g, deadline)
+        stats.k_lower = k_lower
+        closed = k_lower >= k_upper
+        # past the deadline, screening the root's children alone could take
+        # k_upper engine calls per child
+        if closed or time.perf_counter() > deadline:
+            stats.nodes = 1
+            stats.gap_closed_at_root = closed
+            stats.timed_out = not closed
+            stats.elapsed = time.perf_counter() - t0
+            return Solution(k_upper, incumbent, closed), stats
+
+        pc = PartialColoring(g)
+        for idx, v in enumerate(root_clique):
+            pc.extend(v, idx)
+        root_depth = pc.depth
+
+        decomp = None
+        if prune is not None:
+            decomp = restarted_decomposition(g, pc.uncolored_mask)
+
+        stride = cfg.cd_stride
+
+        def push_children(depth: int) -> None:
+            v = _dsatur_pick(pc)
+            limit = pc.k_used + 1
+            if limit > k_upper - 1:
+                limit = k_upper - 1
+            mask = pc.free_mask(v, limit)
+            child_depth = depth + 1
+            # every child leaves the same uncolored set: project once, for
+            # the first child the deficit test lets through
+            child_decomp = None
+            # iterate colors descending so the LIFO pop order is ascending
+            while mask:
+                i = mask.bit_length() - 1
+                mask ^= 1 << i
+                if deficit_prune(pc, k_lower, i):
+                    stats.prunes_deficit += 1
+                    continue
+                if prune is not None:
+                    if child_decomp is None:
+                        child_decomp = decomp.restricted_to(pc.uncolored_mask ^ (1 << v))
+                    pc.extend(v, i)
+                    pruned = prune(pc, child_decomp, k_lower, k_upper, stats)
+                    pc.retract()
+                    if pruned:
+                        continue
+                stack.append((child_depth, v, i))
+
         # a root clique covering every vertex gives k_lower = n, closed above
         push_children(0)
 
@@ -249,7 +266,7 @@ def _search(g: Graph, cfg: SolverConfig):
             if time.perf_counter() > deadline:
                 timed_out = True
                 break
-            if not uncolored:
+            if not pc.uncolored_mask:
                 if pc.k_used < k_upper and is_equitable(pc, pc.k_used):
                     k_upper = pc.k_used
                     incumbent = list(pc.color_of)
@@ -257,7 +274,7 @@ def _search(g: Graph, cfg: SolverConfig):
                         break  # bounds met: optimal proven
                 continue
             if prune is not None and nodes % stride == 0:
-                decomp = find_non_adjacent_cliques(g, uncolored)
+                decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
             push_children(depth)
     except KeyboardInterrupt:
         interrupted = True

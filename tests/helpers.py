@@ -48,14 +48,24 @@ def random_state(rng, n_max=10, n_min=2, k0_max=None):
         return g, pc, decomp, k0
 
 
+def mask(vertices) -> int:
+    """The bitmask of a vertex collection."""
+    out = 0
+    for v in vertices:
+        out |= 1 << v
+    return out
+
+
 def random_decomposition(rng, g: Graph, uncolored) -> CliqueDecomposition:
     """Trivial, greedy, or randomly seeded-greedy decomposition."""
     kind = rng.randrange(3)
     if kind == 0 or not uncolored:
-        return CliqueDecomposition((), set(uncolored))
+        return CliqueDecomposition((), mask(uncolored))
     if kind == 1:
-        return find_non_adjacent_cliques(g, uncolored)
-    return find_non_adjacent_cliques(g, uncolored, first_pick=rng.choice(sorted(uncolored)))
+        return find_non_adjacent_cliques(g, mask(uncolored))
+    return find_non_adjacent_cliques(
+        g, mask(uncolored), first_pick=rng.choice(sorted(uncolored))
+    )
 
 
 def cliques_only_state(rng, max_cliques=3, max_colored=4):
@@ -87,16 +97,16 @@ def cliques_only_state(rng, max_cliques=3, max_colored=4):
     pc = PartialColoring(g)
     for v in colored:
         lim = min(pc.k_used + 1, k0)
-        mask = pc.free_mask(v, lim)
+        free = pc.free_mask(v, lim)
         choices = [
-            i for i in range(lim) if (mask >> i) & 1 and pc.class_size[i] < ceil
+            i for i in range(lim) if (free >> i) & 1 and pc.class_size[i] < ceil
         ]
         if not choices:
             return None
         pc.extend(v, rng.choice(choices))
     if pc.k_used > k0 or pc.M > ceil:
         return None
-    decomp = CliqueDecomposition(cliques, set())
+    decomp = CliqueDecomposition([mask(c) for c in cliques], 0)
     return g, pc, decomp, k0
 
 
@@ -283,6 +293,71 @@ def recompute_forbidden(pc: PartialColoring):
             if c >= 0:
                 forbidden[v] |= 1 << c
     return forbidden
+
+
+def recompute_masks(pc: PartialColoring):
+    """From-scratch (uncolored_mask, barred_mask): the uncolored set, and
+    per color the vertices with a neighbor of that color."""
+    g = pc.g
+    uncolored = 0
+    barred = [0] * g.n
+    for v in range(g.n):
+        if pc.color_of[v] < 0:
+            uncolored |= 1 << v
+        for w in g.adj[v]:
+            c = pc.color_of[w]
+            if c >= 0:
+                barred[c] |= 1 << v
+    return uncolored, barred
+
+
+def literal_hall_context(pc: PartialColoring, decomp: CliqueDecomposition, k0: int):
+    """The Hall context's fields recounted vertex by vertex from each
+    vertex's free-color mask, as a dict: per clique the OR of its members'
+    masks adds one supply to each color in it, each residual vertex adds
+    one to each of its colors, and a mask with no bit or one bit counts
+    toward `empty_free` or `single_free`."""
+    full = (1 << k0) - 1
+    supply = [0] * k0
+    single_free = [0] * k0
+    empty_free = 0
+    clique_masks = []
+    resid_masks = []
+
+    def classify(fm):
+        nonlocal empty_free
+        if fm == 0:
+            empty_free += 1
+        elif fm & (fm - 1) == 0:
+            single_free[fm.bit_length() - 1] += 1
+
+    for clique in decomp.cliques:
+        masks = [~pc.forbidden_mask[v] & full for v in clique]
+        or_mask = 0
+        for fm in masks:
+            or_mask |= fm
+            classify(fm)
+        for f in range(k0):
+            supply[f] += or_mask >> f & 1
+        clique_masks.append(masks)
+    for v in sorted(decomp.residual):
+        fm = ~pc.forbidden_mask[v] & full
+        resid_masks.append(fm)
+        classify(fm)
+        for f in range(k0):
+            supply[f] += fm >> f & 1
+    n = pc.n
+    return {
+        "k0": k0,
+        "floor_size": n // k0,
+        "ceil_size": -(-n // k0),
+        "class_sizes": pc.class_size[:k0],
+        "clique_masks": clique_masks,
+        "resid_masks": resid_masks,
+        "supply": supply,
+        "single_free": single_free,
+        "empty_free": empty_free,
+    }
 
 
 def recompute_priority(pc: PartialColoring):

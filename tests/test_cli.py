@@ -98,6 +98,24 @@ def test_solve_interrupted_exit_130(tmp_path, monkeypatch, capsys):
     assert proper_and_equitable(by_name("queen6_6"), result["coloring"], result["chi_eq"])
 
 
+def test_solve_interrupted_before_the_search_exit_130(tmp_path, monkeypatch, capsys):
+    """Ctrl-C during the initial bounds prints one class per vertex as
+    INTERRUPTED and exits 130."""
+    g = by_name("queen6_6")
+    path = tmp_path / "queen6_6.col"
+    path.write_text(write_dimacs(g, name="queen6_6"))
+    greedy = solver._capped_greedy
+    monkeypatch.setattr(solver, "_capped_greedy", raising_on_call(greedy, 1))
+    assert main(["solve", str(path), "--json"]) == 130
+    result = json.loads(capsys.readouterr().out)
+    assert (result["status"], result["optimal"]) == ("INTERRUPTED", False)
+    assert result["chi_eq"] == g.n
+    assert proper_and_equitable(g, result["coloring"], g.n)
+    monkeypatch.setattr(solver, "_capped_greedy", raising_on_call(greedy, 1))
+    assert main(["solve", str(path)]) == 130
+    assert "status:          INTERRUPTED" in capsys.readouterr().out
+
+
 def test_bench_and_verify_stop_on_interrupt(tmp_path, monkeypatch, capsys):
     """Ctrl-C ends a campaign or a cross-check: no interrupted solve is
     written as a row or reported as a timeout."""

@@ -10,7 +10,12 @@ from eqcolor.coloring import (
 )
 from eqcolor.instances import by_name
 from eqcolor.solver import _dsatur_pick
-from helpers import random_partial_coloring, recompute_forbidden, recompute_priority
+from helpers import (
+    random_partial_coloring,
+    recompute_forbidden,
+    recompute_masks,
+    recompute_priority,
+)
 
 
 def path3():
@@ -110,6 +115,7 @@ def test_incremental_matches_recompute_on_random_walks():
                 moves -= 1
             assert recompute_forbidden(pc) == pc.forbidden_mask
             assert recompute_priority(pc) == pc.priority
+            assert recompute_masks(pc) == (pc.uncolored_mask, pc.barred_mask)
             sizes = sorted(s for s in pc.class_size if s)
             assert pc.M == (max(sizes) if sizes else 0)
             assert pc.t == (sizes.count(pc.M) if sizes else 0)

@@ -8,7 +8,7 @@ from eqcolor.decomposition import (
     find_non_adjacent_cliques,
     restarted_decomposition,
 )
-from helpers import reference_decomposition
+from helpers import mask, reference_decomposition
 
 
 def hub_triangles_graph():
@@ -20,7 +20,7 @@ def hub_triangles_graph():
 
 def test_hub_triangles_after_hub_colored():
     g = hub_triangles_graph()
-    uncolored = set(range(1, 12))
+    uncolored = mask(range(1, 12))
     d = find_non_adjacent_cliques(g, uncolored)
     d.validate(g, uncolored)
     assert sorted(sorted(c) for c in d.cliques) == [[6, 7, 8], [9, 10, 11]]
@@ -30,14 +30,14 @@ def test_hub_triangles_after_hub_colored():
 
 def test_edgeless_all_residual():
     g = Graph(5, [])
-    d = find_non_adjacent_cliques(g, range(5))
+    d = find_non_adjacent_cliques(g, mask(range(5)))
     assert d.cliques == ()
     assert d.residual == frozenset(range(5))
 
 
 def test_single_triangle():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    d = find_non_adjacent_cliques(g, range(3))
+    d = find_non_adjacent_cliques(g, mask(range(3)))
     assert len(d.cliques) == 1 and set(d.cliques[0]) == {0, 1, 2}
     assert not d.residual
 
@@ -46,7 +46,7 @@ def test_tries_one_matches_plain():
     rng = random.Random(5)
     for _ in range(30):
         g = gen_gnp(rng.randint(2, 12), rng.random(), rng.getrandbits(32))
-        uncolored = {v for v in range(g.n) if rng.random() < 0.8}
+        uncolored = mask(v for v in range(g.n) if rng.random() < 0.8)
         if not uncolored:
             continue
         a = find_non_adjacent_cliques(g, uncolored)
@@ -59,35 +59,36 @@ def test_triangle_plus_pendant_covered_three():
     # triangle corners and each run recovers the full triangle
     g = Graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
     for start in (0, 1, 2):
-        d = find_non_adjacent_cliques(g, range(4), first_pick=start)
+        d = find_non_adjacent_cliques(g, mask(range(4)), first_pick=start)
         assert d.covered() == 3
-    d = restarted_decomposition(g, range(4), tries=3)
+    d = restarted_decomposition(g, mask(range(4)), tries=3)
     assert d.covered() == 3
     assert d.residual == {3}
 
 
 def test_k4_single_clique():
     g = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    d = restarted_decomposition(g, range(4), tries=4)
+    d = restarted_decomposition(g, mask(range(4)), tries=4)
     assert len(d.cliques) == 1 and set(d.cliques[0]) == {0, 1, 2, 3}
     assert not d.residual
 
 
 def test_validator_rejects_bad_decompositions():
     g = Graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
-    with pytest.raises(ValueError):
-        CliqueDecomposition([[0, 3], [1, 2]], set()).validate(g, range(4))  # adjacent cliques
-    with pytest.raises(ValueError):
-        CliqueDecomposition([[1, 3]], {0, 2}).validate(g, range(4))  # not a clique
-    with pytest.raises(ValueError):
-        CliqueDecomposition([[0, 1]], set()).validate(g, range(4))  # missing coverage
+    every = mask(range(4))
+    with pytest.raises(ValueError):  # adjacent cliques
+        CliqueDecomposition([mask([0, 3]), mask([1, 2])], 0).validate(g, every)
+    with pytest.raises(ValueError):  # not a clique
+        CliqueDecomposition([mask([1, 3])], mask([0, 2])).validate(g, every)
+    with pytest.raises(ValueError):  # missing coverage
+        CliqueDecomposition([mask([0, 1])], 0).validate(g, every)
 
 
 def test_random_outputs_always_valid():
     rng = random.Random(23)
     for _ in range(150):
         g = gen_gnp(rng.randint(1, 14), rng.random(), rng.getrandbits(32))
-        uncolored = {v for v in range(g.n) if rng.random() < 0.7}
+        uncolored = mask(v for v in range(g.n) if rng.random() < 0.7)
         d = find_non_adjacent_cliques(g, uncolored)
         d.validate(g, uncolored)
 
@@ -96,7 +97,7 @@ def test_covered_count_monotone_in_tries():
     rng = random.Random(29)
     for _ in range(40):
         g = gen_gnp(rng.randint(3, 14), rng.uniform(0.3, 0.9), rng.getrandbits(32))
-        uncolored = set(range(g.n))
+        uncolored = mask(range(g.n))
         prev = -1
         for tries in range(1, min(6, g.n) + 1):
             covered = restarted_decomposition(g, uncolored, tries).covered()
@@ -106,14 +107,14 @@ def test_covered_count_monotone_in_tries():
 
 def test_restricted_to_projects_cleanly():
     g = hub_triangles_graph()
-    d = find_non_adjacent_cliques(g, set(range(1, 12)))
-    smaller = {1, 2, 6, 7, 9, 10, 11}
+    d = find_non_adjacent_cliques(g, mask(range(1, 12)))
+    smaller = mask([1, 2, 6, 7, 9, 10, 11])
     r = d.restricted_to(smaller)
     r.validate(g, smaller)
     assert sorted(sorted(c) for c in r.cliques) == [[6, 7], [9, 10, 11]]
     assert r.residual == {1, 2}
     # vertices this decomposition never saw land in the residual
-    wider = smaller | {0}
+    wider = smaller | mask([0])
     r2 = d.restricted_to(wider)
     r2.validate(g, wider)
     assert 0 in r2.residual
@@ -121,20 +122,48 @@ def test_restricted_to_projects_cleanly():
 
 def test_tries_validation():
     with pytest.raises(ValueError):
-        restarted_decomposition(Graph(2, []), {0, 1}, tries=0)
+        restarted_decomposition(Graph(2, []), mask([0, 1]), tries=0)
 
 
 def test_decomposition_matches_min_reference():
-    """Seeds and growth taken from `g.order` give exactly the cliques, in
-    the same order, and the residual of the `min`-by-(-degree, index)
-    reference, with and without a first pick."""
+    """On a graph relabeled by its order, seeds and growth taken from the
+    lowest bit give exactly the cliques, in the same order, and the
+    residual of the `min`-by-(-degree, index) reference, with and without
+    a first pick. Without one, the reference grows each clique in
+    ascending order; with one, the first clique starts at the pick."""
     rng = random.Random(8)
     for _ in range(400):
         g = gen_gnp(rng.randint(1, 30), rng.uniform(0.05, 0.95), rng.getrandbits(32))
+        g = g.relabeled()
         uncolored = {v for v in range(g.n) if rng.random() < rng.uniform(0.3, 1.0)}
         picks = [None] + ([rng.choice(sorted(uncolored))] if uncolored else [])
         for first_pick in picks:
-            d = find_non_adjacent_cliques(g, uncolored, first_pick=first_pick)
+            d = find_non_adjacent_cliques(g, mask(uncolored), first_pick=first_pick)
             cliques, residual = reference_decomposition(g, uncolored, first_pick)
-            assert list(d.cliques) == cliques
+            ascending = [tuple(sorted(c)) for c in cliques]
+            if first_pick is None:
+                assert cliques == ascending
+            else:
+                assert cliques[1:] == ascending[1:]
+            assert list(d.cliques) == ascending
             assert d.residual == residual
+
+
+def test_restricted_to_matches_set_projection():
+    """On relabeled random graphs, projecting onto a random uncolored set
+    (some vertices removed, some the decomposition never saw added) keeps
+    each clique's surviving members when two or more survive, in the same
+    order, and puts every other vertex of the new set in the residual."""
+    rng = random.Random(9)
+    for _ in range(300):
+        g = gen_gnp(rng.randint(1, 30), rng.uniform(0.05, 0.95), rng.getrandbits(32))
+        g = g.relabeled()
+        uncolored = {v for v in range(g.n) if rng.random() < 0.8}
+        d = find_non_adjacent_cliques(g, mask(uncolored))
+        smaller = {v for v in range(g.n) if rng.random() < 0.7}
+        r = d.restricted_to(mask(smaller))
+        r.validate(g, mask(smaller))
+        kept = [tuple(v for v in c if v in smaller) for c in d.cliques]
+        kept = [c for c in kept if len(c) >= 2]
+        assert list(r.cliques) == kept
+        assert r.residual == smaller - {v for c in kept for v in c}

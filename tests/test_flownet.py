@@ -19,6 +19,7 @@ from helpers import (
     check_flow,
     cliques_only_state,
     find_extension,
+    mask,
     proper_and_equitable,
     random_state,
     table1_flow,
@@ -33,7 +34,7 @@ def hub_triangles_state():
     g = Graph(12, edges)
     pc = PartialColoring(g)
     pc.extend(0, 0)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored)
+    decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
     return g, pc, decomp
 
 
@@ -60,7 +61,7 @@ def test_hub_triangles_not_extendable_at_three_colors():
 def test_k2_empty_coloring_unit_windows():
     g = Graph(2, [(0, 1)])
     pc = PartialColoring(g)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored)
+    decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
     net = build_network(pc, decomp, 2)
     assert [arc[2:] for arc in net.arcs[-2:]] == [(1, 1), (1, 1)]
     flow = feasible_flow(net)
@@ -73,7 +74,7 @@ def test_star_center_colored_seven_colors_feasible():
     g = Graph(12, [(0, v) for v in range(1, 12)])
     pc = PartialColoring(g)
     pc.extend(0, 0)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored)
+    decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
     assert not decomp.cliques  # leaves are independent: all residual
     net = build_network(pc, decomp, 7)
     assert feasible_flow(net) is not None
@@ -86,7 +87,7 @@ def test_sink_capacity_shortfall_is_infeasible():
     their own, so squeeze one sink window by hand."""
     g = Graph(6, [])
     pc = PartialColoring(g)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored)
+    decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
     net = build_network(pc, decomp, 2)
     assert feasible_flow(net) is not None
     squeezed = []
@@ -106,7 +107,7 @@ def test_trivial_decomposition_copy_layer_not_binding():
     rng = random.Random(61)
     for _ in range(300):
         g, pc, _, k0 = random_state(rng, n_max=7)
-        trivial = CliqueDecomposition((), set(pc.uncolored))
+        trivial = CliqueDecomposition((), pc.uncolored_mask)
         net = build_network(pc, trivial, k0)
         for tail, head, lo, up in net.arcs[net.a1_count + net.a2_count :][: net.a3_count]:
             assert lo == 0 and up == len(pc.uncolored)
@@ -118,7 +119,7 @@ def test_build_network_rejects_oversized_class():
     pc = PartialColoring(g)
     for v in range(4):
         pc.extend(v, 0)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored)
+    decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
     with pytest.raises(ValueError):
         build_network(pc, decomp, 2)  # ceil(6/2)=3 < 4
 
@@ -128,7 +129,7 @@ def test_build_network_rejects_low_k0():
     pc = PartialColoring(g)
     pc.extend(0, 0)
     pc.extend(1, 1)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored)
+    decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
     with pytest.raises(ValueError):
         build_network(pc, decomp, 1)
 
@@ -226,7 +227,7 @@ def test_flow_prune_hub_triangles_root():
 def test_flow_prune_open_at_known_chi():
     g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
     pc = PartialColoring(g)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored)
+    decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
     assert flow_prune(pc, decomp, 3, 5) is False  # an equitable 3-coloring exists
 
 
@@ -237,7 +238,7 @@ def test_flow_prune_empty_candidate_range():
         pc.extend(v, 0)
     pc.extend(5, 1)
     pc.extend(6, 2)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored)
+    decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
     # k_used=3 forces k0=3, but M=5 > ceil(12/3)=4: nothing to test
     assert flow_prune(pc, decomp, 1, 4) is True
     assert brute_extendable(g, pc, 3) is False
@@ -280,7 +281,7 @@ def test_exact_search_reroutes_through_the_hub():
     pc = PartialColoring(g)
     for v, c in ((0, 0), (1, 1), (4, 3), (5, 2), (9, 0), (10, 3)):
         pc.extend(v, c)
-    decomp = CliqueDecomposition([(8, 2, 7, 3)], {6})
+    decomp = CliqueDecomposition([mask([8, 2, 7, 3])], mask([6]))
     ref = feasible_flow(build_network(pc, decomp, 5)) is not None
     assert flow_feasible(HallContext(pc, decomp, 5)) == ref
 

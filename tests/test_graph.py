@@ -164,6 +164,22 @@ def test_order_is_decreasing_degree_ties_to_lowest_index():
     assert Graph(0).order == ()
 
 
+def test_relabeled_follows_the_order():
+    """Vertex r of the relabeled graph is `order[r]`: edges map through the
+    order, and the new order is the identity."""
+    rng = random.Random(6)
+    for _ in range(100):
+        g = gen_gnp(rng.randint(1, 25), rng.uniform(0.05, 0.95), rng.getrandbits(32))
+        h = g.relabeled()
+        assert h.order == tuple(range(g.n))
+        assert h.degree == tuple(g.degree[v] for v in g.order)
+        o = g.order
+        assert {frozenset((o[a], o[b])) for a, b in h.edges} == {
+            frozenset(e) for e in g.edges
+        }
+        assert h.adj_mask == tuple(sum(1 << w for w in h.adj[v]) for v in range(g.n))
+
+
 def test_greedy_clique_matches_min_reference():
     """Scanning `g.order` picks exactly what a `min` by (-degree, index)
     over the common neighbors picks, in the same growth order."""

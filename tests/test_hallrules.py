@@ -15,7 +15,7 @@ from eqcolor.hallrules import (
 )
 from eqcolor.instances import by_name
 from eqcolor.oracle import brute_extendable, build_network, feasible_flow
-from helpers import random_state
+from helpers import literal_hall_context, mask, random_state
 
 
 def hub_triangles_state():
@@ -24,14 +24,14 @@ def hub_triangles_state():
     g = Graph(12, edges)
     pc = PartialColoring(g)
     pc.extend(0, 0)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored)
+    decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
     return g, pc, decomp
 
 
 def test_positive_single_k2_strong():
     g = Graph(2, [(0, 1)])
     pc = PartialColoring(g)
-    decomp = CliqueDecomposition([[0, 1]], set())
+    decomp = CliqueDecomposition([mask([0, 1])], 0)
     ctx = HallContext(pc, decomp, 2)
     assert check_positive_single(ctx) is True
 
@@ -49,7 +49,7 @@ def test_positive_single_vacuous_when_class_full():
     pc = PartialColoring(g)
     pc.extend(0, 0)
     pc.extend(1, 0)  # class 0 at ceil(4/2)
-    decomp = CliqueDecomposition((), pc.uncolored)
+    decomp = CliqueDecomposition((), pc.uncolored_mask)
     ctx = HallContext(pc, decomp, 2)
     assert check_positive_single(ctx) is True
 
@@ -72,7 +72,7 @@ def test_positive_complement_fires_when_two_classes_starved():
         pc.extend(v, 1)
     for v in (5, 6):
         pc.extend(v, 2)
-    decomp = CliqueDecomposition((), pc.uncolored)
+    decomp = CliqueDecomposition((), pc.uncolored_mask)
     ctx = HallContext(pc, decomp, 3)
     assert check_negative_single(ctx) is False
     assert failing_rule(ctx) == "positive_single"
@@ -93,7 +93,7 @@ def test_clique_hall_uses_free_sets():
     pc.extend(3, 0)
     pc.extend(4, 1)
     pc.extend(5, 2)
-    decomp = CliqueDecomposition([[0, 1, 2]], set())
+    decomp = CliqueDecomposition([mask([0, 1, 2])], 0)
     ctx = HallContext(pc, decomp, 3)
     # 0 cannot take color 0, 1 cannot take 1, 2 cannot take 2: still an SDR
     assert check_clique_hall(ctx) is True
@@ -114,7 +114,7 @@ def test_negative_pigeonhole():
     pc.extend(2, 1)
     pc.extend(3, 2)
     # k0=3: ceil(7/3)=3; 4,5,6 all have free set {0} and class 0 has room 1
-    decomp = CliqueDecomposition((), pc.uncolored)
+    decomp = CliqueDecomposition((), pc.uncolored_mask)
     ctx = HallContext(pc, decomp, 3)
     assert check_negative_single(ctx) is False
     assert brute_extendable(g, pc, 3) is False
@@ -127,7 +127,7 @@ def test_negative_families_direct_evaluation():
     pc = PartialColoring(g)
     for v, c in [(0, 0), (1, 1), (2, 2), (3, 3), (4, 0), (5, 1)]:
         pc.extend(v, c)
-    decomp = CliqueDecomposition((), pc.uncolored)
+    decomp = CliqueDecomposition((), pc.uncolored_mask)
     ctx = HallContext(pc, decomp, 4)
     # |F(6)| = |F(7)| = 3, so nobody is forced into a single color
     assert ctx.single_free == [0, 0, 0, 0] and ctx.empty_free == 0
@@ -138,7 +138,7 @@ def test_negative_open_with_full_freedom():
     g = Graph(6, [])
     pc = PartialColoring(g)
     for k0 in (1, 2, 3):
-        ctx = HallContext(pc, CliqueDecomposition((), pc.uncolored), k0)
+        ctx = HallContext(pc, CliqueDecomposition((), pc.uncolored_mask), k0)
         assert check_negative_single(ctx) is True
 
 
@@ -151,7 +151,7 @@ def test_comb_prune_hub_triangles():
 def test_comb_prune_open_on_c5():
     g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
     pc = PartialColoring(g)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored)
+    decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
     assert comb_prune(pc, decomp, 3, 5) is False
 
 
@@ -197,7 +197,7 @@ def test_deficit_prune_implies_flow_prune_under_full_freedom():
         if not deficit_prune(pc, 0, i):
             continue
         pc.extend(v, i)
-        decomp = CliqueDecomposition((), pc.uncolored)
+        decomp = CliqueDecomposition((), pc.uncolored_mask)
         assert flow_prune(pc, decomp, pc.k_used, n + 1) is True
         checked += 1
     assert checked > 50
@@ -217,7 +217,7 @@ def test_rule_menu_misses_spread_deficits_that_flow_catches():
             pc.extend(v, i)
             v += 1
     assert len(pc.uncolored) == 1
-    decomp = CliqueDecomposition((), pc.uncolored)
+    decomp = CliqueDecomposition((), pc.uncolored_mask)
     v, i = pc.retract()
     assert deficit_prune(pc, 0, i) is True
     pc.extend(v, i)
@@ -238,7 +238,7 @@ def test_comb_prune_counts_empty_candidate_range_as_pruned_node():
         pc.extend(v, 0)
     pc.extend(5, 1)
     pc.extend(6, 2)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored)
+    decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
     stats = SearchStats()
     assert comb_prune(pc, decomp, 1, 4, stats) is True
     assert stats.prunes_hall == 1
@@ -247,7 +247,9 @@ def test_comb_prune_counts_empty_candidate_range_as_pruned_node():
 
 def _harvest(monkeypatch, g, variant, every):
     """States a real search hands its pruning engine, one in every `every`
-    calls: (color_of, decomposition, k_lower, k_upper)."""
+    calls: (graph, color_of, decomposition, k_lower, k_upper). The graph is
+    the one the search runs on (`pc.g`, g relabeled by its order), which
+    the decomposition's vertex ids refer to."""
     name = f"{variant}_prune"
     real = getattr(solver, name)
     states = []
@@ -257,7 +259,7 @@ def _harvest(monkeypatch, g, variant, every):
         nonlocal calls
         calls += 1
         if calls % every == 0:
-            states.append((list(pc.color_of), decomp, k_lower, k_upper))
+            states.append((pc.g, list(pc.color_of), decomp, k_lower, k_upper))
         return real(pc, decomp, k_lower, k_upper, stats)
 
     monkeypatch.setattr(solver, name, spy)
@@ -280,9 +282,9 @@ def test_rules_and_flow_agree_with_literal_network_on_search_states(monkeypatch)
         (by_name("queen7_7"), "flow", 40),
     ]
     pairs = failures = feasible = 0
-    for g, variant, every in runs:
-        for color_of, decomp, k_lower, k_upper in _harvest(
-            monkeypatch, g, variant, every
+    for graph, variant, every in runs:
+        for g, color_of, decomp, k_lower, k_upper in _harvest(
+            monkeypatch, graph, variant, every
         ):
             pc = PartialColoring(g)
             for v, c in enumerate(color_of):
@@ -311,3 +313,50 @@ def test_rules_and_flow_agree_with_literal_network_on_search_states(monkeypatch)
                     room = k0 * ceil_size - sum(sizes) - (ceil_size - sizes[c])
                     assert n_u - with_c <= room
     assert pairs > 500 and failures > 50 and feasible > 300
+
+
+def _context_fields(ctx):
+    return {
+        "k0": ctx.k0,
+        "floor_size": ctx.floor_size,
+        "ceil_size": ctx.ceil_size,
+        "class_sizes": ctx.class_sizes,
+        "clique_masks": ctx.clique_masks,
+        "resid_masks": ctx.resid_masks(),
+        "supply": ctx.supply,
+        "single_free": ctx.single_free,
+        "empty_free": ctx.empty_free,
+    }
+
+
+def test_bit_sliced_context_matches_per_vertex_recount(monkeypatch):
+    """Every field of the bit-sliced context equals a literal recount from
+    the per-vertex free-color masks: on random states of every
+    decomposition flavor, at each k0 from k_used up, and on the states
+    real searches hand the engines."""
+    rng = random.Random(73)
+    checked = 0
+    for _ in range(1500):
+        _, pc, decomp, k0 = random_state(rng, n_max=12)
+        for k in range(max(k0, pc.k_used, 1), min(k0 + 2, pc.n) + 1):
+            ctx = HallContext(pc, decomp, k)
+            assert _context_fields(ctx) == literal_hall_context(pc, decomp, k)
+            checked += 1
+    runs = [
+        (by_name("queen6_6"), "comb", 20),
+        (gen_gnp(40, 0.7, 13), "comb", 5),
+        (by_name("2-Insertions_3"), "flow", 20),
+    ]
+    for graph, variant, every in runs:
+        for g, color_of, decomp, k_lower, k_upper in _harvest(
+            monkeypatch, graph, variant, every
+        ):
+            pc = PartialColoring(g)
+            for v, c in enumerate(color_of):
+                if c >= 0:
+                    pc.extend(v, c)
+            for k0 in candidate_k0_values(pc, k_lower, k_upper):
+                ctx = HallContext(pc, decomp, k0)
+                assert _context_fields(ctx) == literal_hall_context(pc, decomp, k0)
+                checked += 1
+    assert checked > 4000

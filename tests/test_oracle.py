@@ -120,7 +120,7 @@ def test_hoffman_equivalence_random():
 def test_hoffman_feasible_case_all_hold():
     g = Graph(2, [(0, 1)])
     pc = PartialColoring(g)
-    net = build_network(pc, find_non_adjacent_cliques(g, pc.uncolored), 2)
+    net = build_network(pc, find_non_adjacent_cliques(g, pc.uncolored_mask), 2)
     all_hold, violation = enumerate_hoffman(net)
     assert all_hold and violation is None
 
@@ -133,7 +133,7 @@ def test_hoffman_positive_violation_on_starved_center():
     g = star(7)
     pc = PartialColoring(g)
     pc.extend(0, 0)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored)
+    decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
     net = build_network(pc, decomp, 2)
     assert net.internal_node_count() <= 14
     all_hold, violation = enumerate_hoffman(net)
@@ -144,7 +144,7 @@ def test_hoffman_positive_violation_on_starved_center():
 def test_hoffman_negative_violation_on_clique_pigeonhole():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     pc = PartialColoring(g)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored)
+    decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
     net = build_network(pc, decomp, 2)
     all_hold, violation = enumerate_hoffman(net)
     assert all_hold is False
@@ -156,7 +156,7 @@ def test_hoffman_empty_u_consistent_windows():
     pc = PartialColoring(g)
     for v in range(4):
         pc.extend(v, v % 2)
-    net = build_network(pc, CliqueDecomposition((), set()), 2)
+    net = build_network(pc, CliqueDecomposition((), 0), 2)
     all_hold, _ = enumerate_hoffman(net)
     assert all_hold is True
     assert feasible_flow(net) is not None
@@ -165,7 +165,7 @@ def test_hoffman_empty_u_consistent_windows():
 def test_hoffman_cap_enforced():
     g = Graph(12, [])
     pc = PartialColoring(g)
-    net = build_network(pc, CliqueDecomposition((), pc.uncolored), 4)
+    net = build_network(pc, CliqueDecomposition((), pc.uncolored_mask), 4)
     with pytest.raises(OracleCapError):
         enumerate_hoffman(net)
     assert enumerate_hoffman(net, OracleLimits(max_network_nodes=24))[0] is True
@@ -242,7 +242,7 @@ def test_dominance_maximal_negative_r():
 def test_hoffman_slack_rejects_incompatible_selection():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     pc = PartialColoring(g)
-    net = build_network(pc, find_non_adjacent_cliques(g, pc.uncolored), 2)
+    net = build_network(pc, find_non_adjacent_cliques(g, pc.uncolored_mask), 2)
     with pytest.raises(ValueError):
         hoffman_slack(net, (0,), (0,), (), (), (), ())
     with pytest.raises(ValueError):

@@ -280,3 +280,41 @@ def test_interrupt_returns_checked_incumbent(monkeypatch):
     assert stats.nodes > 1
     solver._check_witness(g, sol)
     assert proper_and_equitable(g, sol.coloring, sol.chi_eq)
+
+
+def test_interrupt_before_the_node_loop(monkeypatch):
+    """Ctrl-C during the initial bounds returns one class per vertex, and
+    during the root decomposition the capped greedy's incumbent, both
+    checked and not optimal."""
+    g = gen_gnp(30, 0.5, 4)
+    greedy = solver._capped_greedy
+    monkeypatch.setattr(solver, "_capped_greedy", raising_on_call(greedy, 1))
+    sol, stats = solve(g, SolverConfig(variant="comb"))
+    assert stats.interrupted and not stats.timed_out and not sol.optimal
+    assert sol.chi_eq == g.n and sorted(sol.coloring) == list(range(g.n))
+    monkeypatch.undo()
+
+    root = solver.restarted_decomposition
+    monkeypatch.setattr(solver, "restarted_decomposition", raising_on_call(root, 1))
+    sol, stats = solve(g, SolverConfig(variant="comb"))
+    assert stats.interrupted and not sol.optimal
+    assert stats.nodes == 1 and sol.chi_eq < g.n
+    assert proper_and_equitable(g, sol.coloring, sol.chi_eq)
+
+
+def test_witness_in_caller_vertex_ids():
+    """The search runs on the graph relabeled by its order; the witness
+    comes back in the caller's ids, and the search is the one on the
+    relabeled graph itself."""
+    graphs = [Graph(6, [(5, 0), (5, 1), (5, 2), (5, 3), (0, 1), (4, 3)])]
+    graphs += [gen_gnp(14, p, 20 + i) for i, p in enumerate((0.3, 0.5, 0.7))]
+    for g in graphs:
+        assert g.order != tuple(range(g.n))
+        h = g.relabeled()
+        for variant in ("std", "flow", "comb"):
+            cfg = SolverConfig(variant=variant)
+            sol, stats = solve(g, cfg)
+            assert proper_and_equitable(g, sol.coloring, sol.chi_eq)
+            sol_h, stats_h = solve(h, cfg)
+            assert (sol_h.chi_eq, stats_h.nodes) == (sol.chi_eq, stats.nodes)
+            assert sol_h.coloring == [sol.coloring[v] for v in g.order]
