@@ -12,8 +12,10 @@ each trail entry records the neighbors its extend barred from a color and
 the color's old vertex bitmask, and a retract restores exactly those.
 
 The largest-class test (`deficit_prune`) is decided for a child before
-the move: from the parent's statistics and the child's color alone, so a
-child it prunes is never extended.
+the move: from the parent's statistics and the child's color alone (the
+child's M, t and k_used, as `child_class_stats` computes them), so a
+child it prunes is never extended. `candidate_k0_values` reads a child's
+candidate color counts off the same helper.
 """
 
 from __future__ import annotations
@@ -147,12 +149,30 @@ class PartialColoring:
         return v, i
 
 
+def child_class_stats(pc: PartialColoring, i: int) -> tuple[int, int, int]:
+    """(M, t, k_used) of the child that puts one more vertex into class i,
+    read from the parent's statistics without the move: the child's
+    largest class size, how many classes have that size, and how many
+    classes are nonempty."""
+    s = pc.class_size[i] + 1  # class i's size in the child
+    M = pc.M
+    if s > M:
+        M, t = s, 1
+    elif s == M:
+        t = pc._size_hist[M] + 1
+    else:
+        t = pc._size_hist[M]
+    return M, t, pc.k_used + (s == 1)
+
+
 def deficit_prune(pc: PartialColoring, k_lower: int, i: int) -> bool:
     """Necessary-condition prune for the child that puts one more vertex
     into class i, decided before the move: a partial coloring extendable
     to an equitable coloring satisfies n >= (M-1)*max(k_lower, k_used) + t,
     with M, t and k_used those of the child. Returns True when that fails
     (prune); False guarantees nothing."""
+    # child_class_stats, inlined: this runs for every child under every
+    # engine, and the call alone adds about 2 % to std's solve time
     s = pc.class_size[i] + 1  # class i's size in the child
     M = pc.M
     if s > M:
@@ -178,13 +198,19 @@ def is_equitable(pc: PartialColoring, k0: int) -> bool:
     return max(sizes) - min(sizes) <= 1
 
 
-def candidate_k0_values(pc: PartialColoring, k_lower: int, k_upper: int):
-    """Color counts a pruning test must examine at this node: from
-    max(k_used, k_lower) up to k_upper - 1, stopping as soon as the largest
-    class no longer fits below ceil(n/k0)."""
+def candidate_k0_values(
+    pc: PartialColoring, k_lower: int, k_upper: int, move: tuple[int, int] | None = None
+):
+    """Color counts a pruning test must examine at this node, or, given a
+    move (v, i), at the child that colors v with i, without making the
+    move: from max(k_used, k_lower) up to k_upper - 1, stopping as soon as
+    the largest class no longer fits below ceil(n/k0), with k_used and the
+    largest class size M those of the node judged."""
     n = pc.n
-    M = pc.M
-    k0 = pc.k_used
+    if move is None:
+        M, k0 = pc.M, pc.k_used
+    else:
+        M, _, k0 = child_class_stats(pc, move[1])
     if k_lower > k0:
         k0 = k_lower
     if k0 < 1:

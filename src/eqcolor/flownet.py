@@ -174,17 +174,21 @@ def flow_prune(
     k_lower: int,
     k_upper: int,
     stats=None,
+    move: tuple[int, int] | None = None,
 ) -> bool:
     """True iff no k0 in the candidate range admits a feasible flow, i.e.
-    the branch cannot reach a strictly better equitable coloring.
+    the branch cannot reach a strictly better equitable coloring. Given a
+    move (v, i), the node judged is the child that colors v with i, read
+    from pc without extending it; decomp is the child's decomposition
+    either way.
 
     The arithmetic Hall rules are necessary for feasibility, so each k0 is
     screened by them first and the flow problem is solved only when all
     rules pass; this never changes the verdict (property-tested against a
     plain loop of flow_feasible) but skips most infeasible solves.
     """
-    for k0 in candidate_k0_values(pc, k_lower, k_upper):
-        ctx = hallrules.HallContext(pc, decomp, k0)
+    for k0 in candidate_k0_values(pc, k_lower, k_upper, move):
+        ctx = hallrules.HallContext(pc, decomp, k0, move)
         if hallrules.failing_rule(ctx) is not None:
             continue
         if stats is not None:

@@ -36,6 +36,14 @@ class HallContext:
     member, which `clique_masks` holds clique by clique for the SDR rule.
     The residual's per-vertex masks are made only on request
     (`resid_masks`), by the flow test.
+
+    Given a move (v, i), the context is that of the child that colors v
+    with i, read from the parent's state without making the move: U loses
+    v, class i grows by one, color i's barred set gains v's neighbors, and
+    so each neighbor of v loses i from its free-color mask (`move_bit` off
+    for the vertices in `move_barred`). The decomposition must be the
+    child's (v uncolored in pc, not in decomp), and k0 a candidate of the
+    child, so k0 > i.
     """
 
     __slots__ = (
@@ -46,26 +54,43 @@ class HallContext:
         "clique_masks",
         "residual",
         "forbidden",
+        "move_barred",
+        "move_bit",
         "supply",
         "single_free",
         "empty_free",
     )
 
-    def __init__(self, pc: PartialColoring, decomp: CliqueDecomposition, k0: int):
+    def __init__(
+        self,
+        pc: PartialColoring,
+        decomp: CliqueDecomposition,
+        k0: int,
+        move: tuple[int, int] | None = None,
+    ):
         n = pc.n
         self.k0 = k0
         self.floor_size = n // k0
         self.ceil_size = -(-n // k0)
         self.class_sizes = pc.class_size[:k0]
-        self.forbidden = forbidden = pc.forbidden_mask
+        self.forbidden = pc.forbidden_mask
         self.residual = residual = decomp.residual_mask
         cliques = decomp.masks
         uncolored = pc.uncolored_mask
+        barred_masks = pc.barred_mask[:k0]
+        self.move_barred = self.move_bit = 0
+        if move is not None:
+            v, i = move
+            uncolored ^= 1 << v
+            self.class_sizes[i] += 1
+            self.move_barred = adj = pc.adj_mask[v]
+            barred_masks[i] |= adj
+            self.move_bit = 1 << i
 
         supply = []
         frees = []
         one = two = 0  # vertices free for at least one, two colors so far
-        for barred in pc.barred_mask[:k0]:
+        for barred in barred_masks:
             free = uncolored & ~barred
             frees.append(free)
             two |= one & free
@@ -79,16 +104,24 @@ class HallContext:
         self.empty_free = (uncolored & ~one).bit_count()
         lone = one & ~two  # free for exactly one color
         self.single_free = [(free & lone).bit_count() for free in frees]
-        full = (1 << k0) - 1
-        self.clique_masks = [
-            [~forbidden[v] & full for v in mask_vertices(c)] for c in cliques
+        self.clique_masks = [self._free_masks(c) for c in cliques]
+
+    def _free_masks(self, vertices: int) -> list[int]:
+        """Free-color masks of a vertex bitmask's vertices, ascending."""
+        full = (1 << self.k0) - 1
+        forbidden = self.forbidden
+        hit = vertices & self.move_barred
+        if not hit:
+            return [~forbidden[w] & full for w in mask_vertices(vertices)]
+        cut = full & ~self.move_bit
+        return [
+            ~forbidden[w] & (cut if hit >> w & 1 else full)
+            for w in mask_vertices(vertices)
         ]
 
     def resid_masks(self) -> list[int]:
         """Free-color masks of the residual vertices, ascending."""
-        full = (1 << self.k0) - 1
-        forbidden = self.forbidden
-        return [~forbidden[v] & full for v in mask_vertices(self.residual)]
+        return self._free_masks(self.residual)
 
 
 def check_positive_single(ctx: HallContext) -> bool:
@@ -104,10 +137,25 @@ def check_positive_single(ctx: HallContext) -> bool:
 
 def _clique_has_sdr(masks: list[int], k0: int) -> bool:
     """Can every clique vertex get a distinct color from its free set?
-    Augmenting-path bipartite matching; cliques are small."""
+    A greedy pass gives each member its lowest free color not yet taken;
+    augmenting-path bipartite matching, started from the greedy's
+    matching, then places only the members it left out. Cliques are
+    small."""
     if len(masks) > k0:
         return False
-    owner = {}
+    taken = 0
+    picks = []
+    left = []
+    for idx, m in enumerate(masks):
+        m &= ~taken
+        bit = m & -m
+        taken |= bit
+        picks.append(bit)
+        if not bit:
+            left.append(idx)
+    if not left:
+        return True
+    owner = {bit.bit_length() - 1: idx for idx, bit in enumerate(picks) if bit}
 
     def augment(idx: int, visited: int) -> tuple[bool, int]:
         while True:
@@ -125,7 +173,7 @@ def _clique_has_sdr(masks: list[int], k0: int) -> bool:
                 owner[c] = idx
                 return True, visited
 
-    for idx in range(len(masks)):
+    for idx in left:
         ok, _ = augment(idx, 0)
         if not ok:
             return False
@@ -178,15 +226,18 @@ def comb_prune(
     k_lower: int,
     k_upper: int,
     stats=None,
+    move: tuple[int, int] | None = None,
 ) -> bool:
     """True iff every candidate k0 fails at least one rule (so also when
-    the candidate range is empty). Weaker than the flow test (a passing
-    rule set proves nothing) but evaluated per color count in
-    O(k0 * #cliques) big-int operations plus O(k0) per clique member for
-    the context, and O(k0) arithmetic plus one small matching per clique
-    for the rules."""
-    for k0 in candidate_k0_values(pc, k_lower, k_upper):
-        ctx = HallContext(pc, decomp, k0)
+    the candidate range is empty). Given a move (v, i), the node judged is
+    the child that colors v with i, read from pc without extending it;
+    decomp is the child's decomposition either way. Weaker than the flow
+    test (a passing rule set proves nothing) but evaluated per color count
+    in O(k0 * #cliques) big-int operations plus O(k0) per clique member
+    for the context, and O(k0) arithmetic plus one small matching per
+    clique for the rules."""
+    for k0 in candidate_k0_values(pc, k_lower, k_upper, move):
+        ctx = HallContext(pc, decomp, k0, move)
         failed = failing_rule(ctx)
         if failed is None:
             return False

@@ -12,9 +12,11 @@ comparable across variants.
 
 Branching does O(1) Python work per child: the pick is one C-level `max`
 over the uncolored set keyed by `PartialColoring.priority`, and the
-largest-class test is decided before the move. Under std a surviving
-child is queued without being extended; flow and comb extend, test and
-retract only the children that pass it.
+largest-class test is decided before the move. flow and comb then
+judge a child that passes it from the parent's state plus the move
+(v, i), without extending it (`HallContext` with a move). A surviving
+child is queued unextended under every variant and extended once, when
+it is popped.
 
 The search runs on a copy of the graph relabeled by `Graph.order`, so
 vertex r is the r-th vertex of the order and "first in the order" is
@@ -245,10 +247,7 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                 if prune is not None:
                     if child_decomp is None:
                         child_decomp = decomp.restricted_to(pc.uncolored_mask ^ (1 << v))
-                    pc.extend(v, i)
-                    pruned = prune(pc, child_decomp, k_lower, k_upper, stats)
-                    pc.retract()
-                    if pruned:
+                    if prune(pc, child_decomp, k_lower, k_upper, stats, (v, i)):
                         continue
                 stack.append((child_depth, v, i))
 

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from dataclasses import asdict
 
 from eqcolor import Graph, SearchStats, SolverConfig, gen_gnp, solve, solver
 from eqcolor.coloring import PartialColoring, candidate_k0_values, deficit_prune
@@ -15,7 +17,7 @@ from eqcolor.hallrules import (
 )
 from eqcolor.instances import by_name
 from eqcolor.oracle import brute_extendable, build_network, feasible_flow
-from helpers import literal_hall_context, mask, random_state
+from helpers import literal_hall_context, mask, random_decomposition, random_state
 
 
 def hub_triangles_state():
@@ -247,25 +249,39 @@ def test_comb_prune_counts_empty_candidate_range_as_pruned_node():
 
 def _harvest(monkeypatch, g, variant, every):
     """States a real search hands its pruning engine, one in every `every`
-    calls: (graph, color_of, decomposition, k_lower, k_upper). The graph is
-    the one the search runs on (`pc.g`, g relabeled by its order), which
-    the decomposition's vertex ids refer to."""
+    calls: (graph, color_of, decomposition, k_lower, k_upper, move). The
+    engine judges the child that makes `move` = (v, i) from its parent,
+    and `color_of` is that child's: the parent's with v colored i. The
+    graph is the one the search runs on (`pc.g`, g relabeled by its
+    order), which the decomposition's vertex ids refer to."""
     name = f"{variant}_prune"
     real = getattr(solver, name)
     states = []
     calls = 0
 
-    def spy(pc, decomp, k_lower, k_upper, stats=None):
+    def spy(pc, decomp, k_lower, k_upper, stats=None, move=None):
         nonlocal calls
         calls += 1
         if calls % every == 0:
-            states.append((pc.g, list(pc.color_of), decomp, k_lower, k_upper))
-        return real(pc, decomp, k_lower, k_upper, stats)
+            v, i = move
+            color_of = list(pc.color_of)
+            color_of[v] = i
+            states.append((pc.g, color_of, decomp, k_lower, k_upper, move))
+        return real(pc, decomp, k_lower, k_upper, stats, move)
 
     monkeypatch.setattr(solver, name, spy)
     solve(g, SolverConfig(variant=variant))
     monkeypatch.undo()
     return states
+
+
+def _replay(g, color_of):
+    """A PartialColoring of g in the state color_of describes."""
+    pc = PartialColoring(g)
+    for v, c in enumerate(color_of):
+        if c >= 0:
+            pc.extend(v, c)
+    return pc
 
 
 def test_rules_and_flow_agree_with_literal_network_on_search_states(monkeypatch):
@@ -283,13 +299,10 @@ def test_rules_and_flow_agree_with_literal_network_on_search_states(monkeypatch)
     ]
     pairs = failures = feasible = 0
     for graph, variant, every in runs:
-        for g, color_of, decomp, k_lower, k_upper in _harvest(
+        for g, color_of, decomp, k_lower, k_upper, _ in _harvest(
             monkeypatch, graph, variant, every
         ):
-            pc = PartialColoring(g)
-            for v, c in enumerate(color_of):
-                if c >= 0:
-                    pc.extend(v, c)
+            pc = _replay(g, color_of)
             for k0 in candidate_k0_values(pc, k_lower, k_upper):
                 pairs += 1
                 exact = feasible_flow(build_network(pc, decomp, k0)) is not None
@@ -348,15 +361,125 @@ def test_bit_sliced_context_matches_per_vertex_recount(monkeypatch):
         (by_name("2-Insertions_3"), "flow", 20),
     ]
     for graph, variant, every in runs:
-        for g, color_of, decomp, k_lower, k_upper in _harvest(
+        for g, color_of, decomp, k_lower, k_upper, _ in _harvest(
             monkeypatch, graph, variant, every
         ):
-            pc = PartialColoring(g)
-            for v, c in enumerate(color_of):
-                if c >= 0:
-                    pc.extend(v, c)
+            pc = _replay(g, color_of)
             for k0 in candidate_k0_values(pc, k_lower, k_upper):
                 ctx = HallContext(pc, decomp, k0)
                 assert _context_fields(ctx) == literal_hall_context(pc, decomp, k0)
                 checked += 1
     assert checked > 4000
+
+
+def _judged(pc, decomp, move, k_lower, k_upper):
+    """(candidate k0 values, context fields per k0, comb and flow verdicts
+    with their stats) of the node pc, or of its child that makes `move`."""
+    ks = list(candidate_k0_values(pc, k_lower, k_upper, move))
+    contexts = [_context_fields(HallContext(pc, decomp, k0, move)) for k0 in ks]
+    verdicts = []
+    for prune in (comb_prune, flow_prune):
+        stats = SearchStats()
+        verdicts.append(
+            (prune(pc, decomp, k_lower, k_upper, stats, move), asdict(stats))
+        )
+    return ks, contexts, verdicts
+
+
+def _state(pc):
+    return (
+        list(pc.color_of),
+        list(pc.class_size),
+        pc.uncolored_mask,
+        list(pc.forbidden_mask),
+        list(pc.barred_mask),
+    )
+
+
+def _check_child_judged_from_parent(pc, decomp, move, k_lower, k_upper):
+    """Judging the child from pc plus the move matches judging it after
+    pc.extend(*move), and leaves pc as it was; returns the judgement."""
+    pc.extend(*move)
+    want = _judged(pc, decomp, None, k_lower, k_upper)
+    pc.retract()
+    before = _state(pc)
+    assert _judged(pc, decomp, move, k_lower, k_upper) == want
+    assert _state(pc) == before
+    return want
+
+
+def test_child_judged_from_parent_matches_extended_child(monkeypatch):
+    """Judging a child from its parent plus the move (v, i) gives, field
+    by field, the context of the extended child, the same candidate k0
+    values, and the same comb and flow verdicts and counters: on random
+    states with every decomposition flavor, and on the children real
+    searches hand the engines. The parent comes back unchanged."""
+    rng = random.Random(74)
+    checked = 0
+    verdicts = Counter()
+    for _ in range(1500):
+        g, pc, _, _ = random_state(rng, n_max=12)
+        if not pc.uncolored:
+            continue
+        v = rng.choice(sorted(pc.uncolored))
+        limit = min(pc.k_used + 1, g.n)
+        colors = [i for i in range(limit) if pc.free_mask(v, limit) >> i & 1]
+        if not colors:
+            continue
+        move = (v, rng.choice(colors))
+        decomp = random_decomposition(rng, g, pc.uncolored - {v})
+        k_lower = rng.randint(1, max(1, pc.k_used))
+        k_upper = rng.randint(k_lower, g.n + 1)
+        want = _check_child_judged_from_parent(pc, decomp, move, k_lower, k_upper)
+        checked += len(want[0])
+        verdicts.update(pruned for pruned, _ in want[2])
+    runs = [
+        (by_name("queen6_6"), "comb", 20),
+        (gen_gnp(40, 0.85, 14), "comb", 2),
+        (by_name("2-Insertions_3"), "flow", 20),
+    ]
+    for graph, variant, every in runs:
+        for g, color_of, decomp, k_lower, k_upper, move in _harvest(
+            monkeypatch, graph, variant, every
+        ):
+            color_of[move[0]] = -1
+            pc = _replay(g, color_of)
+            want = _check_child_judged_from_parent(pc, decomp, move, k_lower, k_upper)
+            checked += len(want[0])
+            verdicts.update(pruned for pruned, _ in want[2])
+    assert checked > 4000 and verdicts[True] > 1000 and verdicts[False] > 1000
+
+
+def _hall_condition(masks):
+    """Hall's condition checked over every nonempty subset of members."""
+    for subset in range(1, 1 << len(masks)):
+        union = 0
+        for idx, m in enumerate(masks):
+            if subset >> idx & 1:
+                union |= m
+        if union.bit_count() < subset.bit_count():
+            return False
+    return True
+
+
+def test_clique_sdr_equals_hall_condition_exhaustively():
+    """The greedy-seeded matching decides exactly Hall's condition, on
+    random families of at most 7 free-color masks over k0 <= 8 colors,
+    including families the greedy alone cannot settle."""
+    rng = random.Random(75)
+    outcomes = Counter()
+    for _ in range(6000):
+        k0 = rng.randint(1, 8)
+        density = rng.random()
+        masks = [
+            sum(1 << c for c in range(k0) if rng.random() < density)
+            for _ in range(rng.randint(0, 7))
+        ]
+        want = _hall_condition(masks)
+        assert _clique_has_sdr(masks, k0) is want
+        taken = 0
+        for m in masks:  # the greedy: lowest free color not yet taken
+            taken |= (m & ~taken) & -(m & ~taken)
+        outcomes[want, taken.bit_count() == len(masks)] += 1
+    # the augmenting search ran, and both found and missed a matching
+    assert outcomes[True, False] > 100 and outcomes[False, False] > 100
