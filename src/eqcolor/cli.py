@@ -10,7 +10,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .graph import Graph, gen_gnp, parse_dimacs
+from .graph import Graph, check_gnp_args, gen_gnp, parse_dimacs
 from .oracle import DEFAULT_LIMITS, brute_chi_eq
 from .solver import VARIANTS, SolverConfig, solve
 
@@ -33,6 +33,9 @@ class BenchSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        for n in self.n_list:
+            for p in self.p_list:
+                check_gnp_args(n, p)
         for v in self.variants:
             SolverConfig(v, self.time_limit, self.cd_stride)
 

@@ -52,14 +52,6 @@ class CliqueDecomposition:
     def covered(self) -> int:
         return sum(c.bit_count() for c in self.masks)
 
-    def parts(self):
-        """Yield (vertices, alpha) pairs: cliques with alpha=1 first, then
-        the residual part with alpha=|U0| when nonempty."""
-        for c in self.masks:
-            yield mask_vertices(c), 1
-        if self.residual_mask:
-            yield mask_vertices(self.residual_mask), self.residual_mask.bit_count()
-
     def restricted_to(self, uncolored: int) -> "CliqueDecomposition":
         """Project onto a new uncolored set (a bitmask): a clique minus
         colored members stays a clique; parts shrunk below size 2 and any
@@ -109,9 +101,7 @@ class CliqueDecomposition:
         return f"CliqueDecomposition(cliques={self.cliques}, residual={sorted(self.residual)})"
 
 
-def find_non_adjacent_cliques(
-    g: Graph, uncolored: int, first_pick: int | None = None
-) -> CliqueDecomposition:
+def find_non_adjacent_cliques(g: Graph, uncolored: int) -> CliqueDecomposition:
     """Greedy extraction of pairwise non-adjacent cliques from the
     uncolored set (a bitmask).
 
@@ -120,18 +110,13 @@ def find_non_adjacent_cliques(
     clique's outside neighbors (the OR of its members' neighborhoods) into
     the residual so later cliques cannot touch it. Singleton cliques fold
     straight into the residual.
-
-    `first_pick` overrides the first seed only (used for restarts).
     """
     adj = g.adj_mask
     remaining = uncolored
     cliques = []
     residual = 0
     while remaining:
-        if first_pick is not None:
-            v, first_pick = first_pick, None
-        else:
-            v = (remaining & -remaining).bit_length() - 1
+        v = (remaining & -remaining).bit_length() - 1
         clique = 1 << v
         boundary = adj[v]
         common = boundary & remaining
@@ -153,21 +138,7 @@ def find_non_adjacent_cliques(
     return CliqueDecomposition(cliques, residual)
 
 
-def restarted_decomposition(
-    g: Graph, uncolored: int, tries: int = 1
-) -> CliqueDecomposition:
-    """Run the greedy decomposition from up to `tries` distinct first seeds
-    (the lowest uncolored vertices) and keep the one covering the most
-    vertices by cliques; ties go to the first found."""
-    if tries < 1:
-        raise ValueError("tries must be >= 1")
-    if not uncolored:
-        return CliqueDecomposition((), 0)
-    best = None
-    best_key = None
-    for s in mask_vertices(uncolored)[:tries]:
-        d = find_non_adjacent_cliques(g, uncolored, first_pick=s)
-        key = (d.covered(), -d.residual_mask.bit_count())
-        if best is None or key > best_key:
-            best, best_key = d, key
-    return best
+def restarted_decomposition(g: Graph, uncolored: int) -> CliqueDecomposition:
+    """The root's decomposition: `find_non_adjacent_cliques` under the name
+    the benchmark's layer trace (`perfbench/layers.py`) times as the root."""
+    return find_non_adjacent_cliques(g, uncolored)

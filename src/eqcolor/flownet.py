@@ -8,8 +8,8 @@ free color, that a clique can contribute at most one vertex per color, and
 that every color class must end up at floor(n/k0) or ceil(n/k0) vertices.
 The partial coloring extends to an equitable k0-coloring only if this
 network carries a flow of value |U|; when the residual part is empty the
-condition is exact. Only the test oracle in `eqcolor.oracle` builds that
-network, arc by arc with its lower bounds. This module decides the same
+condition is exact. Only the tests build that network, arc by arc with
+its lower bounds (`tests/literal_network.py`). This module decides the same
 question from the clique members' free-color masks that
 `hallrules.HallContext` already holds for the rule prefilter, plus the
 residual vertices' masks it asks the context for (`resid_masks`, made
@@ -28,8 +28,8 @@ from . import hallrules
 
 def flow_feasible(ctx: hallrules.HallContext) -> bool:
     """Does the state behind ctx admit a full flow at ctx.k0? Equivalent
-    to `oracle.feasible_flow` on the literal network, property-tested
-    against it.
+    to `feasible_flow` on the literal network in `tests/literal_network.py`,
+    property-tested against it.
 
     The assignment `color` (indexed in ctx order, -1 while unplaced) is a
     flow in the network with each color's lower bound split off: a class

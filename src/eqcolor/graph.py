@@ -153,6 +153,14 @@ def write_dimacs(g: Graph, name: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_gnp_args(n: int, p: float) -> None:
+    """Raise ValueError unless G(n,p) is defined: n >= 1 and p in [0,1]."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0,1]")
+
+
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n,p) with a seeded Mersenne Twister.
 
@@ -160,10 +168,7 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     order (u < v) and each pair consumes exactly one rng.random() draw, so
     the same (n, p, seed) always yields the identical edge set.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0,1]")
+    check_gnp_args(n, p)
     rng = random.Random(seed)
     edges = []
     for u in range(n - 1):

@@ -9,7 +9,7 @@ import random
 from eqcolor import Graph, gen_gnp
 from eqcolor.coloring import PartialColoring
 from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
-from eqcolor.oracle import FlowNetwork
+from literal_network import FlowNetwork
 
 
 def random_partial_coloring(rng, g: Graph, k0: int) -> PartialColoring:
@@ -63,9 +63,28 @@ def random_decomposition(rng, g: Graph, uncolored) -> CliqueDecomposition:
         return CliqueDecomposition((), mask(uncolored))
     if kind == 1:
         return find_non_adjacent_cliques(g, mask(uncolored))
-    return find_non_adjacent_cliques(
-        g, mask(uncolored), first_pick=rng.choice(sorted(uncolored))
-    )
+    return seeded_decomposition(g, mask(uncolored), rng.choice(sorted(uncolored)))
+
+
+def seeded_decomposition(g: Graph, uncolored: int, seed: int) -> CliqueDecomposition:
+    """The greedy decomposition with its first clique seeded at `seed`
+    rather than at the lowest vertex: grow that clique by the lowest common
+    neighbor, fence off its neighbors, and decompose the rest greedily."""
+    clique = 1 << seed
+    boundary = g.adj_mask[seed]
+    common = boundary & uncolored
+    while common:
+        low = common & -common
+        clique |= low
+        w = low.bit_length() - 1
+        common &= g.adj_mask[w]
+        boundary |= g.adj_mask[w]
+    if not clique & (clique - 1):  # a singleton joins the residual
+        rest = find_non_adjacent_cliques(g, uncolored & ~clique)
+        return CliqueDecomposition(rest.masks, rest.residual_mask | clique)
+    fenced = boundary & uncolored & ~clique
+    rest = find_non_adjacent_cliques(g, uncolored & ~clique & ~fenced)
+    return CliqueDecomposition((clique,) + rest.masks, rest.residual_mask | fenced)
 
 
 def cliques_only_state(rng, max_cliques=3, max_colored=4):
@@ -257,7 +276,7 @@ def reference_clique(g: Graph, start: int, candidates) -> list[int]:
     return clique
 
 
-def reference_decomposition(g: Graph, uncolored, first_pick=None):
+def reference_decomposition(g: Graph, uncolored):
     """Literal greedy decomposition, (cliques, residual): seed with the
     remaining vertex of highest degree (ties to the lowest index), grow by
     `reference_clique`, move the clique's remaining neighbors into the
@@ -266,10 +285,7 @@ def reference_decomposition(g: Graph, uncolored, first_pick=None):
     cliques = []
     residual = set()
     while remaining:
-        if first_pick is not None:
-            v, first_pick = first_pick, None
-        else:
-            v = min(remaining, key=lambda w: (-g.degree[w], w))
+        v = min(remaining, key=lambda w: (-g.degree[w], w))
         clique = reference_clique(g, v, g.adj[v] & remaining)
         remaining.difference_update(clique)
         if len(clique) == 1:

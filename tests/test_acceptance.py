@@ -9,15 +9,10 @@ import pytest
 
 from eqcolor import Graph, SolverConfig, gen_gnp, solve
 from eqcolor.hallrules import HallContext, failing_rule
-from eqcolor.oracle import (
-    brute_chi_eq,
-    brute_extendable,
-    build_network,
-    enumerate_hoffman,
-    feasible_flow,
-)
+from eqcolor.oracle import brute_chi_eq, brute_extendable
 from eqcolor.instances import by_name
 from helpers import cliques_only_state, proper_and_equitable, random_state
+from literal_network import build_network, enumerate_hoffman, feasible_flow
 
 VARIANTS = ("std", "flow", "comb")
 P_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)

@@ -28,3 +28,28 @@ def test_solver_config_has_three_fields():
         "time_limit",
         "cd_stride",
     ]
+
+
+def test_oracle_holds_no_literal_network():
+    import eqcolor.oracle
+
+    moved = [
+        "_max_flow",
+        "FlowNetwork",
+        "build_network",
+        "feasible_flow",
+        "extract_coloring",
+        "HoffmanViolation",
+        "_network_tables",
+        "hoffman_slack",
+        "enumerate_hoffman",
+    ]
+    assert [name for name in moved if hasattr(eqcolor.oracle, name)] == []
+
+
+def test_oracle_limits_has_one_field():
+    from dataclasses import fields
+
+    from eqcolor.oracle import OracleLimits
+
+    assert [f.name for f in fields(OracleLimits)] == ["max_n"]

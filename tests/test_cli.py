@@ -308,6 +308,8 @@ def test_verify_reports_all_engines_timing_out(monkeypatch, capsys):
         (["verify", "--gnp", "5", "0.5", "2", "--time-limit", "0"], "time_limit"),
         (["verify", "--gnp", "x", "0.5", "2"], "invalid literal"),
         (["solve", "{col}", "--time-limit", "nan"], "time_limit"),
+        (["bench", "--n", "0", "--p", "0.5", "--count", "1", "--out", "{csv}"], "n must"),
+        (["bench", "--n", "5", "--p", "1.5", "--count", "1", "--out", "{csv}"], "p must"),
     ],
 )
 def test_out_of_range_arguments_exit_with_error(

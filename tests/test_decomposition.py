@@ -50,25 +50,24 @@ def test_tries_one_matches_plain():
         if not uncolored:
             continue
         a = find_non_adjacent_cliques(g, uncolored)
-        b = restarted_decomposition(g, uncolored, tries=1)
+        b = restarted_decomposition(g, uncolored)
         assert a.cliques == b.cliques and a.residual == b.residual
 
 
 def test_triangle_plus_pendant_covered_three():
-    # pendant 3 hangs off corner 0; the three highest-degree starts are the
-    # triangle corners and each run recovers the full triangle
+    # pendant 3 hangs off corner 0; the greedy seeds at corner 0 and
+    # recovers the full triangle
     g = Graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
-    for start in (0, 1, 2):
-        d = find_non_adjacent_cliques(g, mask(range(4)), first_pick=start)
-        assert d.covered() == 3
-    d = restarted_decomposition(g, mask(range(4)), tries=3)
+    d = find_non_adjacent_cliques(g, mask(range(4)))
+    assert d.covered() == 3
+    d = restarted_decomposition(g, mask(range(4)))
     assert d.covered() == 3
     assert d.residual == {3}
 
 
 def test_k4_single_clique():
     g = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    d = restarted_decomposition(g, mask(range(4)), tries=4)
+    d = restarted_decomposition(g, mask(range(4)))
     assert len(d.cliques) == 1 and set(d.cliques[0]) == {0, 1, 2, 3}
     assert not d.residual
 
@@ -93,18 +92,6 @@ def test_random_outputs_always_valid():
         d.validate(g, uncolored)
 
 
-def test_covered_count_monotone_in_tries():
-    rng = random.Random(29)
-    for _ in range(40):
-        g = gen_gnp(rng.randint(3, 14), rng.uniform(0.3, 0.9), rng.getrandbits(32))
-        uncolored = mask(range(g.n))
-        prev = -1
-        for tries in range(1, min(6, g.n) + 1):
-            covered = restarted_decomposition(g, uncolored, tries).covered()
-            assert covered >= prev
-            prev = covered
-
-
 def test_restricted_to_projects_cleanly():
     g = hub_triangles_graph()
     d = find_non_adjacent_cliques(g, mask(range(1, 12)))
@@ -120,33 +107,22 @@ def test_restricted_to_projects_cleanly():
     assert 0 in r2.residual
 
 
-def test_tries_validation():
-    with pytest.raises(ValueError):
-        restarted_decomposition(Graph(2, []), mask([0, 1]), tries=0)
-
-
 def test_decomposition_matches_min_reference():
     """On a graph relabeled by its order, seeds and growth taken from the
     lowest bit give exactly the cliques, in the same order, and the
-    residual of the `min`-by-(-degree, index) reference, with and without
-    a first pick. Without one, the reference grows each clique in
-    ascending order; with one, the first clique starts at the pick."""
+    residual of the `min`-by-(-degree, index) reference, which grows each
+    clique in ascending order."""
     rng = random.Random(8)
     for _ in range(400):
         g = gen_gnp(rng.randint(1, 30), rng.uniform(0.05, 0.95), rng.getrandbits(32))
         g = g.relabeled()
         uncolored = {v for v in range(g.n) if rng.random() < rng.uniform(0.3, 1.0)}
-        picks = [None] + ([rng.choice(sorted(uncolored))] if uncolored else [])
-        for first_pick in picks:
-            d = find_non_adjacent_cliques(g, mask(uncolored), first_pick=first_pick)
-            cliques, residual = reference_decomposition(g, uncolored, first_pick)
-            ascending = [tuple(sorted(c)) for c in cliques]
-            if first_pick is None:
-                assert cliques == ascending
-            else:
-                assert cliques[1:] == ascending[1:]
-            assert list(d.cliques) == ascending
-            assert d.residual == residual
+        d = find_non_adjacent_cliques(g, mask(uncolored))
+        cliques, residual = reference_decomposition(g, uncolored)
+        ascending = [tuple(sorted(c)) for c in cliques]
+        assert cliques == ascending
+        assert list(d.cliques) == ascending
+        assert d.residual == residual
 
 
 def test_restricted_to_matches_set_projection():

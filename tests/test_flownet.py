@@ -7,13 +7,7 @@ from eqcolor.coloring import PartialColoring, candidate_k0_values
 from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
 from eqcolor.flownet import flow_feasible, flow_prune
 from eqcolor.hallrules import HallContext
-from eqcolor.oracle import (
-    _max_flow,
-    brute_extendable,
-    build_network,
-    extract_coloring,
-    feasible_flow,
-)
+from eqcolor.oracle import brute_extendable
 from helpers import (
     assignment_feasible,
     check_flow,
@@ -24,6 +18,7 @@ from helpers import (
     random_state,
     table1_flow,
 )
+from literal_network import _max_flow, build_network, extract_coloring, feasible_flow
 
 
 def hub_triangles_state():

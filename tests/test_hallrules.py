@@ -16,8 +16,9 @@ from eqcolor.hallrules import (
     failing_rule,
 )
 from eqcolor.instances import by_name
-from eqcolor.oracle import brute_extendable, build_network, feasible_flow
+from eqcolor.oracle import brute_extendable
 from helpers import literal_hall_context, mask, random_decomposition, random_state
+from literal_network import build_network, feasible_flow
 
 
 def hub_triangles_state():

@@ -10,12 +10,14 @@ from eqcolor.oracle import (
     OracleLimits,
     brute_chi_eq,
     brute_extendable,
+)
+from helpers import random_state
+from literal_network import (
     build_network,
     enumerate_hoffman,
     feasible_flow,
     hoffman_slack,
 )
-from helpers import random_state
 
 
 def star(n):
@@ -168,7 +170,7 @@ def test_hoffman_cap_enforced():
     net = build_network(pc, CliqueDecomposition((), pc.uncolored_mask), 4)
     with pytest.raises(OracleCapError):
         enumerate_hoffman(net)
-    assert enumerate_hoffman(net, OracleLimits(max_network_nodes=24))[0] is True
+    assert enumerate_hoffman(net, max_nodes=24)[0] is True
 
 
 def test_violation_splits_into_one_sided_violation():
