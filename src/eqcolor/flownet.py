@@ -13,10 +13,9 @@ its lower bounds (`tests/literal_network.py`). This module decides the same
 question from the clique members' free-color masks that
 `hallrules.HallContext` already holds for the rule prefilter, plus the
 residual vertices' masks it asks the context for (`resid_masks`, made
-only here), in one pass that places the uncolored vertices one at a
-time: directly on a color with room when it can, and otherwise along a
-breadth-first augmenting path through the assignment built so far, with
-no network built.
+only here), with no network built: the lower bounds are met by a plain
+max-flow with the floors as the color->sink capacities, and that flow is
+then grown to a maximum one under the ceilings.
 """
 
 from __future__ import annotations
@@ -29,25 +28,34 @@ from . import hallrules
 def flow_feasible(ctx: hallrules.HallContext) -> bool:
     """Does the state behind ctx admit a full flow at ctx.k0? Equivalent
     to `feasible_flow` on the literal network in `tests/literal_network.py`,
-    property-tested against it.
+    property-tested against it, whenever no class is above ceil(n/k0), as
+    at every k0 `candidate_k0_values` offers (the literal network refuses
+    the others). Outside that precondition the answer means nothing: on 8
+    isolated vertices with 4 colored 0, k0 = 3 gets True although
+    `oracle.brute_extendable` says False.
 
     The assignment `color` (indexed in ctx order, -1 while unplaced) is a
-    flow in the network with each color's lower bound split off: a class
-    of load L sends min(L, lo) units down its mandatory arc and the rest
-    through the hub t, whose shared budget has `spare` units left. The
-    vertices are placed one at a time, fewest free colors first. A vertex
-    takes a free color its clique does not hold directly when the class
-    is below its floor, or below its ceiling with budget to spare,
-    preferring colors below the floor, then the most room: this is an
-    augmenting path of length one. Otherwise one breadth-first search of
-    the residual network over vertices, colors and the hub looks for a
-    longer path: a vertex may take any other free color, bumping its
+    flow over vertices, colors and the sink, whose arc from color c carries
+    the len(on[c]) vertices wearing c. It is grown in two phases of
+    augmenting paths, one vertex at a time, fewest free colors first, with
+    the color->sink capacities `lo` (the floors) and then `hi` (the
+    ceilings). Phase 1 is a plain max-flow under the floors and stops once
+    it has placed sum(lo) vertices; if it ends short, no flow meets every
+    floor. Phase 2 places the vertices phase 1 left, under the ceilings.
+    An augmenting path never lowers the flow into the sink on any color,
+    so the floors that phase 1 filled stay filled, and a vertex phase 2
+    cannot place means the flow is maximum on the placed vertices plus
+    this one, so no full flow exists.
+
+    A vertex first tries the lowest free color its clique does not hold
+    and whose class is below the cap: an augmenting path of length one.
+    Otherwise one breadth-first search of the residual network looks for
+    a longer path: a vertex may take any other free color, bumping its
     clique's holder of that color if there is one (this stands in for the
-    clique's copy of the color); a color ends the path while it is below
-    its floor, or below its ceiling with budget to spare, and otherwise
-    leads to its wearers and, below its ceiling, to the hub; the hub leads
-    to every color above its floor. When no path exists the flow is
-    maximum on the placed vertices plus this one, so no full flow exists.
+    clique's copy of the color); a color ends the path while its class is
+    below the cap, and otherwise leads to its wearers. A vertex with no
+    path in a phase finds none later in that phase either: later paths
+    never enter the set it can reach.
     """
     k0 = ctx.k0
     lo = []  # per color, how many uncolored vertices it must still take
@@ -65,56 +73,45 @@ def flow_feasible(ctx: hallrules.HallContext) -> bool:
     masks += resid_masks
     part += [-1] * len(resid_masks)
     n_u = len(masks)
-    spare = n_u - sum(lo)
-    if spare < 0:
+    floors = sum(lo)
+    if floors > n_u:
         return False
     color = [-1] * n_u
-    load = [0] * k0  # len(on[c]), read far more often than on[c]
     on = [[] for _ in range(k0)]  # the vertices wearing each color
     holder = {}  # (clique, color) -> the member wearing it
-    held = [0] * len(ctx.clique_masks)  # per clique, the colors it holds
+    # per clique, the colors it holds; the last slot, read by the residual
+    # vertices as held[-1], stays 0
+    held = [0] * (len(ctx.clique_masks) + 1)
 
     def move(x, c):
         """Recolor x to c; returns its old color."""
         old = color[x]
         j = part[x]
         if old >= 0:
-            load[old] -= 1
             on[old].remove(x)
             if j >= 0:
                 del holder[j, old]
                 held[j] ^= 1 << old
         color[x] = c
-        load[c] += 1
         on[c].append(x)
         if j >= 0:
             holder[j, c] = x
             held[j] |= 1 << c
         return old
 
-    hub = n_u + k0  # node ids: vertices, then colors, then the hub
-    for u in sorted(range(n_u), key=lambda x: masks[x].bit_count()):
-        j = part[u]
-        mask = masks[u] & ~held[j] if j >= 0 else masks[u]
-        best = -1
-        best_key = None
+    def augment(u, cap):
+        """Place u along an augmenting path that ends at a color below cap;
+        False if there is none."""
+        mask = masks[u] & ~held[part[u]]
         while mask:
             bit = mask & -mask
-            mask ^= bit
             c = bit.bit_length() - 1
-            room = hi[c] - load[c]
-            below = load[c] < lo[c]
-            if below or room > 0 and spare > 0:
-                key = (below, room)
-                if best_key is None or key > best_key:
-                    best, best_key = c, key
-        if best >= 0:
-            if load[best] >= lo[best]:
-                spare -= 1
-            move(u, best)
-            continue
+            if len(on[c]) < cap[c]:
+                move(u, c)
+                return True
+            mask ^= bit
 
-        prev = [-1] * (hub + 1)
+        prev = [-1] * (n_u + k0)  # node ids: vertices, then colors
         prev[u] = u
         queue = [u]
         end = -1
@@ -124,39 +121,26 @@ def flow_feasible(ctx: hallrules.HallContext) -> bool:
                 if color[node] >= 0:
                     mask ^= 1 << color[node]
                 j = part[node]
-                while mask and end < 0:
+                while mask:
                     bit = mask & -mask
                     mask ^= bit
                     c = bit.bit_length() - 1
                     nxt = holder.get((j, c), n_u + c)
                     if prev[nxt] < 0:
                         prev[nxt] = node
-                        queue.append(nxt)
-                        if nxt >= n_u and (
-                            load[c] < lo[c] or load[c] < hi[c] and spare > 0
-                        ):
+                        if nxt >= n_u and len(on[c]) < cap[c]:
                             end = nxt
+                            break
+                        queue.append(nxt)
                 if end >= 0:
                     break
-            elif node < hub:
-                c = node - n_u
-                for y in on[c]:
+            else:
+                for y in on[node - n_u]:
                     if prev[y] < 0:
                         prev[y] = node
                         queue.append(y)
-                if load[c] < hi[c] and prev[hub] < 0:
-                    prev[hub] = node
-                    queue.append(hub)
-            else:
-                for c in range(k0):
-                    if load[c] > lo[c] and prev[n_u + c] < 0:
-                        prev[n_u + c] = hub
-                        queue.append(n_u + c)
         if end < 0:
             return False
-        c = end - n_u
-        if load[c] >= lo[c]:
-            spare -= 1
         # recolor back from the end, so each target is vacated first; a
         # bumped vertex hands its old color to the vertex before it
         node = end
@@ -165,6 +149,20 @@ def flow_feasible(ctx: hallrules.HallContext) -> bool:
             if x < n_u:
                 old = move(x, node - n_u if node >= n_u else old)
             node = x
+        return True
+
+    order = sorted(range(n_u), key=lambda x: masks[x].bit_count())
+    placed = 0
+    for u in order:
+        if placed == floors:
+            break
+        if augment(u, lo):
+            placed += 1
+    if placed < floors:
+        return False
+    for u in order:
+        if color[u] < 0 and not augment(u, hi):
+            return False
     return True
 
 

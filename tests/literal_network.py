@@ -61,7 +61,6 @@ class FlowNetwork:
     """
 
     __slots__ = (
-        "n_graph",
         "k0",
         "floor_size",
         "ceil_size",
@@ -117,7 +116,6 @@ def build_network(
         raise ValueError("decomposition does not cover the uncolored set exactly")
 
     net = FlowNetwork()
-    net.n_graph = n
     net.k0 = k0
     net.floor_size = floor_size
     net.ceil_size = ceil_size

@@ -263,10 +263,11 @@ def test_fast_path_matches_reference():
 
 def test_exact_search_reroutes_through_the_hub():
     """At k0 = 5, 11 vertices give class windows [2, 3]; classes 0-4 hold
-    2/1/1/2/0, so only one unit may go above a floor. Direct placements
-    put 2 on color 4, 6 on 1, 8 on 2 and spend the unit on 7 -> 1. That
-    leaves 3 only color 3, and its one augmenting path, 3 -> color 3 ->
-    hub -> color 1 -> 6 -> color 4, moves the unit from class 1 to 3."""
+    2/1/1/2/0, so the floors ask for 0/1/1/0/2 more. Phase 1 puts 2 on
+    color 2, 6 on 1 and 7 on 4 directly. Then 8 finds colors 1 and 2 at
+    their floors and 4 held by its clique, and its path 8 -> color 1 ->
+    6 -> color 4 moves 6 onto the floor class 4 still lacks. Phase 2
+    puts 3 on color 3, one above that class's floor."""
     g = Graph(11, [
         (0, 1), (0, 5), (0, 6), (0, 8), (0, 10), (1, 2), (1, 4), (1, 5),
         (1, 9), (2, 3), (2, 4), (2, 6), (2, 7), (2, 8), (2, 9), (3, 7),
@@ -280,6 +281,72 @@ def test_exact_search_reroutes_through_the_hub():
     ref = feasible_flow(build_network(pc, decomp, 5)) is not None
     assert flow_feasible(HallContext(pc, decomp, 5)) == ref
 
+
+def _isolated_uncolored_state(n, colored, edges):
+    """The graph on n vertices with `edges`, `colored` as (vertex, color)
+    pairs, and the greedy decomposition of the rest. The callers leave the
+    uncolored vertices pairwise non-adjacent, so it is all residual."""
+    g = Graph(n, edges)
+    pc = PartialColoring(g)
+    for v, c in colored:
+        pc.extend(v, c)
+    return g, pc, find_non_adjacent_cliques(g, pc.uncolored_mask)
+
+
+def test_floors_short_although_every_vertex_fits_a_ceiling():
+    """k0 = 3 on 10 vertices: windows [3, 4]. Vertex 0 wears color 2 and
+    bars it from 1-8, so only 9 can join class 2, whose floor needs two.
+    Phase 1 fills classes 0 and 1 to their floors from 1-6, cannot place
+    7 or 8, and puts 9 on color 2: 7 of the 8 floor units. Under the
+    ceilings alone 7 and 8 would still fit on colors 0 and 1."""
+    g, pc, decomp = _isolated_uncolored_state(
+        10, [(0, 2)], [(0, v) for v in range(1, 9)]
+    )
+    assert flow_feasible(HallContext(pc, decomp, 3)) is False
+    assert feasible_flow(build_network(pc, decomp, 3)) is None
+    assert brute_extendable(g, pc, 3) is False
+
+
+def test_phase_one_path_must_end_below_a_floor():
+    """k0 = 3 on 7 vertices: windows [2, 3], classes 0-2 hold 2/1/1, so
+    the floors ask for 0/1/1 more and color 0 has room for one above its
+    floor. Every uncolored vertex is barred from color 1, so no flow meets
+    its floor. Vertex 4, free only for color 0, comes first; a path that
+    ended at color 0 because it is below its ceiling would count 4 toward
+    the floors, and 5 on color 2 would then make the count look complete."""
+    g, pc, decomp = _isolated_uncolored_state(
+        7,
+        [(0, 0), (1, 0), (2, 1), (3, 2)],
+        [(4, 2), (4, 3), (5, 2), (6, 2)],
+    )
+    assert flow_feasible(HallContext(pc, decomp, 3)) is False
+    assert feasible_flow(build_network(pc, decomp, 3)) is None
+    assert brute_extendable(g, pc, 3) is False
+
+
+def test_vertex_phase_one_misses_is_placed_by_phase_two():
+    """The state above with color 1 open again: vertex 4, free only for
+    color 0, whose class is at its floor, misses phase 1; 5 and 6 fill the
+    floors of 1 and 2, and phase 2 puts 4 on color 0 under its ceiling."""
+    g, pc, decomp = _isolated_uncolored_state(
+        7, [(0, 0), (1, 0), (2, 1), (3, 2)], [(4, 2), (4, 3)]
+    )
+    assert flow_feasible(HallContext(pc, decomp, 3)) is True
+    assert feasible_flow(build_network(pc, decomp, 3)) is not None
+    assert brute_extendable(g, pc, 3) is True
+
+
+def test_flow_feasible_precondition_no_class_above_ceiling():
+    """flow_feasible reads no class above ceil(n/k0), so outside its
+    precondition it may answer True for a state that cannot extend. The
+    search never asks: candidate_k0_values skips such a k0, and the
+    literal network refuses it."""
+    g, pc, decomp = _isolated_uncolored_state(8, [(v, 0) for v in range(4)], [])
+    assert flow_feasible(HallContext(pc, decomp, 3)) is True
+    assert brute_extendable(g, pc, 3) is False
+    assert 3 not in candidate_k0_values(pc, 1, 9)
+    with pytest.raises(ValueError):
+        build_network(pc, decomp, 3)
 
 def _random_paired_network(rng):
     n = rng.randint(2, 7)
