@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 
 from .graph import Graph, check_gnp_args, gen_gnp, parse_dimacs
-from .oracle import DEFAULT_LIMITS, brute_chi_eq
+from .oracle import MAX_N, brute_chi_eq
 from .solver import VARIANTS, SolverConfig, solve
 
 EXIT_OK = 0
@@ -128,45 +128,44 @@ def run_bench(spec: BenchSpec, out_path: str) -> tuple[str, str]:
     """Execute the campaign; write the per-run CSV to `out_path` and the
     aggregate CSV next to it (suffix `.agg.csv`). Returns both paths. Both
     files are opened before the first solve, so a bad path fails at once.
+    Rows go out in campaign order as each solve returns; the aggregate
+    covers the rows written, also when Ctrl-C ends the campaign.
 
     Timeout accounting: a timed-out run contributes the full time limit to
     the average time and is excluded from the node average.
     """
     agg_path = _agg_path(out_path)
+    rows = []
     with open(out_path, "w", encoding="utf-8", newline="") as fh, open(
         agg_path, "w", encoding="utf-8", newline=""
     ) as agg_fh:
-        rows = sorted(
-            _campaign_rows(spec),
-            key=lambda r: (r["n"], r["p"], r["index"], r["variant"]),
-        )
         writer = csv.DictWriter(fh, fieldnames=DATA_HEADER, lineterminator="\n")
         writer.writeheader()
-        writer.writerows(rows)
-        writer = csv.writer(agg_fh, lineterminator="\n")
-        writer.writerow(AGG_HEADER)
-        writer.writerows(aggregate_rows(rows, spec.time_limit))
+        try:
+            for row in _campaign_rows(spec):
+                writer.writerow(row)
+                fh.flush()
+                rows.append(row)
+        finally:
+            writer = csv.writer(agg_fh, lineterminator="\n")
+            writer.writerow(AGG_HEADER)
+            writer.writerows(aggregate_rows(rows, spec.time_limit))
     return out_path, agg_path
 
 
 def _campaign_rows(spec: BenchSpec):
     """One row per (instance, variant) solve, in campaign order."""
+    configs = [SolverConfig(v, spec.time_limit, spec.cd_stride) for v in spec.variants]
     for n in spec.n_list:
         for p in spec.p_list:
-            for index in range(spec.count):
-                seed = instance_seed(spec.seed, n, p, index)
-                g = gen_gnp(n, p, seed)
-                for variant in spec.variants:
-                    cfg = SolverConfig(variant, spec.time_limit, spec.cd_stride)
-                    sol, stats = solve(g, cfg)
-                    if stats.interrupted:
-                        raise KeyboardInterrupt  # Ctrl-C ends the campaign
+            for index, seed, g in _gnp_instances(n, p, spec.count, spec.seed):
+                for cfg, sol, stats in _solves(g, configs):
                     yield {
                         "n": n,
                         "p": _fmt_p(p),
                         "index": index,
                         "seed": seed,
-                        "variant": variant,
+                        "variant": cfg.variant,
                         "chi_eq": sol.chi_eq,
                         "nodes": stats.nodes,
                         "time_s": f"{stats.elapsed:.6f}",
@@ -175,6 +174,23 @@ def _campaign_rows(spec: BenchSpec):
                         "prunes_flow": stats.prunes_flow,
                         "prunes_hall": stats.prunes_hall,
                     }
+
+
+def _gnp_instances(n: int, p: float, count: int, base_seed: int):
+    """(index, seed, graph) for the `count` seeded G(n, p) of a campaign."""
+    for index in range(count):
+        seed = instance_seed(base_seed, n, p, index)
+        yield index, seed, gen_gnp(n, p, seed)
+
+
+def _solves(g: Graph, configs):
+    """(cfg, solution, stats) of g under each config, as each solve returns;
+    Ctrl-C during a solve raises KeyboardInterrupt, ending the campaign."""
+    for cfg in configs:
+        sol, stats = solve(g, cfg)
+        if stats.interrupted:
+            raise KeyboardInterrupt
+        yield cfg, sol, stats
 
 
 def _fmt_p(p: float) -> str:
@@ -241,9 +257,8 @@ def cmd_verify(args) -> int:
                 instances.append((path.rsplit("/", 1)[-1], parse_dimacs(fh.read())))
         if args.gnp:
             n, p, count = int(args.gnp[0]), float(args.gnp[1]), int(args.gnp[2])
-            for index in range(count):
-                seed = instance_seed(args.seed, n, p, index)
-                instances.append((f"gnp(n={n},p={p:g},#{index})", gen_gnp(n, p, seed)))
+            for index, _, g in _gnp_instances(n, p, count, args.seed):
+                instances.append((f"gnp(n={n},p={p:g},#{index})", g))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -252,13 +267,11 @@ def cmd_verify(args) -> int:
         return EXIT_ERROR
     mismatches = timeouts = 0
     for name, g in instances:
-        results = {}
-        for cfg in configs:
-            sol, stats = solve(g, cfg)
-            if stats.interrupted:
-                raise KeyboardInterrupt  # Ctrl-C ends the cross-check
-            results[cfg.variant] = sol.chi_eq if sol.optimal else None
-        if g.n <= DEFAULT_LIMITS.max_n:
+        results = {
+            cfg.variant: sol.chi_eq if sol.optimal else None
+            for cfg, sol, _ in _solves(g, configs)
+        }
+        if g.n <= MAX_N:
             results["oracle"] = brute_chi_eq(g)
         else:
             print(f"note: {name}: n={g.n} beyond oracle cap, comparing variants only")
@@ -328,7 +341,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

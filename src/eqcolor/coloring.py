@@ -12,10 +12,9 @@ each trail entry records the neighbors its extend barred from a color and
 the color's old vertex bitmask, and a retract restores exactly those.
 
 The largest-class test (`deficit_prune`) is decided for a child before
-the move: from the parent's statistics and the child's color alone (the
-child's M, t and k_used, as `child_class_stats` computes them), so a
-child it prunes is never extended. `candidate_k0_values` reads a child's
-candidate color counts off the same helper.
+the move: from the parent's statistics and the child's color alone, so a
+child it prunes is never extended. `candidate_k0_values` judges a child
+the same way.
 """
 
 from __future__ import annotations
@@ -149,30 +148,14 @@ class PartialColoring:
         return v, i
 
 
-def child_class_stats(pc: PartialColoring, i: int) -> tuple[int, int, int]:
-    """(M, t, k_used) of the child that puts one more vertex into class i,
-    read from the parent's statistics without the move: the child's
-    largest class size, how many classes have that size, and how many
-    classes are nonempty."""
-    s = pc.class_size[i] + 1  # class i's size in the child
-    M = pc.M
-    if s > M:
-        M, t = s, 1
-    elif s == M:
-        t = pc._size_hist[M] + 1
-    else:
-        t = pc._size_hist[M]
-    return M, t, pc.k_used + (s == 1)
-
-
 def deficit_prune(pc: PartialColoring, k_lower: int, i: int) -> bool:
     """Necessary-condition prune for the child that puts one more vertex
     into class i, decided before the move: a partial coloring extendable
     to an equitable coloring satisfies n >= (M-1)*max(k_lower, k_used) + t,
     with M, t and k_used those of the child. Returns True when that fails
     (prune); False guarantees nothing."""
-    # child_class_stats, inlined: this runs for every child under every
-    # engine, and the call alone adds about 2 % to std's solve time
+    # inline, not a helper: this runs for every child under every engine,
+    # and a call alone adds about 2 % to std's solve time
     s = pc.class_size[i] + 1  # class i's size in the child
     M = pc.M
     if s > M:
@@ -207,10 +190,12 @@ def candidate_k0_values(
     the largest class no longer fits below ceil(n/k0), with k_used and the
     largest class size M those of the node judged."""
     n = pc.n
-    if move is None:
-        M, k0 = pc.M, pc.k_used
-    else:
-        M, _, k0 = child_class_stats(pc, move[1])
+    M, k0 = pc.M, pc.k_used
+    if move is not None:
+        s = pc.class_size[move[1]] + 1  # the class's size in the child
+        if s > M:
+            M = s
+        k0 += s == 1
     if k_lower > k0:
         k0 = k_lower
     if k0 < 1:

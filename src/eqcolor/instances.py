@@ -12,28 +12,13 @@ import re
 from .graph import Graph
 
 
-def mycielskian(g: Graph) -> Graph:
-    """Classic Mycielski step: shadow vertex per original plus one apex."""
-    n = g.n
-    edges = list(g.edges)
-    for u, v in g.edges:
-        edges.append((u, n + v))
-        edges.append((v, n + u))
-    apex = 2 * n
-    for u in range(n):
-        edges.append((n + u, apex))
-    return Graph(2 * n + 1, edges)
-
-
 def mycielski_graph(k: int) -> Graph:
-    """myciel<k>: k-1 Mycielski steps from a single edge (k >= 2).
-    myciel3 has 11 vertices, myciel4 has 23, myciel5 has 47."""
+    """myciel<k>: k-1 Mycielski steps from a single edge (k >= 2), each a
+    generalized step with one shadow level and a single apex. myciel3 has
+    11 vertices, myciel4 has 23, myciel5 has 47."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    g = Graph(2, [(0, 1)])
-    for _ in range(k - 1):
-        g = mycielskian(g)
-    return g
+    return _iterated_mycielski(k - 1, 1, apex_clique=False)
 
 
 def queens_graph(rows: int, cols: int | None = None) -> Graph:
@@ -56,35 +41,39 @@ def queens_graph(rows: int, cols: int | None = None) -> Graph:
     return Graph(n, edges)
 
 
-def _layered_mycielski(g: Graph, levels: int, apex_clique: bool) -> Graph:
-    """Generalized Mycielski step with `levels` shadow levels: level 0 keeps
-    the original edges, consecutive levels are joined by the bipartite
-    double cover, and either a single apex or a clique of size levels+1 is
-    completely joined to the top level."""
-    n = g.n
-    edges = list(g.edges)
-    for lvl in range(levels):
-        lo = lvl * n
-        hi = (lvl + 1) * n
-        for u, v in g.edges:
-            edges.append((lo + u, hi + v))
-            edges.append((lo + v, hi + u))
-    top = levels * n
-    if apex_clique:
-        apex_size = levels + 1
-        base = (levels + 1) * n
-        total = base + apex_size
-        for a in range(apex_size):
-            for b in range(a + 1, apex_size):
-                edges.append((base + a, base + b))
+def _iterated_mycielski(steps: int, levels: int, apex_clique: bool) -> Graph:
+    """`steps` generalized Mycielski steps from a single edge, each with
+    `levels` shadow levels: level 0 keeps the previous graph's edges,
+    consecutive levels are joined by the bipartite double cover, and
+    either a single apex or a clique of size levels+1 is completely joined
+    to the top level."""
+    g = Graph(2, [(0, 1)])
+    for _ in range(steps):
+        n = g.n
+        edges = list(g.edges)
+        for lvl in range(levels):
+            lo = lvl * n
+            hi = (lvl + 1) * n
+            for u, v in g.edges:
+                edges.append((lo + u, hi + v))
+                edges.append((lo + v, hi + u))
+        top = levels * n
+        if apex_clique:
+            apex_size = levels + 1
+            base = (levels + 1) * n
+            total = base + apex_size
+            for a in range(apex_size):
+                for b in range(a + 1, apex_size):
+                    edges.append((base + a, base + b))
+                for u in range(n):
+                    edges.append((base + a, top + u))
+        else:
+            total = (levels + 1) * n + 1
+            apex = total - 1
             for u in range(n):
-                edges.append((base + a, top + u))
-    else:
-        total = (levels + 1) * n + 1
-        apex = total - 1
-        for u in range(n):
-            edges.append((apex, top + u))
-    return Graph(total, edges)
+                edges.append((apex, top + u))
+        g = Graph(total, edges)
+    return g
 
 
 def insertions_graph(k: int, m: int) -> Graph:
@@ -93,10 +82,7 @@ def insertions_graph(k: int, m: int) -> Graph:
     vertices and 72 edges."""
     if k < 1 or m < 2:
         raise ValueError("need k >= 1 and m >= 2")
-    g = Graph(2, [(0, 1)])
-    for _ in range(m - 1):
-        g = _layered_mycielski(g, k + 1, apex_clique=False)
-    return g
+    return _iterated_mycielski(m - 1, k + 1, apex_clique=False)
 
 
 def full_insertions_graph(k: int, m: int) -> Graph:
@@ -105,10 +91,7 @@ def full_insertions_graph(k: int, m: int) -> Graph:
     vertices and 100 edges."""
     if k < 1 or m < 2:
         raise ValueError("need k >= 1 and m >= 2")
-    g = Graph(2, [(0, 1)])
-    for _ in range(m - 1):
-        g = _layered_mycielski(g, k + 1, apex_clique=True)
-    return g
+    return _iterated_mycielski(m - 1, k + 1, apex_clique=True)
 
 
 _NAME_PATTERNS = (

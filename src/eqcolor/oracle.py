@@ -8,29 +8,22 @@ test code: `tests/literal_network.py`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coloring import PartialColoring
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_n: int = 12
-
-
-DEFAULT_LIMITS = OracleLimits()
+MAX_N = 12  # the largest graph either search accepts
 
 
 class OracleCapError(ValueError):
     pass
 
 
-def _search_equitable(g: Graph, color_of, sizes, k0, order, idx, symmetry):
+def _search_equitable(g: Graph, color_of, sizes, k0, order, idx):
     """Depth-first completion with the forced class-size windows.
 
-    `symmetry` canonicalizes use of still-empty classes (first-use order);
-    that is sound because empty classes are interchangeable.
+    Still-empty classes are used in first-use order only; that is sound
+    because empty classes are interchangeable.
     """
     n = g.n
     floor_size = n // k0
@@ -54,41 +47,38 @@ def _search_equitable(g: Graph, color_of, sizes, k0, order, idx, symmetry):
     for i in range(k0):
         if sizes[i] >= ceil_size or (forbidden >> i) & 1:
             continue
-        if symmetry and sizes[i] == 0:
+        if sizes[i] == 0:
             if new_class_seen:
                 break
             new_class_seen = True
         color_of[v] = i
         sizes[i] += 1
-        if _search_equitable(g, color_of, sizes, k0, order, idx + 1, symmetry):
+        if _search_equitable(g, color_of, sizes, k0, order, idx + 1):
             return True
         sizes[i] -= 1
         color_of[v] = -1
     return False
 
 
-def brute_chi_eq(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> int:
+def brute_chi_eq(g: Graph) -> int:
     """Exact equitable chromatic number by capped enumeration."""
-    if g.n > limits.max_n:
-        raise OracleCapError(f"n={g.n} exceeds oracle cap {limits.max_n}")
+    if g.n > MAX_N:
+        raise OracleCapError(f"n={g.n} exceeds oracle cap {MAX_N}")
     if g.n == 0:
         return 0
-    order = sorted(range(g.n), key=lambda v: (-g.degree[v], v))
     for k0 in range(1, g.n + 1):
         color_of = [-1] * g.n
         sizes = [0] * k0
-        if _search_equitable(g, color_of, sizes, k0, order, 0, symmetry=True):
+        if _search_equitable(g, color_of, sizes, k0, g.order, 0):
             return k0
     raise AssertionError("k0 = n is always feasible")
 
 
-def brute_extendable(
-    g: Graph, pc: PartialColoring, k0: int, limits: OracleLimits = DEFAULT_LIMITS
-) -> bool:
+def brute_extendable(g: Graph, pc: PartialColoring, k0: int) -> bool:
     """True iff some completion of pc is a proper equitable k0-coloring
     preserving every existing class as a subset."""
-    if g.n > limits.max_n:
-        raise OracleCapError(f"n={g.n} exceeds oracle cap {limits.max_n}")
+    if g.n > MAX_N:
+        raise OracleCapError(f"n={g.n} exceeds oracle cap {MAX_N}")
     if not 1 <= k0 <= g.n:
         raise ValueError(f"need 1 <= k0 <= n, got {k0}")
     sizes = [0] * k0
@@ -101,5 +91,5 @@ def brute_extendable(
     if any(s > ceil_size for s in sizes):
         return False
     color_of = list(pc.color_of)
-    order = sorted(pc.uncolored, key=lambda v: (-g.degree[v], v))
-    return _search_equitable(g, color_of, sizes, k0, order, 0, symmetry=True)
+    order = [v for v in g.order if color_of[v] < 0]
+    return _search_equitable(g, color_of, sizes, k0, order, 0)

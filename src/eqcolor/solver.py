@@ -94,13 +94,8 @@ class Solution:
 
 def _best_greedy_clique(g: Graph) -> list[int]:
     """Largest of a few greedy maximal cliques, grown from the first
-    vertices of `g.order`; deterministic."""
-    best = None
-    for s in g.order[:_CLIQUE_STARTS]:
-        clique = greedy_maximal_clique(g, s)
-        if best is None or len(clique) > len(best):
-            best = clique
-    return best
+    vertices of `g.order`; of equally large ones, `max` keeps the first."""
+    return max((greedy_maximal_clique(g, s) for s in g.order[:_CLIQUE_STARTS]), key=len)
 
 
 def _dsatur_pick(pc: PartialColoring) -> int:
@@ -200,31 +195,16 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
     k_upper, incumbent = g.n, list(range(g.n))
     # looked up per call, so rebinding the module attributes takes effect
     prune = {"flow": flow_prune, "comb": comb_prune}.get(cfg.variant)
-    stack = []
+    stack = []  # (trail depth, vertex, color) of unextended children
     nodes = 1  # root
     timed_out = interrupted = False
     try:
         k_lower, k_upper, incumbent, root_clique = initial_bounds(g, deadline)
         stats.k_lower = k_lower
-        closed = k_lower >= k_upper
+        closed = stats.gap_closed_at_root = k_lower >= k_upper
         # past the deadline, screening the root's children alone could take
         # k_upper engine calls per child
-        if closed or time.perf_counter() > deadline:
-            stats.nodes = 1
-            stats.gap_closed_at_root = closed
-            stats.timed_out = not closed
-            stats.elapsed = time.perf_counter() - t0
-            return Solution(k_upper, incumbent, closed), stats
-
-        pc = PartialColoring(g)
-        for idx, v in enumerate(root_clique):
-            pc.extend(v, idx)
-        root_depth = pc.depth
-
-        decomp = None
-        if prune is not None:
-            decomp = restarted_decomposition(g, pc.uncolored_mask)
-
+        timed_out = not closed and time.perf_counter() > deadline
         stride = cfg.cd_stride
 
         def push_children(depth: int) -> None:
@@ -251,14 +231,20 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                         continue
                 stack.append((child_depth, v, i))
 
-        # a root clique covering every vertex gives k_lower = n, closed above
-        push_children(0)
+        # a root clique covering every vertex gives k_lower = n: closed
+        if not (closed or timed_out):
+            pc = PartialColoring(g)
+            for idx, v in enumerate(root_clique):
+                pc.extend(v, idx)
+            if prune is not None:
+                decomp = restarted_decomposition(g, pc.uncolored_mask)
+            push_children(pc.depth)
 
         while stack:
             depth, v, i = stack.pop()
             if i > k_upper - 2:
                 continue  # bound improved since this child was queued
-            while pc.depth - root_depth >= depth:
+            while pc.depth >= depth:
                 pc.retract()
             pc.extend(v, i)
             nodes += 1

@@ -47,9 +47,8 @@ def test_oracle_holds_no_literal_network():
     assert [name for name in moved if hasattr(eqcolor.oracle, name)] == []
 
 
-def test_oracle_limits_has_one_field():
-    from dataclasses import fields
+def test_oracle_has_no_limits_object():
+    """The oracle's size cap is the module constant `MAX_N`."""
+    import eqcolor.oracle
 
-    from eqcolor.oracle import OracleLimits
-
-    assert [f.name for f in fields(OracleLimits)] == ["max_n"]
+    assert [n for n in ("OracleLimits", "DEFAULT_LIMITS") if hasattr(eqcolor.oracle, n)] == []

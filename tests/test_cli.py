@@ -122,19 +122,58 @@ def test_bench_and_verify_stop_on_interrupt(tmp_path, monkeypatch, capsys):
     prune = solver.comb_prune
     out = tmp_path / "bench.csv"
     monkeypatch.setattr(solver, "comb_prune", raising_on_call(prune, 1))
-    with pytest.raises(KeyboardInterrupt):
-        main(
-            [
-                "bench", "--n", "20", "--p", "0.5", "--count", "2",
-                "--algos", "comb", "--out", str(out),
-            ]
-        )
+    assert main(
+        [
+            "bench", "--n", "20", "--p", "0.5", "--count", "2",
+            "--algos", "comb", "--out", str(out),
+        ]
+    ) == 130
     with open(out) as fh:
         assert list(csv.DictReader(fh)) == []
     monkeypatch.setattr(solver, "comb_prune", raising_on_call(prune, 1))
-    with pytest.raises(KeyboardInterrupt):
-        main(["verify", "--gnp", "20", "0.5", "1"])
+    assert main(["verify", "--gnp", "20", "0.5", "1"]) == 130
     assert "TIMEOUT" not in capsys.readouterr().out
+
+
+def test_bench_keeps_finished_rows_on_interrupt(tmp_path, monkeypatch, capsys):
+    """Ctrl-C during a later solve keeps the rows of the solves that
+    finished before it, in campaign order, and their aggregate."""
+    prune = solver.comb_prune
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return prune(*args)
+
+    bench = ["bench", "--n", "20", "--p", "0.5", "--algos", "std", "comb"]
+    finished = tmp_path / "finished.csv"
+    monkeypatch.setattr(solver, "comb_prune", counted)
+    assert main(bench + ["--count", "2", "--out", str(finished)]) == 0
+    # the first call of the third instance's comb solve
+    monkeypatch.setattr(solver, "comb_prune", raising_on_call(prune, calls + 1))
+    out = tmp_path / "bench.csv"
+    assert main(bench + ["--count", "4", "--out", str(out)]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+
+    def read(path):
+        with open(path) as fh:
+            return list(csv.DictReader(fh))
+
+    rows = read(out)
+    # the third instance's std row, then nothing of the interrupted solve
+    assert [(r["index"], r["variant"]) for r in rows] == [
+        ("0", "std"), ("0", "comb"), ("1", "std"), ("1", "comb"), ("2", "std"),
+    ]
+    drop_time = [{k: v for k, v in r.items() if k != "time_s"} for r in rows]
+    assert drop_time[:4] == [
+        {k: v for k, v in r.items() if k != "time_s"} for r in read(finished)
+    ]
+    with open(tmp_path / "bench.agg.csv") as fh:
+        agg = list(csv.reader(fh))
+    recomputed = [[str(x) for x in row] for row in cli.aggregate_rows(rows, 3600.0)]
+    assert agg[1:] == recomputed
+    assert [(row[2], row[4]) for row in agg[1:]] == [("comb", "0"), ("std", "0")]
 
 
 def test_solve_timeout_exit_two(tmp_path, capsys):

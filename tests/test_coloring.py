@@ -5,7 +5,7 @@ import pytest
 from eqcolor import Graph, gen_gnp
 from eqcolor.coloring import (
     PartialColoring,
-    child_class_stats,
+    candidate_k0_values,
     deficit_prune,
     is_equitable,
 )
@@ -184,8 +184,9 @@ def test_deficit_prune_equivalent_sum_form():
     class k_used included, matches the fill-deficit form on the extended
     state (where max(k_lower, k) = k): prune iff |U| < sum over classes
     below M-1 of (M-1-size). With a k_lower above k it matches the
-    product form n < (M-1)*k_lower + t on the extended state, whose
-    (M, t, k_used) `child_class_stats` predicts."""
+    product form n < (M-1)*k_lower + t on the extended state. The child's
+    candidate color counts, read before the move, are those of the
+    extended state."""
     rng = random.Random(17)
     cases = {">": 0, "==": 0, "<": 0}
     for _ in range(4_000):
@@ -203,9 +204,11 @@ def test_deficit_prune_equivalent_sum_form():
             k_lower = rng.randint(0, g.n)
             predicted = deficit_prune(pc, 0, i)
             predicted_lower = deficit_prune(pc, k_lower, i)
-            stats = child_class_stats(pc, i)
-            pc.extend(rng.choice(free), i)
-            assert stats == (pc.M, pc.t, pc.k_used)
+            v = rng.choice(free)
+            k_upper = g.n + 1  # every color count up to n
+            k0s = [list(candidate_k0_values(pc, k, k_upper, (v, i))) for k in (0, k_lower)]
+            pc.extend(v, i)
+            assert k0s == [list(candidate_k0_values(pc, k, k_upper)) for k in (0, k_lower)]
             deficit = sum(pc.M - 1 - c for c in pc.class_size if 0 < c < pc.M - 1)
             assert predicted == (len(pc.uncolored) < deficit)
             k = max(k_lower, pc.k_used)

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from eqcolor.graph import write_dimacs
 from eqcolor.instances import (
     by_name,
     full_insertions_graph,
@@ -29,6 +32,27 @@ PUBLISHED = {
 def test_sizes_match_published(name, expected):
     g = by_name(name)
     assert (g.n, g.m) == expected
+
+
+# first 16 hex digits of sha256(write_dimacs(by_name(name))): the exact
+# edge lists and vertex numbering the benchmark's instances are built with
+DIGESTS = {
+    "myciel3": "b617a3edc5a894ea",
+    "myciel4": "d072e32bbbeec89d",
+    "myciel5": "2696e197e10d3de7",
+    "queen6_6": "3075d271296be326",
+    "queen7_7": "74e389e3c2a68475",
+    "2-Insertions_3": "46a48901c04f8a69",
+    "1-FullIns_3": "f0fca9cdce51d352",
+    "1-Insertions_4": "333c5c11f4c5a326",
+    "2-FullIns_3": "aa1c042a40c2ac7e",
+}
+
+
+@pytest.mark.parametrize("name,digest", sorted(DIGESTS.items()))
+def test_instance_graphs_pinned(name, digest):
+    text = write_dimacs(by_name(name))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_mycielski_preserves_triangle_freeness():

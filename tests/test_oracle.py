@@ -5,9 +5,9 @@ import pytest
 from eqcolor import Graph, gen_gnp
 from eqcolor.coloring import PartialColoring
 from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
+from eqcolor import oracle
 from eqcolor.oracle import (
     OracleCapError,
-    OracleLimits,
     brute_chi_eq,
     brute_extendable,
 )
@@ -38,10 +38,11 @@ def test_cycle5():
     assert brute_chi_eq(g) == 3
 
 
-def test_chi_eq_cap_enforced():
+def test_chi_eq_cap_enforced(monkeypatch):
     with pytest.raises(OracleCapError):
         brute_chi_eq(star(13))
-    assert brute_chi_eq(star(13), OracleLimits(max_n=13)) == 7
+    monkeypatch.setattr(oracle, "MAX_N", 13)
+    assert brute_chi_eq(star(13)) == 7
 
 
 def lopsided_state():
