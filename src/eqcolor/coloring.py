@@ -183,12 +183,13 @@ def is_equitable(pc: PartialColoring, k0: int) -> bool:
 
 def candidate_k0_values(
     pc: PartialColoring, k_lower: int, k_upper: int, move: tuple[int, int] | None = None
-):
+) -> range:
     """Color counts a pruning test must examine at this node, or, given a
     move (v, i), at the child that colors v with i, without making the
-    move: from max(k_used, k_lower) up to k_upper - 1, stopping as soon as
-    the largest class no longer fits below ceil(n/k0), with k_used and the
-    largest class size M those of the node judged."""
+    move: from max(k_used, k_lower, 1) up to k_upper - 1 and while the
+    largest class still fits below ceil(n/k0), with k_used and the largest
+    class size M those of the node judged. ceil(n/k0) >= M > 1 holds
+    exactly for k0 <= (n - 1) // (M - 1)."""
     n = pc.n
     M, k0 = pc.M, pc.k_used
     if move is not None:
@@ -200,8 +201,7 @@ def candidate_k0_values(
         k0 = k_lower
     if k0 < 1:
         k0 = 1
-    while k0 <= k_upper - 1:
-        if M > -(-n // k0):
-            break
-        yield k0
-        k0 += 1
+    last = k_upper - 1
+    if M > 1 and (n - 1) // (M - 1) < last:
+        last = (n - 1) // (M - 1)
+    return range(k0, last + 1)

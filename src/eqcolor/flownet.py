@@ -10,8 +10,8 @@ The partial coloring extends to an equitable k0-coloring only if this
 network carries a flow of value |U|; when the residual part is empty the
 condition is exact. Only the tests build that network, arc by arc with
 its lower bounds (`tests/literal_network.py`). This module decides the same
-question from the clique members' free-color masks that
-`hallrules.HallContext` already holds for the rule prefilter, plus the
+question from the clique members' free-color masks that the rule
+prefilter's clique check left on the `hallrules.HallContext`, plus the
 residual vertices' masks it asks the context for (`resid_masks`, made
 only here), with no network built: the lower bounds are met by a plain
 max-flow with the floors as the color->sink capacities, and that flow is

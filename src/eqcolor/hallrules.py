@@ -7,6 +7,12 @@ menu has three rules: per single color, the "fill up" (positive) and the
 representatives (SDR) checked by bipartite matching instead of enumerating
 subsets.
 
+The rules read a `HallContext`, a snapshot of one child at one color
+count, and compute from it only what they need, in bit-sliced form (one
+vertex bitmask per color): a rule that fails early spares the work of the
+ones after it, and a rule that passes leaves behind what a later reader
+(the negative rule, the flow test) would recompute.
+
 Callers ask only about k0 >= k_used. Then the all-but-one color sets add
 nothing: with class sizes and uncolored vertices summing to n, a starved
 complement of g overfills g (negative rule), and too many vertices
@@ -20,30 +26,31 @@ from .decomposition import CliqueDecomposition, mask_vertices
 
 
 class HallContext:
-    """Per-(coloring, decomposition, k0) aggregates the rules and the flow
-    engine read.
+    """One child's state at one color count k0, as the rules and the flow
+    engine read it. Building it stores only that snapshot; each rule
+    computes what it reads from it, so a rule that settles the verdict
+    early costs only its own work.
 
-    All masks and counts restrict free colors to {0..k0-1}: only those
-    exist in the network. They are computed bit-sliced, one vertex bitmask
-    per color: `free_f`, the uncolored vertices no neighbor of color f
-    bars, is `U & ~pc.barred_mask[f]`. `supply[f]` counts the cliques that
-    meet free_f plus the residual vertices in it; `single_free[f]` counts
-    the vertices in free_f and in no other, and `empty_free` the vertices
-    in none (they still count on the "must be colored within T" side).
-    Both come from running "in at least one" and "in at least two"
-    accumulators over the free_f. Building the context costs
-    O(k0 * #cliques) big-int operations plus one free-color mask per clique
-    member, which `clique_masks` holds clique by clique for the SDR rule.
-    The residual's per-vertex masks are made only on request
-    (`resid_masks`), by the flow test.
+    The snapshot: k0, the class-size window floor(n/k0)..ceil(n/k0), the
+    first k0 class sizes, the uncolored set `uncolored`, per color f the
+    bitmask `barred[f]` of the vertices a neighbor of color f bars, and
+    the decomposition's residual and clique masks. Only colors {0..k0-1}
+    exist in the network, so all of it is restricted to them. The
+    uncolored vertices free for f are `uncolored & ~barred[f]`.
 
     Given a move (v, i), the context is that of the child that colors v
-    with i, read from the parent's state without making the move: U loses
-    v, class i grows by one, color i's barred set gains v's neighbors, and
-    so each neighbor of v loses i from its free-color mask (`move_bit` off
-    for the vertices in `move_barred`). The decomposition must be the
-    child's (v uncolored in pc, not in decomp), and k0 a candidate of the
-    child, so k0 > i.
+    with i, read from the parent's state without making the move:
+    `uncolored` loses v, class i grows by one, `barred[i]` gains v's
+    neighbors, and so each neighbor of v loses i from its free-color mask
+    (`move_bit` off for the vertices in `move_barred`). The decomposition
+    must be the child's (v uncolored in pc, not in decomp), and k0 a
+    candidate of the child, so k0 > i.
+
+    Per-vertex free-color masks are read from `pc.forbidden_mask` when a
+    rule or the flow test needs them, so a context is valid only until pc
+    next changes. The aggregates `supply`, `single_free`, `empty_free`
+    and `clique_masks` stay readable as properties for inspection and
+    tests; the rules never read the first three.
     """
 
     __slots__ = (
@@ -51,14 +58,16 @@ class HallContext:
         "floor_size",
         "ceil_size",
         "class_sizes",
-        "clique_masks",
+        "uncolored",
+        "barred",
         "residual",
+        "cliques",
         "forbidden",
         "move_barred",
         "move_bit",
-        "supply",
-        "single_free",
-        "empty_free",
+        "_free_any",
+        "_free_two",
+        "_clique_masks",
     )
 
     def __init__(
@@ -73,38 +82,23 @@ class HallContext:
         self.floor_size = n // k0
         self.ceil_size = -(-n // k0)
         self.class_sizes = pc.class_size[:k0]
+        self.uncolored = pc.uncolored_mask
+        self.barred = pc.barred_mask[:k0]
+        self.residual = decomp.residual_mask
+        self.cliques = decomp.masks
         self.forbidden = pc.forbidden_mask
-        self.residual = residual = decomp.residual_mask
-        cliques = decomp.masks
-        uncolored = pc.uncolored_mask
-        barred_masks = pc.barred_mask[:k0]
         self.move_barred = self.move_bit = 0
+        # vertices free for at least one and at least two colors, stored by
+        # the positive rule when its pass over the colors completes
+        self._free_any = self._free_two = None
+        self._clique_masks = None
         if move is not None:
             v, i = move
-            uncolored ^= 1 << v
+            self.uncolored ^= 1 << v
             self.class_sizes[i] += 1
             self.move_barred = adj = pc.adj_mask[v]
-            barred_masks[i] |= adj
+            self.barred[i] |= adj
             self.move_bit = 1 << i
-
-        supply = []
-        frees = []
-        one = two = 0  # vertices free for at least one, two colors so far
-        for barred in barred_masks:
-            free = uncolored & ~barred
-            frees.append(free)
-            two |= one & free
-            one |= free
-            s = (residual & free).bit_count()
-            for c in cliques:
-                if c & free:
-                    s += 1
-            supply.append(s)
-        self.supply = supply
-        self.empty_free = (uncolored & ~one).bit_count()
-        lone = one & ~two  # free for exactly one color
-        self.single_free = [(free & lone).bit_count() for free in frees]
-        self.clique_masks = [self._free_masks(c) for c in cliques]
 
     def _free_masks(self, vertices: int) -> list[int]:
         """Free-color masks of a vertex bitmask's vertices, ascending."""
@@ -123,15 +117,82 @@ class HallContext:
         """Free-color masks of the residual vertices, ascending."""
         return self._free_masks(self.residual)
 
+    @property
+    def clique_masks(self) -> list[list[int]]:
+        """Per clique, its members' free-color masks, ascending."""
+        if self._clique_masks is None:
+            self._clique_masks = [self._free_masks(c) for c in self.cliques]
+        return self._clique_masks
+
+    def _free_sets(self) -> tuple[int, int]:
+        """The uncolored vertices free for at least one color, and those
+        free for at least two."""
+        if self._free_any is None:
+            uncolored = self.uncolored
+            one = two = 0
+            for barred in self.barred:
+                free = uncolored & ~barred
+                two |= one & free
+                one |= free
+            self._free_any, self._free_two = one, two
+        return self._free_any, self._free_two
+
+    @property
+    def supply(self) -> list[int]:
+        """Per color f, the cliques that meet free_f plus the residual
+        vertices in it: how many vertices f can still take at most."""
+        uncolored, residual = self.uncolored, self.residual
+        supply = []
+        for barred in self.barred:
+            free = uncolored & ~barred
+            supply.append(
+                (residual & free).bit_count() + sum(1 for c in self.cliques if c & free)
+            )
+        return supply
+
+    @property
+    def single_free(self) -> list[int]:
+        """Per color f, the uncolored vertices free for f and no other."""
+        one, two = self._free_sets()
+        lone = one & ~two
+        return [(lone & ~barred).bit_count() for barred in self.barred]
+
+    @property
+    def empty_free(self) -> int:
+        """The uncolored vertices free for no color."""
+        return (self.uncolored & ~self._free_sets()[0]).bit_count()
+
 
 def check_positive_single(ctx: HallContext) -> bool:
     """Every color must be fillable to floor(n/k0): at most one vertex per
-    clique plus every residual vertex that can still take it."""
+    clique plus every residual vertex that can still take it. One pass over
+    the colors; a color's cliques are scanned only while its residual
+    vertices leave it short. A pass that completes stores the
+    "free for at least one / two colors" sets the negative rule reads."""
     floor_size = ctx.floor_size
-    supply = ctx.supply
-    for f, size in enumerate(ctx.class_sizes):
-        if floor_size - size > supply[f]:
+    uncolored = ctx.uncolored
+    residual = ctx.residual
+    cliques = ctx.cliques
+    sizes = ctx.class_sizes
+    one = two = 0
+    for f, barred in enumerate(ctx.barred):
+        free = uncolored & ~barred
+        two |= one & free
+        one |= free
+        need = floor_size - sizes[f]
+        if need <= 0:
+            continue
+        need -= (residual & free).bit_count()
+        if need <= 0:
+            continue
+        for c in cliques:
+            if c & free:
+                need -= 1
+                if not need:
+                    break
+        else:
             return False
+    ctx._free_any, ctx._free_two = one, two
     return True
 
 
@@ -183,23 +244,35 @@ def _clique_has_sdr(masks: list[int], k0: int) -> bool:
 def check_clique_hall(ctx: HallContext) -> bool:
     """Each clique needs a system of distinct representatives among the
     colors; by Hall's theorem the matching test covers the whole family of
-    per-clique subset conditions at once."""
+    per-clique subset conditions at once. A clique's member masks are made
+    when it is checked, and the check stops at the first clique with no
+    SDR; when every clique has one, the masks stay on the context for the
+    flow test."""
     k0 = ctx.k0
-    for masks in ctx.clique_masks:
-        if not _clique_has_sdr(masks, k0):
+    masks = []
+    for c in ctx.cliques:
+        members = ctx._free_masks(c)
+        if not _clique_has_sdr(members, k0):
             return False
+        masks.append(members)
+    ctx._clique_masks = masks
     return True
 
 
 def check_negative_single(ctx: HallContext) -> bool:
     """Vertices forced into one color must fit under its ceiling: per
-    color f, the vertices whose free set lies inside {f}."""
+    color f, the vertices free for f alone plus those free for no color
+    (they still have to be colored) against f's room. With no vertex free
+    for exactly one color, the fullest class decides."""
+    one, two = ctx._free_sets()
+    empty = (ctx.uncolored & ~one).bit_count()
     ceil_size = ctx.ceil_size
     sizes = ctx.class_sizes
-    single = ctx.single_free
-    empty = ctx.empty_free
-    for f in range(ctx.k0):
-        if single[f] + empty > ceil_size - sizes[f]:
+    lone = one & ~two  # free for exactly one color
+    if not lone:
+        return max(sizes) + empty <= ceil_size
+    for f, barred in enumerate(ctx.barred):
+        if (lone & ~barred).bit_count() + empty > ceil_size - sizes[f]:
             return False
     return True
 
@@ -232,10 +305,12 @@ def comb_prune(
     the candidate range is empty). Given a move (v, i), the node judged is
     the child that colors v with i, read from pc without extending it;
     decomp is the child's decomposition either way. Weaker than the flow
-    test (a passing rule set proves nothing) but evaluated per color count
-    in O(k0 * #cliques) big-int operations plus O(k0) per clique member
-    for the context, and O(k0) arithmetic plus one small matching per
-    clique for the rules."""
+    test (a passing rule set proves nothing) but cheap per color count:
+    the context copies k0 class sizes and k0 barred masks, and each rule
+    works on demand, at most O(k0 * #cliques) big-int operations for the
+    positive rule, O(k0) for the negative one and one free-color mask per
+    member plus one small matching per clique up to the first without an
+    SDR for the clique rule."""
     for k0 in candidate_k0_values(pc, k_lower, k_upper, move):
         ctx = HallContext(pc, decomp, k0, move)
         failed = failing_rule(ctx)

@@ -22,8 +22,10 @@ class OracleCapError(ValueError):
 def _search_equitable(g: Graph, color_of, sizes, k0, order, idx):
     """Depth-first completion with the forced class-size windows.
 
-    Still-empty classes are used in first-use order only; that is sound
-    because empty classes are interchangeable.
+    Of the still-empty classes only the lowest is tried; that is sound
+    because empty classes are interchangeable. Nonempty classes above it
+    are still tried: a partial coloring may leave gaps below its used
+    classes.
     """
     n = g.n
     floor_size = n // k0
@@ -49,7 +51,7 @@ def _search_equitable(g: Graph, color_of, sizes, k0, order, idx):
             continue
         if sizes[i] == 0:
             if new_class_seen:
-                break
+                continue
             new_class_seen = True
         color_of[v] = i
         sizes[i] += 1

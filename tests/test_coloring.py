@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -215,6 +216,55 @@ def test_deficit_prune_equivalent_sum_form():
             assert predicted_lower == (g.n < (pc.M - 1) * k + pc.t)
             pc.retract()
     assert min(cases.values()) > 500, cases
+
+
+def _stepping_k0_values(pc, k_lower, k_upper, move=None):
+    """The candidate color counts by stepping k0 up from its start until
+    the largest class no longer fits below ceil(n/k0): the reference for
+    the closed-form range of `candidate_k0_values`."""
+    n = pc.n
+    M, k0 = pc.M, pc.k_used
+    if move is not None:
+        s = pc.class_size[move[1]] + 1
+        if s > M:
+            M = s
+        k0 += s == 1
+    if k_lower > k0:
+        k0 = k_lower
+    if k0 < 1:
+        k0 = 1
+    while k0 <= k_upper - 1:
+        if M > -(-n // k0):
+            break
+        yield k0
+        k0 += 1
+
+
+def test_candidate_k0_range_equals_stepping_loop():
+    """The closed-form range equals the stepping loop, exhaustively over
+    n <= 30, every largest class M <= n and every k_upper in 0..n+2
+    (empty ranges at k_upper <= k0 included), with every start 0..n+1
+    (k0 > n included) reached once through k_used and once through
+    k_lower, each without a move and with a move that opens a class,
+    keeps M or grows M. Only n, k_used, M and class_size are read, so a
+    namespace stands in for the partial coloring."""
+    cases = 0
+    for n in range(31):
+        moves = (None, (0, 0), (0, 1), (0, 2)) if n else (None,)
+        for M in range(n + 1):
+            # a move into class 0 opens it, into 1 keeps M, into 2 grows M
+            pc = SimpleNamespace(n=n, M=M, k_used=0, class_size=[0, max(M - 1, 0), M])
+            for k in range(n + 2):
+                for k_used, k_lower in ((k, 0), (0, k)) if k <= n else ((0, k),):
+                    pc.k_used = k_used
+                    for move in moves:
+                        want = list(_stepping_k0_values(pc, k_lower, n + 2, move))
+                        start = want[0] if want else 0
+                        for k_upper in range(n + 3):
+                            got = candidate_k0_values(pc, k_lower, k_upper, move)
+                            assert list(got) == want[: max(0, k_upper - start)]
+                            cases += 1
+    assert cases > 2_000_000
 
 
 def test_is_equitable_cases():

@@ -373,6 +373,89 @@ def test_bit_sliced_context_matches_per_vertex_recount(monkeypatch):
     assert checked > 4000
 
 
+_RULE_CHECKS = {
+    "positive_single": check_positive_single,
+    "clique_hall": check_clique_hall,
+    "negative": check_negative_single,
+}
+
+
+def _literal_verdicts(fields):
+    """Each rule's verdict, in failing_rule's order, computed from the
+    literal recount of `literal_hall_context`."""
+    k0, sizes = fields["k0"], fields["class_sizes"]
+    positive = all(
+        fields["floor_size"] - s <= supply for s, supply in zip(sizes, fields["supply"])
+    )
+    clique = all(_clique_has_sdr(masks, k0) for masks in fields["clique_masks"])
+    room = [fields["ceil_size"] - s for s in sizes]
+    negative = all(
+        single + fields["empty_free"] <= r
+        for single, r in zip(fields["single_free"], room)
+    )
+    return {"positive_single": positive, "clique_hall": clique, "negative": negative}
+
+
+def _check_rules_on_demand(make_ctx, want):
+    """Each rule alone on a fresh context, and after the other two in
+    either order and then once more, gives its literal verdict, and
+    failing_rule names the first literal failure; returns the names of
+    the failing rules."""
+    names = list(_RULE_CHECKS)
+    for name, rule in _RULE_CHECKS.items():
+        assert rule(make_ctx()) is want[name], name
+        others = [other for other in names if other != name]
+        for before in (others, others[::-1]):
+            ctx = make_ctx()
+            for other in before:
+                assert _RULE_CHECKS[other](ctx) is want[other], (before, other)
+            assert rule(ctx) is want[name], (before, name)
+            assert rule(ctx) is want[name], (before, name, "again")
+    first = next((name for name in names if not want[name]), None)
+    assert failing_rule(make_ctx()) == first
+    return tuple(name for name in names if not want[name])
+
+
+def test_rules_on_demand_match_literal_recount_in_any_order(monkeypatch):
+    """The rules compute what they read from the context on demand, and
+    the positive rule leaves sets behind for the negative one and the
+    clique rule member masks for the flow test. Each rule still gives
+    the verdict of the literal recount alone on a fresh context and after
+    the other two in either order, and failing_rule names the first
+    failure in the order positive_single, clique_hall, negative: on random
+    states and on the children real searches hand the engines, judged
+    both after the move and from the parent plus the move."""
+    rng = random.Random(76)
+    failing = Counter()
+    for _ in range(1500):
+        _, pc, decomp, k0 = random_state(rng, n_max=12)
+        for k in range(max(k0, pc.k_used, 1), min(k0 + 2, pc.n) + 1):
+            want = _literal_verdicts(literal_hall_context(pc, decomp, k))
+            failing[_check_rules_on_demand(lambda: HallContext(pc, decomp, k), want)] += 1
+    runs = [
+        (by_name("queen6_6"), "comb", 20),
+        (gen_gnp(40, 0.7, 13), "comb", 5),
+        (by_name("2-Insertions_3"), "flow", 20),
+    ]
+    for graph, variant, every in runs:
+        for g, color_of, decomp, k_lower, k_upper, move in _harvest(
+            monkeypatch, graph, variant, every
+        ):
+            child = _replay(g, color_of)
+            color_of[move[0]] = -1
+            parent = _replay(g, color_of)
+            for k0 in candidate_k0_values(child, k_lower, k_upper):
+                want = _literal_verdicts(literal_hall_context(child, decomp, k0))
+                _check_rules_on_demand(lambda: HallContext(child, decomp, k0), want)
+                failing[
+                    _check_rules_on_demand(
+                        lambda: HallContext(parent, decomp, k0, move), want
+                    )
+                ] += 1
+    # every subset of the three rules fails together somewhere
+    assert len(failing) == 8 and min(failing.values()) > 20, failing
+
+
 def _judged(pc, decomp, move, k_lower, k_upper):
     """(candidate k0 values, context fields per k0, comb and flow verdicts
     with their stats) of the node pc, or of its child that makes `move`."""

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,7 @@ from eqcolor.oracle import (
     brute_chi_eq,
     brute_extendable,
 )
-from helpers import random_state
+from helpers import find_extension, random_state
 from literal_network import (
     build_network,
     enumerate_hoffman,
@@ -100,6 +101,44 @@ def test_extendable_respects_existing_classes():
     pc2.extend(1, 0)
     pc2.extend(2, 0)  # class of three cannot balance at k0=2... ceil(4/2)=2
     assert brute_extendable(g, pc2, 2) is False
+
+
+def test_extendable_tries_used_class_above_empty_ones():
+    """Vertex 0 wears color 2 above the empty classes 0 and 1, and the
+    hub 1 must open one of them: the completion [2, 2, 0, 0, 1, 1] puts
+    the hub in class 2, so the search must try a used class that sits
+    above two empty ones."""
+    g = Graph(6, [(1, 2), (1, 3), (1, 4), (1, 5)])
+    pc = PartialColoring(g)
+    pc.extend(0, 2)
+    assert brute_extendable(g, pc, 3) is True
+    assert find_extension(g, pc, 3) is not None
+
+
+def test_extendable_matches_plain_enumeration_with_gaps():
+    """brute_extendable agrees with an enumeration that tries every color
+    for every vertex (no symmetry breaking), on random states with n <= 8
+    whose used classes leave gaps: colors are drawn from all k0 classes,
+    not in first-use order, and in half the states from classes 2 and up
+    only, so at least two empty classes sit below the used ones."""
+    rng = random.Random(86)
+    seen = Counter()
+    for _ in range(2000):
+        n = rng.randint(3, 8)
+        g = gen_gnp(n, rng.uniform(0.2, 0.8), rng.getrandbits(32))
+        k0 = rng.randint(3, n)
+        lowest = rng.choice((0, 2))
+        pc = PartialColoring(g)
+        for v in rng.sample(range(n), rng.randint(1, n // 2)):
+            colors = [c for c in range(lowest, k0) if not pc.forbidden_mask[v] >> c & 1]
+            if colors:
+                pc.extend(v, rng.choice(colors))
+        top = max(c for c in range(k0) if pc.class_size[c])
+        gaps = sum(1 for c in range(top) if not pc.class_size[c])
+        want = find_extension(g, pc, k0) is not None
+        assert brute_extendable(g, pc, k0) is want
+        seen[min(gaps, 2), want] += 1
+    assert seen[2, True] > 100 and seen[2, False] > 100, seen
 
 
 def _tiny_net(rng):
