@@ -10,12 +10,15 @@ The partial coloring extends to an equitable k0-coloring only if this
 network carries a flow of value |U|; when the residual part is empty the
 condition is exact. Only the tests build that network, arc by arc with
 its lower bounds (`tests/literal_network.py`). This module decides the same
-question from the clique members' free-color masks that the rule
-prefilter's clique check left on the `hallrules.HallContext`, plus the
-residual vertices' masks it asks the context for (`resid_masks`, made
-only here), with no network built: the lower bounds are met by a plain
-max-flow with the floors as the color->sink capacities, and that flow is
-then grown to a maximum one under the ceilings.
+question on the `hallrules.HallContext` snapshot, with no network built.
+
+A flow here is bit-sliced: `W[c]` is the bitmask of the uncolored vertices
+the flow puts into color c, and (k0, W) is what `flow_feasible` returns.
+Through a clique, vertex x's unit reaches color c on the clique's copy of
+c, so one bit per (vertex, color) says everything the network's arcs do.
+The search queues a surviving child with the flow its test found, and the
+tests of that child's own children start from it: the start is patched to
+the new state, and only what the patch left open is completed.
 """
 
 from __future__ import annotations
@@ -25,145 +28,250 @@ from .decomposition import CliqueDecomposition
 from . import hallrules
 
 
-def flow_feasible(ctx: hallrules.HallContext) -> bool:
-    """Does the state behind ctx admit a full flow at ctx.k0? Equivalent
-    to `feasible_flow` on the literal network in `tests/literal_network.py`,
-    property-tested against it, whenever no class is above ceil(n/k0), as
-    at every k0 `candidate_k0_values` offers (the literal network refuses
-    the others). Outside that precondition the answer means nothing: on 8
-    isolated vertices with 4 colored 0, k0 = 3 gets True although
-    `oracle.brute_extendable` says False.
+def flow_feasible(ctx: hallrules.HallContext, start=None):
+    """A full flow for the state behind ctx at ctx.k0, as (k0, W), or None
+    when there is none. Equivalent to `feasible_flow` on the literal
+    network in `tests/literal_network.py`, property-tested against it,
+    whenever no class is above ceil(n/k0), as at every k0
+    `candidate_k0_values` offers (the literal network refuses the others).
+    Outside that precondition the answer means nothing: on 8 isolated
+    vertices with 4 colored 0, k0 = 3 gets a flow although
+    `oracle.brute_extendable` says no extension exists.
 
-    The assignment `color` (indexed in ctx order, -1 while unplaced) is a
-    flow over vertices, colors and the sink, whose arc from color c carries
-    the len(on[c]) vertices wearing c. It is grown in two phases of
-    augmenting paths, one vertex at a time, fewest free colors first, with
-    the color->sink capacities `lo` (the floors) and then `hi` (the
-    ceilings). Phase 1 is a plain max-flow under the floors and stops once
-    it has placed sum(lo) vertices; if it ends short, no flow meets every
-    floor. Phase 2 places the vertices phase 1 left, under the ceilings.
-    An augmenting path never lowers the flow into the sink on any color,
-    so the floors that phase 1 filled stay filled, and a vertex phase 2
-    cannot place means the flow is maximum on the placed vertices plus
-    this one, so no full flow exists.
+    `start` is any earlier flow (k0', W'), normally the parent node's; it
+    is read, never changed. The patch keeps of it what is still valid:
+    per color, the vertices that are still uncolored, free for the color
+    and not already kept on a lower color, one vertex per clique of ctx's
+    decomposition, and no more vertices than the class's ceiling leaves
+    room for (`hi`). What it drops is unplaced. With no start every vertex
+    is.
 
-    A vertex first tries the lowest free color its clique does not hold
-    and whose class is below the cap: an augmenting path of length one.
-    Otherwise one breadth-first search of the residual network looks for
-    a longer path: a vertex may take any other free color, bumping its
-    clique's holder of that color if there is one (this stands in for the
-    clique's copy of the color); a color ends the path while its class is
-    below the cap, and otherwise leads to its wearers. A vertex with no
-    path in a phase finds none later in that phase either: later paths
-    never enter the set it can reach.
+    The completion, in order of cost:
+    - each unplaced vertex goes directly on a free color that its clique
+      does not hold and whose class is below its ceiling, preferring a
+      class below its floor (`lo`);
+    - each class below its floor takes vertices that can move to it
+      directly from classes above their floors;
+    - what remains is settled by breadth-first augmenting paths. A vertex
+      may move to any other free color, bumping its clique's holder of
+      that color if there is one (this stands in for the clique's copy
+      of the color); a class leads to its wearers. (A) While a class is
+      below its floor, one search from every surplus (an unplaced
+      vertex, or a class above its floor) must reach a class below its
+      floor. (B) Then every unplaced vertex must reach a class below its
+      ceiling. A search that reaches none proves that no full flow
+      exists; one that does moves the vertices along its path.
+
+    Exactness from any start. Every step keeps the flow f within the
+    ceilings, the free colors and the clique limits. Let f* be any full
+    flow. On the arcs between vertices, clique copies and colors, f* - f
+    is a flow in f's residual network whose supplies are f's unplaced
+    vertices (one unit each) and the colors c with |f(c)| > |f*(c)|, and
+    whose demands are the colors with |f*(c)| > |f(c)|; it decomposes
+    into paths from supplies to demands, plus cycles. A color c below its
+    floor has |f*(c)| >= floor > |f(c)|, so a path ends at c, and its
+    start is an unplaced vertex or a color d with |f(d)| > |f*(d)| >=
+    floor: a surplus reaches c, which is check (A). An unplaced vertex u
+    starts a path, and it ends at a color c with |f(c)| < |f*(c)| <=
+    ceiling: u reaches a class below its ceiling, which is check (B). So
+    a failed search proves infeasibility whatever f is. Each successful
+    path of (A) shortens one floor by one and takes one unit from a
+    surplus, which stays at or above its floor; each of (B) places one
+    vertex under a ceiling without emptying a floor. Both phases end,
+    with a full flow or a failed search.
     """
     k0 = ctx.k0
-    lo = []  # per color, how many uncolored vertices it must still take
-    hi = []  # and may still take, for its class to end within the window
-    for s in ctx.class_sizes:
-        need = ctx.floor_size - s
-        lo.append(need if need > 0 else 0)
-        hi.append(ctx.ceil_size - s)
-    masks = []
-    part = []  # clique index per vertex, -1 in the residual set
-    for j, clique in enumerate(ctx.clique_masks):
-        masks += clique
-        part += [j] * len(clique)
-    resid_masks = ctx.resid_masks()
-    masks += resid_masks
-    part += [-1] * len(resid_masks)
-    n_u = len(masks)
-    floors = sum(lo)
-    if floors > n_u:
-        return False
-    color = [-1] * n_u
-    on = [[] for _ in range(k0)]  # the vertices wearing each color
-    holder = {}  # (clique, color) -> the member wearing it
-    # per clique, the colors it holds; the last slot, read by the residual
-    # vertices as held[-1], stays 0
-    held = [0] * (len(ctx.clique_masks) + 1)
+    floor_size, ceil_size = ctx.floor_size, ctx.ceil_size
+    sizes = ctx.class_sizes
+    # per color, how many uncolored vertices it must take, and may take,
+    # for its class to end within the window
+    lo = [floor_size - s if s < floor_size else 0 for s in sizes]
+    hi = [ceil_size - s for s in sizes]
+    uncolored = ctx.uncolored
+    if sum(lo) > uncolored.bit_count():
+        return None
+    barred = ctx.barred
+    cliques = ctx.cliques
+    covered = uncolored & ~ctx.residual  # the clique members
 
-    def move(x, c):
-        """Recolor x to c; returns its old color."""
-        old = color[x]
-        j = part[x]
-        if old >= 0:
-            on[old].remove(x)
-            if j >= 0:
-                del holder[j, old]
-                held[j] ^= 1 << old
-        color[x] = c
-        on[c].append(x)
-        if j >= 0:
-            holder[j, c] = x
-            held[j] |= 1 << c
-        return old
+    def clique_of(bit):
+        """The clique holding the vertex `bit`, 0 for a residual vertex."""
+        if bit & covered:
+            for q in cliques:
+                if q & bit:
+                    return q
+        return 0
 
-    def augment(u, cap):
-        """Place u along an augmenting path that ends at a color below cap;
-        False if there is none."""
-        mask = masks[u] & ~held[part[u]]
-        while mask:
-            bit = mask & -mask
-            c = bit.bit_length() - 1
-            if len(on[c]) < cap[c]:
-                move(u, c)
-                return True
-            mask ^= bit
+    def entering(c):
+        """The vertices that can move into color c directly: free for it,
+        not wearing it, and outside the cliques that hold it."""
+        wc = W[c]
+        into = uncolored & ~barred[c] & ~wc
+        if wc & covered:
+            for q in cliques:
+                if wc & q:
+                    into &= ~q
+        return into
 
-        prev = [-1] * (n_u + k0)  # node ids: vertices, then colors
-        prev[u] = u
-        queue = [u]
-        end = -1
-        for node in queue:
-            if node < n_u:
-                mask = masks[node]
-                if color[node] >= 0:
-                    mask ^= 1 << color[node]
-                j = part[node]
-                while mask:
-                    bit = mask & -mask
-                    mask ^= bit
-                    c = bit.bit_length() - 1
-                    nxt = holder.get((j, c), n_u + c)
-                    if prev[nxt] < 0:
-                        prev[nxt] = node
-                        if nxt >= n_u and len(on[c]) < cap[c]:
-                            end = nxt
-                            break
-                        queue.append(nxt)
-                if end >= 0:
+    # the patch
+    W = []
+    count = []
+    unplaced = uncolored
+    if start is not None:
+        for w, bar, room in zip(start[1], barred, hi):
+            w &= unplaced & ~bar
+            x = w & covered
+            if x & (x - 1):  # two clique members: keep one per clique
+                for q in cliques:
+                    y = x & q
+                    if y & (y - 1):
+                        w ^= y ^ (y & -y)
+                    x ^= y
+                    if not x & (x - 1):
+                        break
+            size = w.bit_count()
+            while size > room:
+                w &= w - 1
+                size -= 1
+            W.append(w)
+            count.append(size)
+            unplaced ^= w
+    if len(W) < k0:
+        count += [0] * (k0 - len(W))
+        W += [0] * (k0 - len(W))
+
+    # direct placements
+    full = (1 << k0) - 1
+    forbidden = ctx.forbidden
+    move_barred, move_bit = ctx.move_barred, ctx.move_bit
+    todo = unplaced
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        m = ~forbidden[bit.bit_length() - 1] & full  # the free colors
+        if move_barred & bit:
+            m &= ~move_bit
+        q = clique_of(bit)
+        pick = -1
+        while m:
+            low = m & -m
+            m ^= low
+            c = low.bit_length() - 1
+            if count[c] >= hi[c] or W[c] & q:
+                continue
+            if count[c] < lo[c]:
+                pick = c
+                break
+            if pick < 0:
+                pick = c
+        if pick >= 0:
+            W[pick] |= bit
+            count[pick] += 1
+            unplaced ^= bit
+
+    # direct shifts into the classes below their floors
+    short = False
+    for c in range(k0):
+        if count[c] >= lo[c]:
+            continue
+        into = entering(c)
+        for d in range(k0):
+            while into and count[d] > lo[d] and count[c] < lo[c]:
+                bit = W[d] & into
+                if not bit:
                     break
-            else:
-                for y in on[node - n_u]:
-                    if prev[y] < 0:
-                        prev[y] = node
-                        queue.append(y)
+                bit &= -bit
+                W[d] ^= bit
+                W[c] |= bit
+                count[d] -= 1
+                count[c] += 1
+                into &= ~(clique_of(bit) or bit)
+        if count[c] < lo[c]:
+            short = True
+
+    def augment(cap, sources):
+        """One breadth-first search, a level at a time on vertex bitmasks,
+        from the unplaced vertices and the colors in `sources` to a color
+        below `cap`; moves the vertices on the path found and returns
+        True, or returns False."""
+        nonlocal unplaced
+        enter = [entering(c) for c in range(k0)]
+        via = {}  # color reached -> the vertex that enters it
+        bumper = {}  # vertex reached by a bump -> the clique-mate taking its color
+        seen_c = 0
+        front = unplaced
+        for d in sources:
+            seen_c |= 1 << d
+            front |= W[d]
+        seen_v = front
+        end = -1
+        while front:
+            nxt = 0
+            for c in range(k0):
+                if seen_c >> c & 1:
+                    continue
+                x = front & enter[c]
+                if x:
+                    seen_c |= 1 << c
+                    via[c] = (x & -x).bit_length() - 1
+                    if count[c] < cap[c]:
+                        end = c
+                        break
+                    x = W[c] & ~seen_v  # the color leads to its wearers
+                    seen_v |= x
+                    nxt |= x
+            if end >= 0:
+                break
+            if front & covered:
+                for q in cliques:
+                    s = front & q
+                    if not s:
+                        continue
+                    for c in range(k0):
+                        y = W[c] & q & ~seen_v
+                        if y:
+                            x = s & ~barred[c]
+                            if x:
+                                seen_v |= y
+                                nxt |= y
+                                bumper[y.bit_length() - 1] = (x & -x).bit_length() - 1
+            front = nxt
         if end < 0:
             return False
-        # recolor back from the end, so each target is vacated first; a
-        # bumped vertex hands its old color to the vertex before it
-        node = end
-        while node != u:
-            x = prev[node]
-            if x < n_u:
-                old = move(x, node - n_u if node >= n_u else old)
-            node = x
-        return True
+        count[end] += 1
+        c = end
+        x = via[c]
+        while True:  # x moves into c
+            bit = 1 << x
+            for old in range(k0):
+                if W[old] & bit:
+                    break
+            else:
+                old = -1
+            W[c] |= bit
+            if old < 0:
+                unplaced ^= bit
+                return True
+            W[old] ^= bit
+            if x in bumper:
+                x = bumper[x]
+            elif old in via:
+                x = via[old]
+            else:  # old is a source color
+                count[old] -= 1
+                return True
+            c = old
 
-    order = sorted(range(n_u), key=lambda x: masks[x].bit_count())
-    placed = 0
-    for u in order:
-        if placed == floors:
-            break
-        if augment(u, lo):
-            placed += 1
-    if placed < floors:
-        return False
-    for u in order:
-        if color[u] < 0 and not augment(u, hi):
-            return False
-    return True
+    # (A) the floors, from every surplus
+    while short:
+        if not augment(lo, [d for d in range(k0) if count[d] > lo[d]]):
+            return None
+        short = any(n < need for n, need in zip(count, lo))
+    # (B) the ceilings, for the vertices still unplaced
+    while unplaced:
+        if not augment(hi, ()):
+            return None
+    return k0, tuple(W)
 
 
 def flow_prune(
@@ -173,12 +281,16 @@ def flow_prune(
     k_upper: int,
     stats=None,
     move: tuple[int, int] | None = None,
+    start=None,
+    found: list | None = None,
 ) -> bool:
     """True iff no k0 in the candidate range admits a feasible flow, i.e.
     the branch cannot reach a strictly better equitable coloring. Given a
     move (v, i), the node judged is the child that colors v with i, read
     from pc without extending it; decomp is the child's decomposition
-    either way.
+    either way. Each flow test starts from `start`, the flow of the node
+    judged's parent, if given. When the node survives and `found` is a
+    list, the flow that kept it is appended to it.
 
     The arithmetic Hall rules are necessary for feasibility, so each k0 is
     screened by them first and the flow problem is solved only when all
@@ -191,7 +303,10 @@ def flow_prune(
             continue
         if stats is not None:
             stats.flow_solves += 1
-        if flow_feasible(ctx):
+        flow = flow_feasible(ctx, start)
+        if flow is not None:
+            if found is not None:
+                found.append(flow)
             return False
     if stats is not None:
         stats.prunes_flow += 1

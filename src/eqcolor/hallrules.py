@@ -11,7 +11,7 @@ The rules read a `HallContext`, a snapshot of one child at one color
 count, and compute from it only what they need, in bit-sliced form (one
 vertex bitmask per color): a rule that fails early spares the work of the
 ones after it, and a rule that passes leaves behind what a later reader
-(the negative rule, the flow test) would recompute.
+(the negative rule) would recompute.
 
 Callers ask only about k0 >= k_used. Then the all-but-one color sets add
 nothing: with class sizes and uncolored vertices summing to n, a starved
@@ -48,9 +48,9 @@ class HallContext:
 
     Per-vertex free-color masks are read from `pc.forbidden_mask` when a
     rule or the flow test needs them, so a context is valid only until pc
-    next changes. The aggregates `supply`, `single_free`, `empty_free`
-    and `clique_masks` stay readable as properties for inspection and
-    tests; the rules never read the first three.
+    next changes. The aggregates `supply`, `single_free` and `empty_free`
+    stay readable as properties for inspection and tests; the rules never
+    read them.
     """
 
     __slots__ = (
@@ -67,7 +67,6 @@ class HallContext:
         "move_bit",
         "_free_any",
         "_free_two",
-        "_clique_masks",
     )
 
     def __init__(
@@ -91,7 +90,6 @@ class HallContext:
         # vertices free for at least one and at least two colors, stored by
         # the positive rule when its pass over the colors completes
         self._free_any = self._free_two = None
-        self._clique_masks = None
         if move is not None:
             v, i = move
             self.uncolored ^= 1 << v
@@ -112,17 +110,6 @@ class HallContext:
             ~forbidden[w] & (cut if hit >> w & 1 else full)
             for w in mask_vertices(vertices)
         ]
-
-    def resid_masks(self) -> list[int]:
-        """Free-color masks of the residual vertices, ascending."""
-        return self._free_masks(self.residual)
-
-    @property
-    def clique_masks(self) -> list[list[int]]:
-        """Per clique, its members' free-color masks, ascending."""
-        if self._clique_masks is None:
-            self._clique_masks = [self._free_masks(c) for c in self.cliques]
-        return self._clique_masks
 
     def _free_sets(self) -> tuple[int, int]:
         """The uncolored vertices free for at least one color, and those
@@ -246,16 +233,11 @@ def check_clique_hall(ctx: HallContext) -> bool:
     colors; by Hall's theorem the matching test covers the whole family of
     per-clique subset conditions at once. A clique's member masks are made
     when it is checked, and the check stops at the first clique with no
-    SDR; when every clique has one, the masks stay on the context for the
-    flow test."""
+    SDR."""
     k0 = ctx.k0
-    masks = []
     for c in ctx.cliques:
-        members = ctx._free_masks(c)
-        if not _clique_has_sdr(members, k0):
+        if not _clique_has_sdr(ctx._free_masks(c), k0):
             return False
-        masks.append(members)
-    ctx._clique_masks = masks
     return True
 
 

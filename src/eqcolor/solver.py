@@ -16,7 +16,9 @@ largest-class test is decided before the move. flow and comb then
 judge a child that passes it from the parent's state plus the move
 (v, i), without extending it (`HallContext` with a move). A surviving
 child is queued unextended under every variant and extended once, when
-it is popped.
+it is popped. Under flow a queued child carries the flow its test found
+(`flow_feasible`'s (k0, W)), and the tests of its own children start
+from that flow; no test changes a flow it starts from.
 
 The search runs on a copy of the graph relabeled by `Graph.order`, so
 vertex r is the r-th vertex of the order and "first in the order" is
@@ -82,7 +84,6 @@ class SearchStats:
     elapsed: float = 0.0
     timed_out: bool = False
     interrupted: bool = False
-    gap_closed_at_root: bool = False
 
 
 @dataclass
@@ -195,19 +196,23 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
     k_upper, incumbent = g.n, list(range(g.n))
     # looked up per call, so rebinding the module attributes takes effect
     prune = {"flow": flow_prune, "comb": comb_prune}.get(cfg.variant)
-    stack = []  # (trail depth, vertex, color) of unextended children
+    carries_flow = cfg.variant == "flow"
+    # (trail depth, vertex, color, flow or None) of unextended children
+    stack = []
     nodes = 1  # root
     timed_out = interrupted = False
     try:
         k_lower, k_upper, incumbent, root_clique = initial_bounds(g, deadline)
         stats.k_lower = k_lower
-        closed = stats.gap_closed_at_root = k_lower >= k_upper
+        closed = k_lower >= k_upper
         # past the deadline, screening the root's children alone could take
         # k_upper engine calls per child
         timed_out = not closed and time.perf_counter() > deadline
         stride = cfg.cd_stride
 
-        def push_children(depth: int) -> None:
+        def push_children(depth: int, flow) -> None:
+            """Queue the children that survive; under flow, their tests
+            start from `flow`, the flow of the node being branched."""
             v = _dsatur_pick(pc)
             limit = pc.k_used + 1
             if limit > k_upper - 1:
@@ -217,6 +222,9 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
             # every child leaves the same uncolored set: project once, for
             # the first child the deficit test lets through
             child_decomp = None
+            # flow_prune appends a surviving child's flow here
+            found = []
+            extra = (flow, found) if carries_flow else ()
             # iterate colors descending so the LIFO pop order is ascending
             while mask:
                 i = mask.bit_length() - 1
@@ -227,9 +235,9 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                 if prune is not None:
                     if child_decomp is None:
                         child_decomp = decomp.restricted_to(pc.uncolored_mask ^ (1 << v))
-                    if prune(pc, child_decomp, k_lower, k_upper, stats, (v, i)):
+                    if prune(pc, child_decomp, k_lower, k_upper, stats, (v, i), *extra):
                         continue
-                stack.append((child_depth, v, i))
+                stack.append((child_depth, v, i, found.pop() if found else None))
 
         # a root clique covering every vertex gives k_lower = n: closed
         if not (closed or timed_out):
@@ -238,10 +246,10 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                 pc.extend(v, idx)
             if prune is not None:
                 decomp = restarted_decomposition(g, pc.uncolored_mask)
-            push_children(pc.depth)
+            push_children(pc.depth, None)
 
         while stack:
-            depth, v, i = stack.pop()
+            depth, v, i, flow = stack.pop()
             if i > k_upper - 2:
                 continue  # bound improved since this child was queued
             while pc.depth >= depth:
@@ -260,7 +268,7 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                 continue
             if prune is not None and nodes % stride == 0:
                 decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
-            push_children(depth)
+            push_children(depth, flow)
     except KeyboardInterrupt:
         interrupted = True
         # the interrupt may fall between the two incumbent assignments

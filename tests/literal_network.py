@@ -6,9 +6,10 @@ layered network with per-arc [lower, upper] bounds (`FlowNetwork`,
 Hoffman inequalities on tiny networks (`enumerate_hoffman`).
 
 The search's engine, `eqcolor.flownet.flow_feasible`, builds no network
-and shares no flow code with this module; the tests check it against the
-network built here. Tests import this module the way they import
-`helpers`."""
+and shares no flow code with this module; the tests check its verdicts
+against the network built here, and each flow it returns against the
+network's arc bounds (`check_vertex_flow`). Tests import this module the
+way they import `helpers`."""
 
 from __future__ import annotations
 
@@ -230,6 +231,39 @@ def extract_coloring(net: FlowNetwork, flow: list[int] | None) -> dict[int, int]
         if flow[start + offset] == 1:
             assign[v] = i
     return assign
+
+
+def check_vertex_flow(
+    pc: PartialColoring, decomp: CliqueDecomposition, k0: int, flow
+) -> None:
+    """Assert that `flow`, a (k0, W) pair from `flow_feasible` with W[c]
+    the bitmask of the uncolored vertices it puts into color c, is a full
+    flow of the network for (pc, decomp, k0): each uncolored vertex is in
+    exactly one W[c] and no colored vertex in any, c is free for it (no
+    neighbor wears c), each clique holds at most one vertex per color,
+    and every class ends within floor(n/k0)..ceil(n/k0). Reads the
+    adjacency sets and `color_of`, not the masks the engine reads."""
+    got_k0, W = flow
+    assert got_k0 == k0 and len(W) == k0, (got_k0, len(W))
+    n = pc.n
+    for c, w in enumerate(W):
+        assert 0 <= w < 1 << n, f"color {c} holds a vertex outside the graph"
+    for v in range(n):
+        wearing = [c for c in range(k0) if W[c] >> v & 1]
+        if pc.color_of[v] >= 0:
+            assert not wearing, f"colored vertex {v} placed on {wearing}"
+            continue
+        assert len(wearing) == 1, f"uncolored vertex {v} placed on {wearing}"
+        c = wearing[0]
+        assert all(pc.color_of[w] != c for w in pc.g.adj[v]), f"{v} barred from {c}"
+    for clique in decomp.cliques:
+        for c in range(k0):
+            members = [v for v in clique if W[c] >> v & 1]
+            assert len(members) <= 1, f"clique members {members} share color {c}"
+    floor_size, ceil_size = n // k0, -(-n // k0)
+    for c in range(k0):
+        size = pc.class_size[c] + sum(1 for v in range(n) if W[c] >> v & 1)
+        assert floor_size <= size <= ceil_size, f"class {c} ends at {size}"
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,10 +16,17 @@ from helpers import (
     find_extension,
     mask,
     proper_and_equitable,
+    random_decomposition,
     random_state,
     table1_flow,
 )
-from literal_network import _max_flow, build_network, extract_coloring, feasible_flow
+from literal_network import (
+    _max_flow,
+    build_network,
+    check_vertex_flow,
+    extract_coloring,
+    feasible_flow,
+)
 
 
 def hub_triangles_state():
@@ -246,7 +254,7 @@ def test_flow_prune_prefilter_equivalent():
         k_upper = rng.randint(k0, g.n + 1)
         k_lower = rng.randint(1, max(1, pc.k_used))
         unfiltered = not any(
-            flow_feasible(HallContext(pc, decomp, k))
+            flow_feasible(HallContext(pc, decomp, k)) is not None
             for k in candidate_k0_values(pc, k_lower, k_upper)
         )
         assert flow_prune(pc, decomp, k_lower, k_upper) == unfiltered
@@ -257,17 +265,20 @@ def test_fast_path_matches_reference():
     for _ in range(2000):
         _, pc, decomp, k0 = random_state(rng, n_max=9)
         ref = feasible_flow(build_network(pc, decomp, k0)) is not None
-        ctx = HallContext(pc, decomp, k0)
-        assert flow_feasible(ctx) == ref
+        flow = flow_feasible(HallContext(pc, decomp, k0))
+        assert (flow is not None) == ref
+        if flow is not None:
+            check_vertex_flow(pc, decomp, k0, flow)
 
 
 def test_exact_search_reroutes_through_the_hub():
     """At k0 = 5, 11 vertices give class windows [2, 3]; classes 0-4 hold
-    2/1/1/2/0, so the floors ask for 0/1/1/0/2 more. Phase 1 puts 2 on
-    color 2, 6 on 1 and 7 on 4 directly. Then 8 finds colors 1 and 2 at
-    their floors and 4 held by its clique, and its path 8 -> color 1 ->
-    6 -> color 4 moves 6 onto the floor class 4 still lacks. Phase 2
-    puts 3 on color 3, one above that class's floor."""
+    2/1/1/2/0, so the floors ask for 0/1/1/0/2 more. The direct
+    placements put 2 on color 2, 3 on 1, and 6 and 7 on 4, which fills
+    every floor. 8 is free for colors 1, 2 and 4 only, and its clique
+    {2, 3, 7, 8} holds all three, so only a search places it: its path
+    8 -> 3 -> color 3 bumps 3 off color 1 onto color 3, one above that
+    class's floor."""
     g = Graph(11, [
         (0, 1), (0, 5), (0, 6), (0, 8), (0, 10), (1, 2), (1, 4), (1, 5),
         (1, 9), (2, 3), (2, 4), (2, 6), (2, 7), (2, 8), (2, 9), (3, 7),
@@ -278,8 +289,10 @@ def test_exact_search_reroutes_through_the_hub():
     for v, c in ((0, 0), (1, 1), (4, 3), (5, 2), (9, 0), (10, 3)):
         pc.extend(v, c)
     decomp = CliqueDecomposition([mask([8, 2, 7, 3])], mask([6]))
-    ref = feasible_flow(build_network(pc, decomp, 5)) is not None
-    assert flow_feasible(HallContext(pc, decomp, 5)) == ref
+    assert feasible_flow(build_network(pc, decomp, 5)) is not None
+    flow = flow_feasible(HallContext(pc, decomp, 5))
+    check_vertex_flow(pc, decomp, 5, flow)
+    assert flow[1][1] == mask([8]) and flow[1][3] == mask([3])
 
 
 def _isolated_uncolored_state(n, colored, edges):
@@ -296,13 +309,13 @@ def _isolated_uncolored_state(n, colored, edges):
 def test_floors_short_although_every_vertex_fits_a_ceiling():
     """k0 = 3 on 10 vertices: windows [3, 4]. Vertex 0 wears color 2 and
     bars it from 1-8, so only 9 can join class 2, whose floor needs two.
-    Phase 1 fills classes 0 and 1 to their floors from 1-6, cannot place
-    7 or 8, and puts 9 on color 2: 7 of the 8 floor units. Under the
-    ceilings alone 7 and 8 would still fit on colors 0 and 1."""
+    The direct placements put 1-8 on colors 0 and 1, above their floors,
+    and 9 on color 2: every vertex fits under the ceilings, but no search
+    from the surplus classes 0 and 1 reaches color 2."""
     g, pc, decomp = _isolated_uncolored_state(
         10, [(0, 2)], [(0, v) for v in range(1, 9)]
     )
-    assert flow_feasible(HallContext(pc, decomp, 3)) is False
+    assert flow_feasible(HallContext(pc, decomp, 3)) is None
     assert feasible_flow(build_network(pc, decomp, 3)) is None
     assert brute_extendable(g, pc, 3) is False
 
@@ -311,42 +324,124 @@ def test_phase_one_path_must_end_below_a_floor():
     """k0 = 3 on 7 vertices: windows [2, 3], classes 0-2 hold 2/1/1, so
     the floors ask for 0/1/1 more and color 0 has room for one above its
     floor. Every uncolored vertex is barred from color 1, so no flow meets
-    its floor. Vertex 4, free only for color 0, comes first; a path that
-    ended at color 0 because it is below its ceiling would count 4 toward
-    the floors, and 5 on color 2 would then make the count look complete."""
+    its floor. The direct placements put 4, free only for color 0, on
+    color 0 and 5 and 6 on color 2: every vertex is placed and two vertices
+    went to classes then below their floors, but class 1 is still short
+    and no surplus reaches it."""
     g, pc, decomp = _isolated_uncolored_state(
         7,
         [(0, 0), (1, 0), (2, 1), (3, 2)],
         [(4, 2), (4, 3), (5, 2), (6, 2)],
     )
-    assert flow_feasible(HallContext(pc, decomp, 3)) is False
+    assert flow_feasible(HallContext(pc, decomp, 3)) is None
     assert feasible_flow(build_network(pc, decomp, 3)) is None
     assert brute_extendable(g, pc, 3) is False
 
 
 def test_vertex_phase_one_misses_is_placed_by_phase_two():
     """The state above with color 1 open again: vertex 4, free only for
-    color 0, whose class is at its floor, misses phase 1; 5 and 6 fill the
-    floors of 1 and 2, and phase 2 puts 4 on color 0 under its ceiling."""
+    color 0, whose class is at its floor, goes on color 0 under its
+    ceiling, and 5 and 6 fill the floors of 1 and 2."""
     g, pc, decomp = _isolated_uncolored_state(
         7, [(0, 0), (1, 0), (2, 1), (3, 2)], [(4, 2), (4, 3)]
     )
-    assert flow_feasible(HallContext(pc, decomp, 3)) is True
+    flow = flow_feasible(HallContext(pc, decomp, 3))
+    assert flow == (3, (mask([4]), mask([5]), mask([6])))
     assert feasible_flow(build_network(pc, decomp, 3)) is not None
     assert brute_extendable(g, pc, 3) is True
 
 
 def test_flow_feasible_precondition_no_class_above_ceiling():
     """flow_feasible reads no class above ceil(n/k0), so outside its
-    precondition it may answer True for a state that cannot extend. The
+    precondition it may return a flow for a state that cannot extend. The
     search never asks: candidate_k0_values skips such a k0, and the
     literal network refuses it."""
     g, pc, decomp = _isolated_uncolored_state(8, [(v, 0) for v in range(4)], [])
-    assert flow_feasible(HallContext(pc, decomp, 3)) is True
+    assert flow_feasible(HallContext(pc, decomp, 3)) is not None
     assert brute_extendable(g, pc, 3) is False
     assert 3 not in candidate_k0_values(pc, 1, 9)
     with pytest.raises(ValueError):
         build_network(pc, decomp, 3)
+
+
+def _judge_from(pc, decomp, k0, start, move=None):
+    """flow_feasible on the state pc, or on its child that makes `move`,
+    started from `start`: the verdict equals the literal network's, the
+    start comes back unchanged, and a returned flow passes
+    check_vertex_flow. Returns the flow."""
+    before = None if start is None else (start[0], list(start[1]))
+    flow = flow_feasible(HallContext(pc, decomp, k0, move), start)
+    assert before is None or (start[0], list(start[1])) == before
+    if move is not None:
+        pc.extend(*move)
+    exact = feasible_flow(build_network(pc, decomp, k0)) is not None
+    assert (flow is not None) == exact
+    if flow is not None:
+        check_vertex_flow(pc, decomp, k0, flow)
+    if move is not None:
+        pc.retract()
+    return flow
+
+
+def _partial_flow(rng, pc, decomp, k0):
+    """A random partial flow within the ceilings: in random order, each
+    uncolored vertex goes with probability 1/2 on a random free color
+    that its clique does not hold and whose class is below its ceiling.
+    W is a list, so a change to it would show."""
+    ceil_size = -(-pc.n // k0)
+    W = [0] * k0
+    for v in rng.sample(sorted(pc.uncolored), len(pc.uncolored)):
+        clique = next((c for c in decomp.masks if c >> v & 1), 0)
+        colors = [
+            c
+            for c in range(k0)
+            if pc.free_mask(v, k0) >> c & 1
+            and not W[c] & clique
+            and pc.class_size[c] + W[c].bit_count() < ceil_size
+        ]
+        if colors and rng.random() < 0.5:
+            W[rng.choice(colors)] |= 1 << v
+    return k0, W
+
+
+def test_flow_feasible_is_exact_from_any_start():
+    """flow_feasible decides the literal network's question from any start
+    (`_judge_from`), on three kinds of start:
+    - a neighbor state's full flow: a state's flow for its child judged
+      from the state plus the move, as the search passes it, on a new
+      decomposition of the child and at every k0 the child offers; and
+      the child's flow back for the state;
+    - random partial flows within the ceilings;
+    - random masks for a random color count, which put colored vertices,
+      barred colors, two members of a clique and more than a ceiling on
+      one color, and one vertex on several colors."""
+    rng = random.Random(56)
+    seen = Counter()
+    for _ in range(1500):
+        g, pc, decomp, k0 = random_state(rng, n_max=9)
+        flow = _judge_from(pc, decomp, k0, _partial_flow(rng, pc, decomp, k0))
+        seen["partial", flow is not None] += 1
+        k = rng.randint(1, g.n)
+        broken = (k, [rng.getrandbits(g.n) for _ in range(k)])
+        flow = _judge_from(pc, decomp, k0, broken)
+        seen["broken", flow is not None] += 1
+        if flow is None or not pc.uncolored:
+            continue
+        v = rng.choice(sorted(pc.uncolored))
+        limit = min(pc.k_used + 1, g.n)
+        colors = [i for i in range(limit) if pc.free_mask(v, limit) >> i & 1]
+        if not colors:
+            continue
+        move = (v, rng.choice(colors))
+        child_decomp = random_decomposition(rng, g, pc.uncolored - {v})
+        for k in candidate_k0_values(pc, 1, g.n + 1, move):
+            child_flow = _judge_from(pc, child_decomp, k, flow, move)
+            seen["parent's", child_flow is not None] += 1
+            if child_flow is not None:
+                back = _judge_from(pc, decomp, k0, child_flow)
+                seen["child's", back is not None] += 1
+    assert min(seen.values()) > 100 and len(seen) == 7, seen
+
 
 def _random_paired_network(rng):
     n = rng.randint(2, 7)

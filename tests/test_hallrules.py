@@ -18,7 +18,7 @@ from eqcolor.hallrules import (
 from eqcolor.instances import by_name
 from eqcolor.oracle import brute_extendable
 from helpers import literal_hall_context, mask, random_decomposition, random_state
-from literal_network import build_network, feasible_flow
+from literal_network import build_network, check_vertex_flow, feasible_flow
 
 
 def hub_triangles_state():
@@ -250,25 +250,28 @@ def test_comb_prune_counts_empty_candidate_range_as_pruned_node():
 
 def _harvest(monkeypatch, g, variant, every):
     """States a real search hands its pruning engine, one in every `every`
-    calls: (graph, color_of, decomposition, k_lower, k_upper, move). The
-    engine judges the child that makes `move` = (v, i) from its parent,
-    and `color_of` is that child's: the parent's with v colored i. The
-    graph is the one the search runs on (`pc.g`, g relabeled by its
-    order), which the decomposition's vertex ids refer to."""
+    calls: (graph, color_of, decomposition, k_lower, k_upper, move,
+    start). The engine judges the child that makes `move` = (v, i) from
+    its parent, and `color_of` is that child's: the parent's with v
+    colored i. The graph is the one the search runs on (`pc.g`, g
+    relabeled by its order), which the decomposition's vertex ids refer
+    to. `start` is the flow the flow tests start from: the parent's, None
+    at the root and under comb."""
     name = f"{variant}_prune"
     real = getattr(solver, name)
     states = []
     calls = 0
 
-    def spy(pc, decomp, k_lower, k_upper, stats=None, move=None):
+    def spy(pc, decomp, k_lower, k_upper, stats=None, move=None, *flow_args):
         nonlocal calls
         calls += 1
         if calls % every == 0:
             v, i = move
             color_of = list(pc.color_of)
             color_of[v] = i
-            states.append((pc.g, color_of, decomp, k_lower, k_upper, move))
-        return real(pc, decomp, k_lower, k_upper, stats, move)
+            start = flow_args[0] if flow_args else None
+            states.append((pc.g, color_of, decomp, k_lower, k_upper, move, start))
+        return real(pc, decomp, k_lower, k_upper, stats, move, *flow_args)
 
     monkeypatch.setattr(solver, name, spy)
     solve(g, SolverConfig(variant=variant))
@@ -287,10 +290,11 @@ def _replay(g, color_of):
 
 def test_rules_and_flow_agree_with_literal_network_on_search_states(monkeypatch):
     """Search-scale cross-check on states real searches reach: the hot-path
-    flow test matches the literal network, a failing rule implies an
-    infeasible network, and when every rule passes the two all-but-one
-    conditions the menu leaves out hold too (they are implied for
-    k0 >= k_used)."""
+    flow test matches the literal network, both cold and, on the flow
+    runs, from the flow the search passes (the parent's), and each flow it
+    returns passes check_vertex_flow; a failing rule implies an infeasible
+    network, and when every rule passes the two all-but-one conditions the
+    menu leaves out hold too (they are implied for k0 >= k_used)."""
     runs = [
         (by_name("queen6_6"), "comb", 100),
         (gen_gnp(40, 0.5, 11), "flow", 10),
@@ -298,16 +302,22 @@ def test_rules_and_flow_agree_with_literal_network_on_search_states(monkeypatch)
         (by_name("2-Insertions_3"), "flow", 40),
         (by_name("queen7_7"), "flow", 40),
     ]
-    pairs = failures = feasible = 0
+    pairs = failures = feasible = started = 0
     for graph, variant, every in runs:
-        for g, color_of, decomp, k_lower, k_upper, _ in _harvest(
+        for g, color_of, decomp, k_lower, k_upper, _, start in _harvest(
             monkeypatch, graph, variant, every
         ):
             pc = _replay(g, color_of)
             for k0 in candidate_k0_values(pc, k_lower, k_upper):
                 pairs += 1
                 exact = feasible_flow(build_network(pc, decomp, k0)) is not None
-                assert flow_feasible(HallContext(pc, decomp, k0)) is exact
+                starts = [None] if start is None else [None, start]
+                started += start is not None
+                for s in starts:
+                    flow = flow_feasible(HallContext(pc, decomp, k0), s)
+                    assert (flow is not None) is exact
+                    if flow is not None:
+                        check_vertex_flow(pc, decomp, k0, flow)
                 feasible += exact
                 if failing_rule(HallContext(pc, decomp, k0)) is not None:
                     failures += 1
@@ -326,7 +336,7 @@ def test_rules_and_flow_agree_with_literal_network_on_search_states(monkeypatch)
                     # negative, all colors but c
                     room = k0 * ceil_size - sum(sizes) - (ceil_size - sizes[c])
                     assert n_u - with_c <= room
-    assert pairs > 500 and failures > 50 and feasible > 300
+    assert pairs > 500 and failures > 50 and feasible > 300 and started > 300
 
 
 def _context_fields(ctx):
@@ -335,8 +345,8 @@ def _context_fields(ctx):
         "floor_size": ctx.floor_size,
         "ceil_size": ctx.ceil_size,
         "class_sizes": ctx.class_sizes,
-        "clique_masks": ctx.clique_masks,
-        "resid_masks": ctx.resid_masks(),
+        "clique_masks": [ctx._free_masks(c) for c in ctx.cliques],
+        "resid_masks": ctx._free_masks(ctx.residual),
         "supply": ctx.supply,
         "single_free": ctx.single_free,
         "empty_free": ctx.empty_free,
@@ -362,7 +372,7 @@ def test_bit_sliced_context_matches_per_vertex_recount(monkeypatch):
         (by_name("2-Insertions_3"), "flow", 20),
     ]
     for graph, variant, every in runs:
-        for g, color_of, decomp, k_lower, k_upper, _ in _harvest(
+        for g, color_of, decomp, k_lower, k_upper, _, _ in _harvest(
             monkeypatch, graph, variant, every
         ):
             pc = _replay(g, color_of)
@@ -438,7 +448,7 @@ def test_rules_on_demand_match_literal_recount_in_any_order(monkeypatch):
         (by_name("2-Insertions_3"), "flow", 20),
     ]
     for graph, variant, every in runs:
-        for g, color_of, decomp, k_lower, k_upper, move in _harvest(
+        for g, color_of, decomp, k_lower, k_upper, move, _ in _harvest(
             monkeypatch, graph, variant, every
         ):
             child = _replay(g, color_of)
@@ -523,7 +533,7 @@ def test_child_judged_from_parent_matches_extended_child(monkeypatch):
         (by_name("2-Insertions_3"), "flow", 20),
     ]
     for graph, variant, every in runs:
-        for g, color_of, decomp, k_lower, k_upper, move in _harvest(
+        for g, color_of, decomp, k_lower, k_upper, move, _ in _harvest(
             monkeypatch, graph, variant, every
         ):
             color_of[move[0]] = -1

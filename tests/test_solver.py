@@ -76,7 +76,7 @@ def test_complete_graph_closes_at_root():
         sol, stats = solve(complete(6), SolverConfig(variant=variant))
         assert sol.chi_eq == 6
         assert stats.nodes == 1
-        assert stats.gap_closed_at_root
+        assert stats.k_lower == sol.chi_eq
 
 
 def test_hub_triangles_node_thresholds():
