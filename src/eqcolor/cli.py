@@ -28,7 +28,6 @@ class BenchSpec:
     seed: int
     variants: tuple[str, ...] = VARIANTS
     time_limit: float = 3600.0
-    cd_stride: int = 1
 
     def __post_init__(self):
         if self.count < 1:
@@ -37,7 +36,7 @@ class BenchSpec:
             for p in self.p_list:
                 check_gnp_args(n, p)
         for v in self.variants:
-            SolverConfig(v, self.time_limit, self.cd_stride)
+            SolverConfig(v, self.time_limit)
 
 
 def instance_seed(base: int, n: int, p: float, index: int) -> int:
@@ -52,9 +51,7 @@ def instance_seed(base: int, n: int, p: float, index: int) -> int:
 
 def cmd_solve(args) -> int:
     try:
-        cfg = SolverConfig(
-            variant=args.algo, time_limit=args.time_limit, cd_stride=args.cd_stride
-        )
+        cfg = SolverConfig(variant=args.algo, time_limit=args.time_limit)
         with open(args.path, "r", encoding="utf-8") as fh:
             g = parse_dimacs(fh.read())
     except OSError as exc:
@@ -155,7 +152,7 @@ def run_bench(spec: BenchSpec, out_path: str) -> tuple[str, str]:
 
 def _campaign_rows(spec: BenchSpec):
     """One row per (instance, variant) solve, in campaign order."""
-    configs = [SolverConfig(v, spec.time_limit, spec.cd_stride) for v in spec.variants]
+    configs = [SolverConfig(v, spec.time_limit) for v in spec.variants]
     for n in spec.n_list:
         for p in spec.p_list:
             for index, seed, g in _gnp_instances(n, p, spec.count, spec.seed):
@@ -238,7 +235,6 @@ def cmd_bench(args) -> int:
             seed=args.seed,
             variants=tuple(args.algos),
             time_limit=args.time_limit,
-            cd_stride=args.cd_stride,
         )
         data_path, agg_path = run_bench(spec, args.out)
     except (OSError, ValueError) as exc:
@@ -307,7 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("path")
     p_solve.add_argument("--algo", choices=VARIANTS, default="comb")
     p_solve.add_argument("--time-limit", type=float, default=3600.0)
-    p_solve.add_argument("--cd-stride", type=int, default=1)
     p_solve.add_argument(
         "--json", action="store_true", help="print one JSON object instead of text"
     )
@@ -322,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--algos", nargs="+", choices=VARIANTS, default=list(VARIANTS)
     )
     p_bench.add_argument("--time-limit", type=float, default=3600.0)
-    p_bench.add_argument("--cd-stride", type=int, default=1)
     p_bench.add_argument("--out", required=True)
     p_bench.set_defaults(func=cmd_bench)
 

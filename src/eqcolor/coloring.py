@@ -78,11 +78,6 @@ class PartialColoring:
         self._trail = []
 
     @property
-    def t(self) -> int:
-        """Number of classes of maximum size M (0 for the empty coloring)."""
-        return self._size_hist[self.M] if self.M > 0 else 0
-
-    @property
     def depth(self) -> int:
         return len(self._trail)
 

@@ -31,19 +31,15 @@ class CliqueDecomposition:
     joins two distinct cliques) and a residual set U0 covering the rest.
 
     `masks` holds the cliques and `residual_mask` the residual set, as
-    vertex bitmasks; `cliques` and `residual` list the same sets as vertex
-    ids, for callers off the hot path."""
+    vertex bitmasks. `residual` (the residual's vertex ids) and `covered()`
+    (the number of clique vertices) serve the benchmark's layer trace; the
+    search reads only the masks."""
 
     __slots__ = ("masks", "residual_mask")
 
     def __init__(self, masks, residual_mask: int):
         self.masks = tuple(masks)
         self.residual_mask = residual_mask
-
-    @property
-    def cliques(self) -> tuple[tuple[int, ...], ...]:
-        """The cliques, each as its vertices in ascending order."""
-        return tuple(mask_vertices(c) for c in self.masks)
 
     @property
     def residual(self) -> frozenset:
@@ -64,41 +60,6 @@ class CliqueDecomposition:
                 cliques.append(c)
                 covered |= c
         return CliqueDecomposition(cliques, uncolored & ~covered)
-
-    def validate(self, g: Graph, uncolored: int) -> None:
-        """Raise ValueError unless all structural invariants hold for the
-        uncolored set (a bitmask)."""
-        adj = g.adj_mask
-        seen = 0
-        for c in self.masks:
-            if c.bit_count() < 2:
-                raise ValueError(f"clique {mask_vertices(c)} too small")
-            if c & seen:
-                raise ValueError("parts are not disjoint")
-            seen |= c
-            for u in mask_vertices(c):
-                missing = c & ~adj[u] & ~(1 << u)
-                if missing:
-                    v = missing.bit_length() - 1
-                    raise ValueError(
-                        f"{mask_vertices(c)} is not a clique: {u}-{v} missing"
-                    )
-        if seen & self.residual_mask:
-            raise ValueError("residual overlaps a clique")
-        if seen | self.residual_mask != uncolored:
-            raise ValueError("parts do not cover the uncolored set exactly")
-        for i, a in enumerate(self.masks):
-            reach = 0
-            for u in mask_vertices(a):
-                reach |= adj[u]
-            for b in self.masks[i + 1 :]:
-                if reach & b:
-                    raise ValueError(
-                        f"cliques {mask_vertices(a)} and {mask_vertices(b)} are adjacent"
-                    )
-
-    def __repr__(self):
-        return f"CliqueDecomposition(cliques={self.cliques}, residual={sorted(self.residual)})"
 
 
 def find_non_adjacent_cliques(g: Graph, uncolored: int) -> CliqueDecomposition:

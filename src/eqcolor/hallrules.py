@@ -48,9 +48,7 @@ class HallContext:
 
     Per-vertex free-color masks are read from `pc.forbidden_mask` when a
     rule or the flow test needs them, so a context is valid only until pc
-    next changes. The aggregates `supply`, `single_free` and `empty_free`
-    stay readable as properties for inspection and tests; the rules never
-    read them.
+    next changes.
     """
 
     __slots__ = (
@@ -123,31 +121,6 @@ class HallContext:
                 one |= free
             self._free_any, self._free_two = one, two
         return self._free_any, self._free_two
-
-    @property
-    def supply(self) -> list[int]:
-        """Per color f, the cliques that meet free_f plus the residual
-        vertices in it: how many vertices f can still take at most."""
-        uncolored, residual = self.uncolored, self.residual
-        supply = []
-        for barred in self.barred:
-            free = uncolored & ~barred
-            supply.append(
-                (residual & free).bit_count() + sum(1 for c in self.cliques if c & free)
-            )
-        return supply
-
-    @property
-    def single_free(self) -> list[int]:
-        """Per color f, the uncolored vertices free for f and no other."""
-        one, two = self._free_sets()
-        lone = one & ~two
-        return [(lone & ~barred).bit_count() for barred in self.barred]
-
-    @property
-    def empty_free(self) -> int:
-        """The uncolored vertices free for no color."""
-        return (self.uncolored & ~self._free_sets()[0]).bit_count()
 
 
 def check_positive_single(ctx: HallContext) -> bool:

@@ -8,7 +8,11 @@ import random
 
 from eqcolor import Graph, gen_gnp
 from eqcolor.coloring import PartialColoring
-from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
+from eqcolor.decomposition import (
+    CliqueDecomposition,
+    find_non_adjacent_cliques,
+    mask_vertices,
+)
 from literal_network import FlowNetwork
 
 
@@ -298,6 +302,37 @@ def reference_decomposition(g: Graph, uncolored):
     return cliques, residual
 
 
+def check_decomposition(d: CliqueDecomposition, g: Graph, uncolored: int) -> None:
+    """Raise ValueError unless d splits the uncolored set (a bitmask) into
+    pairwise non-adjacent cliques of size >= 2 and a residual set."""
+    adj = g.adj_mask
+    seen = 0
+    for c in d.masks:
+        if c.bit_count() < 2:
+            raise ValueError(f"clique {mask_vertices(c)} too small")
+        if c & seen:
+            raise ValueError("parts are not disjoint")
+        seen |= c
+        for u in mask_vertices(c):
+            missing = c & ~adj[u] & ~(1 << u)
+            if missing:
+                v = missing.bit_length() - 1
+                raise ValueError(f"{mask_vertices(c)} is not a clique: {u}-{v} missing")
+    if seen & d.residual_mask:
+        raise ValueError("residual overlaps a clique")
+    if seen | d.residual_mask != uncolored:
+        raise ValueError("parts do not cover the uncolored set exactly")
+    for i, a in enumerate(d.masks):
+        reach = 0
+        for u in mask_vertices(a):
+            reach |= adj[u]
+        for b in d.masks[i + 1 :]:
+            if reach & b:
+                raise ValueError(
+                    f"cliques {mask_vertices(a)} and {mask_vertices(b)} are adjacent"
+                )
+
+
 def recompute_forbidden(pc: PartialColoring):
     """From-scratch forbidden sets, for comparing against the
     incrementally maintained ones."""
@@ -347,8 +382,8 @@ def literal_hall_context(pc: PartialColoring, decomp: CliqueDecomposition, k0: i
         elif fm & (fm - 1) == 0:
             single_free[fm.bit_length() - 1] += 1
 
-    for clique in decomp.cliques:
-        masks = [~pc.forbidden_mask[v] & full for v in clique]
+    for clique in decomp.masks:
+        masks = [~pc.forbidden_mask[v] & full for v in mask_vertices(clique)]
         or_mask = 0
         for fm in masks:
             or_mask |= fm

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from eqcolor.coloring import PartialColoring
-from eqcolor.decomposition import CliqueDecomposition
+from eqcolor.decomposition import CliqueDecomposition, mask_vertices
 from eqcolor.oracle import OracleCapError
 
 def _max_flow(to: list, cap: list, adj: list, s: int, t: int) -> int:
@@ -107,7 +107,7 @@ def build_network(
         raise ValueError(f"k0={k0} below the {pc.k_used} classes already in use")
     if pc.M > ceil_size:
         raise ValueError(f"class of size {pc.M} exceeds ceil(n/k0)={ceil_size}")
-    parts = list(decomp.cliques)
+    parts = [mask_vertices(c) for c in decomp.masks]
     alphas = [1] * len(parts)
     if decomp.residual:
         parts.append(tuple(sorted(decomp.residual)))
@@ -256,9 +256,9 @@ def check_vertex_flow(
         assert len(wearing) == 1, f"uncolored vertex {v} placed on {wearing}"
         c = wearing[0]
         assert all(pc.color_of[w] != c for w in pc.g.adj[v]), f"{v} barred from {c}"
-    for clique in decomp.cliques:
+    for clique in decomp.masks:
         for c in range(k0):
-            members = [v for v in clique if W[c] >> v & 1]
+            members = [v for v in mask_vertices(clique) if W[c] >> v & 1]
             assert len(members) <= 1, f"clique members {members} share color {c}"
     floor_size, ceil_size = n // k0, -(-n // k0)
     for c in range(k0):

@@ -1,4 +1,9 @@
+import importlib.util
+from pathlib import Path
+
 import eqcolor
+from eqcolor import SolverConfig, gen_gnp, solve
+from eqcolor.solver import VARIANTS
 
 PUBLIC = {
     "DimacsError",
@@ -52,3 +57,25 @@ def test_oracle_has_no_limits_object():
     import eqcolor.oracle
 
     assert [n for n in ("OracleLimits", "DEFAULT_LIMITS") if hasattr(eqcolor.oracle, n)] == []
+
+
+def test_benchmark_trace_finds_the_names_it_reads():
+    """The benchmark's layer trace (`perfbench/layers.py`) wraps package
+    names looked up by string and reads `residual` and `covered()` of every
+    decomposition it times, so deleting one of them breaks the trace, not
+    the search. Its two flow targets name helpers that are already gone."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        g = gen_gnp(20, 0.5, 1)
+        for variant in VARIANTS:
+            solve(g, SolverConfig(variant=variant))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing.keys() <= {"flownet.greedy", "flownet.exact"}
+    for key in ("decomposition.root", "decomposition.find", "decomposition.restrict"):
+        assert tracer.counts[key, "covered"] > 0, key

@@ -342,7 +342,7 @@ def test_verify_reports_all_engines_timing_out(monkeypatch, capsys):
     "argv,message",
     [
         (["solve", "{col}", "--time-limit", "0"], "time_limit"),
-        (["solve", "{col}", "--cd-stride", "0"], "cd_stride"),
+        (["bench", "--n", "5", "--p", "0.5", "--time-limit", "0", "--out", "{csv}"], "time_limit"),
         (["bench", "--n", "5", "--p", "1", "--count", "0", "--out", "{csv}"], "count"),
         (["verify", "--gnp", "5", "0.5", "2", "--time-limit", "0"], "time_limit"),
         (["verify", "--gnp", "x", "0.5", "2"], "invalid literal"),

@@ -68,7 +68,7 @@ def test_lopsided_state_statistics():
     _, pc = lopsided_state()
     assert sorted(s for s in pc.class_size if s) == [1, 1, 1, 3]
     assert len(pc.uncolored) == 2
-    assert pc.M == 3 and pc.t == 1 and pc.k_used == 4
+    assert pc.M == 3 and pc._size_hist[pc.M] == 1 and pc.k_used == 4
 
 
 def snapshot(pc):
@@ -77,7 +77,7 @@ def snapshot(pc):
         set(pc.uncolored),
         list(pc.forbidden_mask),
         pc.M,
-        pc.t,
+        pc._size_hist[pc.M],
         pc.k_used,
     )
 
@@ -120,7 +120,7 @@ def test_incremental_matches_recompute_on_random_walks():
             assert recompute_masks(pc) == (pc.uncolored_mask, pc.barred_mask)
             sizes = sorted(s for s in pc.class_size if s)
             assert pc.M == (max(sizes) if sizes else 0)
-            assert pc.t == (sizes.count(pc.M) if sizes else 0)
+            assert pc._size_hist[pc.M] == sizes.count(pc.M)
             assert pc.k_used == len(sizes)
 
 
@@ -213,7 +213,7 @@ def test_deficit_prune_equivalent_sum_form():
             deficit = sum(pc.M - 1 - c for c in pc.class_size if 0 < c < pc.M - 1)
             assert predicted == (len(pc.uncolored) < deficit)
             k = max(k_lower, pc.k_used)
-            assert predicted_lower == (g.n < (pc.M - 1) * k + pc.t)
+            assert predicted_lower == (g.n < (pc.M - 1) * k + pc._size_hist[pc.M])
             pc.retract()
     assert min(cases.values()) > 500, cases
 

@@ -78,7 +78,7 @@ def test_star_center_colored_seven_colors_feasible():
     pc = PartialColoring(g)
     pc.extend(0, 0)
     decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
-    assert not decomp.cliques  # leaves are independent: all residual
+    assert not decomp.masks  # leaves are independent: all residual
     net = build_network(pc, decomp, 7)
     assert feasible_flow(net) is not None
     assert brute_extendable(g, pc, 7) is True
@@ -271,7 +271,7 @@ def test_fast_path_matches_reference():
             check_vertex_flow(pc, decomp, k0, flow)
 
 
-def test_exact_search_reroutes_through_the_hub():
+def test_search_places_a_vertex_by_bumping_its_clique_mate():
     """At k0 = 5, 11 vertices give class windows [2, 3]; classes 0-4 hold
     2/1/1/2/0, so the floors ask for 0/1/1/0/2 more. The direct
     placements put 2 on color 2, 3 on 1, and 6 and 7 on 4, which fills
@@ -320,7 +320,7 @@ def test_floors_short_although_every_vertex_fits_a_ceiling():
     assert brute_extendable(g, pc, 3) is False
 
 
-def test_phase_one_path_must_end_below_a_floor():
+def test_floor_search_fails_when_no_vertex_can_enter_a_short_class():
     """k0 = 3 on 7 vertices: windows [2, 3], classes 0-2 hold 2/1/1, so
     the floors ask for 0/1/1 more and color 0 has room for one above its
     floor. Every uncolored vertex is barred from color 1, so no flow meets
@@ -338,7 +338,7 @@ def test_phase_one_path_must_end_below_a_floor():
     assert brute_extendable(g, pc, 3) is False
 
 
-def test_vertex_phase_one_misses_is_placed_by_phase_two():
+def test_direct_placements_fill_floors_under_ceilings():
     """The state above with color 1 open again: vertex 4, free only for
     color 0, whose class is at its floor, goes on color 0 under its
     ceiling, and 5 and 6 fill the floors of 1 and 2."""
