@@ -1,15 +1,15 @@
 """Partial colorings with incremental bookkeeping and arithmetic pruning.
 
-Colors are 0-based indices internally. A partial coloring tracks, per
-vertex, the set of colors used by colored neighbors as a bitmask, the
-DSATUR branching priority that follows from it, and a histogram of class
-sizes so the largest-class statistics cost O(1). It also keeps the same
-facts sliced the other way, as vertex bitmasks: the uncolored set, and per
-color the vertices with a neighbor of that color. The clique decomposition
-and the Hall context are built from these with a few big-int operations
-per clique and per color. The search undoes strictly last-in-first-out, so
-each trail entry records the neighbors its extend barred from a color and
-the color's old vertex bitmask, and a retract restores exactly those.
+Colors are 0-based indices internally. A partial coloring keeps its state
+as vertex bitmasks: the uncolored set, and per color the vertices with a
+neighbor of that color, the one record of which colors each vertex may
+not take. Next to them it keeps the DSATUR branching priority of every
+vertex and a histogram of class sizes, so the largest-class statistics
+cost O(1). The clique decomposition and the Hall context are built from
+the masks with a few big-int operations per clique and per color. The
+search undoes strictly last-in-first-out, so each trail entry records the
+neighbors its extend barred from a color and the color's old vertex
+bitmask, and a retract restores exactly those.
 
 The largest-class test (`deficit_prune`) is decided for a child before
 the move: from the parent's statistics and the child's color alone, so a
@@ -25,20 +25,20 @@ from .graph import Graph
 class PartialColoring:
     """Mutable partial coloring supporting O(deg) extend/retract.
 
-    `forbidden_mask[v]` has bit i set iff some colored neighbor of v wears
-    color i; its popcount is v's saturation degree. The mask is kept for
-    every vertex, colored or not, and so is
-    `priority[v] = popcount(forbidden_mask[v]) * n + (n - 1 - r)`, where r
-    is v's position in `g.order`. The keys are distinct, and a larger key
-    means higher saturation, then higher degree, then lower index, since
-    `g.order` ranks by decreasing degree with ties to the lower index.
-
     `uncolored_mask` has bit v set iff v is uncolored (the bitmask of the
     set `uncolored`), and `barred_mask[i]` has bit w set iff some neighbor
-    of w wears color i. Each `_trail` entry is `(v, i, barred, old)`,
-    where `barred` lists the neighbors of v that lacked bit i before v was
-    colored i and `old` is `barred_mask[i]` before the move, so a retract
-    sequence restores earlier states exactly.
+    of w wears color i: w may not take i. The masks cover every vertex,
+    colored or not, and so does
+    `priority[v] = s * n + (n - 1 - r)`, where s is the number of colors
+    whose barred mask holds v (v's saturation degree) and r is v's
+    position in `g.order`. The keys are distinct, and a larger key means
+    higher saturation, then higher degree, then lower index, since
+    `g.order` ranks by decreasing degree with ties to the lower index.
+
+    Each `_trail` entry is `(v, i, barred, old)`, where `barred` lists the
+    neighbors of v that were not in `barred_mask[i]` before v was colored
+    i and `old` is `barred_mask[i]` before the move, so a retract sequence
+    restores earlier states exactly.
     """
 
     __slots__ = (
@@ -48,7 +48,6 @@ class PartialColoring:
         "class_size",
         "uncolored",
         "uncolored_mask",
-        "forbidden_mask",
         "barred_mask",
         "adj_mask",
         "priority",
@@ -66,7 +65,6 @@ class PartialColoring:
         self.class_size = [0] * n
         self.uncolored = set(range(n))
         self.uncolored_mask = (1 << n) - 1
-        self.forbidden_mask = [0] * n
         self.barred_mask = [0] * n
         self.adj_mask = g.adj_mask
         self.priority = priority = [0] * n
@@ -81,15 +79,11 @@ class PartialColoring:
     def depth(self) -> int:
         return len(self._trail)
 
-    def free_mask(self, v: int, k0: int) -> int:
-        """Bitmask of colors in {0..k0-1} not forbidden for v."""
-        return ~self.forbidden_mask[v] & ((1 << k0) - 1)
-
     def extend(self, v: int, i: int) -> None:
         """Place uncolored v into class i. Violating the preconditions
         (v uncolored, i free for v) is a programming error."""
         assert self.color_of[v] == -1, f"vertex {v} already colored"
-        assert not (self.forbidden_mask[v] >> i) & 1, f"color {i} forbidden for {v}"
+        assert not self.barred_mask[i] >> v & 1, f"color {i} barred for {v}"
         self.color_of[v] = i
         self.uncolored.remove(v)
         self.uncolored_mask ^= 1 << v
@@ -103,18 +97,18 @@ class PartialColoring:
         if s + 1 > self.M:
             self.M = s + 1
         old = self.barred_mask[i]
-        self.barred_mask[i] = old | self.adj_mask[v]
-        bit = 1 << i
-        forbidden = self.forbidden_mask
+        adj = self.adj_mask[v]
+        self.barred_mask[i] = old | adj
+        new = adj & ~old
         priority = self.priority
         n = self.n
         barred = []
-        for w in self.g.adj[v]:
-            fw = forbidden[w]
-            if not fw & bit:
-                forbidden[w] = fw | bit
-                priority[w] += n
-                barred.append(w)
+        while new:
+            low = new & -new
+            new ^= low
+            w = low.bit_length() - 1
+            priority[w] += n
+            barred.append(w)
         self._trail.append((v, i, barred, old))
 
     def retract(self) -> tuple[int, int]:
@@ -133,12 +127,9 @@ class PartialColoring:
             self._size_hist[s - 1] += 1
         if s == self.M and self._size_hist[s] == 0:
             self.M = s - 1
-        clear = ~(1 << i)
-        forbidden = self.forbidden_mask
         priority = self.priority
         n = self.n
         for w in barred:
-            forbidden[w] &= clear
             priority[w] -= n
         return v, i
 

@@ -16,6 +16,8 @@ A flow here is bit-sliced: `W[c]` is the bitmask of the uncolored vertices
 the flow puts into color c, and (k0, W) is what `flow_feasible` returns.
 Through a clique, vertex x's unit reaches color c on the clique's copy of
 c, so one bit per (vertex, color) says everything the network's arcs do.
+The arcs from the vertices are read the same way, per color: x has an
+arc to c unless the context's `barred[c]` holds x.
 The search queues a surviving child with the flow its test found, and the
 tests of that child's own children start from it: the start is patched to
 the new state, and only what the patch left open is completed.
@@ -141,23 +143,14 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
         W += [0] * (k0 - len(W))
 
     # direct placements
-    full = (1 << k0) - 1
-    forbidden = ctx.forbidden
-    move_barred, move_bit = ctx.move_barred, ctx.move_bit
     todo = unplaced
     while todo:
         bit = todo & -todo
         todo ^= bit
-        m = ~forbidden[bit.bit_length() - 1] & full  # the free colors
-        if move_barred & bit:
-            m &= ~move_bit
         q = clique_of(bit)
         pick = -1
-        while m:
-            low = m & -m
-            m ^= low
-            c = low.bit_length() - 1
-            if count[c] >= hi[c] or W[c] & q:
+        for c in range(k0):
+            if count[c] >= hi[c] or barred[c] & bit or W[c] & q:
                 continue
             if count[c] < lo[c]:
                 pick = c

@@ -22,7 +22,7 @@ barred from g leave g short (positive rule).
 from __future__ import annotations
 
 from .coloring import PartialColoring, candidate_k0_values
-from .decomposition import CliqueDecomposition, mask_vertices
+from .decomposition import CliqueDecomposition
 
 
 class HallContext:
@@ -36,19 +36,15 @@ class HallContext:
     bitmask `barred[f]` of the vertices a neighbor of color f bars, and
     the decomposition's residual and clique masks. Only colors {0..k0-1}
     exist in the network, so all of it is restricted to them. The
-    uncolored vertices free for f are `uncolored & ~barred[f]`.
+    uncolored vertices free for f are `uncolored & ~barred[f]`. The
+    context holds copies of pc's lists, so it stays valid after pc
+    changes.
 
     Given a move (v, i), the context is that of the child that colors v
     with i, read from the parent's state without making the move:
-    `uncolored` loses v, class i grows by one, `barred[i]` gains v's
-    neighbors, and so each neighbor of v loses i from its free-color mask
-    (`move_bit` off for the vertices in `move_barred`). The decomposition
-    must be the child's (v uncolored in pc, not in decomp), and k0 a
-    candidate of the child, so k0 > i.
-
-    Per-vertex free-color masks are read from `pc.forbidden_mask` when a
-    rule or the flow test needs them, so a context is valid only until pc
-    next changes.
+    `uncolored` loses v, class i grows by one and `barred[i]` gains v's
+    neighbors. The decomposition must be the child's (v uncolored in pc,
+    not in decomp), and k0 a candidate of the child, so k0 > i.
     """
 
     __slots__ = (
@@ -60,9 +56,6 @@ class HallContext:
         "barred",
         "residual",
         "cliques",
-        "forbidden",
-        "move_barred",
-        "move_bit",
         "_free_any",
         "_free_two",
     )
@@ -83,8 +76,6 @@ class HallContext:
         self.barred = pc.barred_mask[:k0]
         self.residual = decomp.residual_mask
         self.cliques = decomp.masks
-        self.forbidden = pc.forbidden_mask
-        self.move_barred = self.move_bit = 0
         # vertices free for at least one and at least two colors, stored by
         # the positive rule when its pass over the colors completes
         self._free_any = self._free_two = None
@@ -92,22 +83,7 @@ class HallContext:
             v, i = move
             self.uncolored ^= 1 << v
             self.class_sizes[i] += 1
-            self.move_barred = adj = pc.adj_mask[v]
-            self.barred[i] |= adj
-            self.move_bit = 1 << i
-
-    def _free_masks(self, vertices: int) -> list[int]:
-        """Free-color masks of a vertex bitmask's vertices, ascending."""
-        full = (1 << self.k0) - 1
-        forbidden = self.forbidden
-        hit = vertices & self.move_barred
-        if not hit:
-            return [~forbidden[w] & full for w in mask_vertices(vertices)]
-        cut = full & ~self.move_bit
-        return [
-            ~forbidden[w] & (cut if hit >> w & 1 else full)
-            for w in mask_vertices(vertices)
-        ]
+            self.barred[i] |= pc.adj_mask[v]
 
     def _free_sets(self) -> tuple[int, int]:
         """The uncolored vertices free for at least one color, and those
@@ -156,47 +132,45 @@ def check_positive_single(ctx: HallContext) -> bool:
     return True
 
 
-def _clique_has_sdr(masks: list[int], k0: int) -> bool:
-    """Can every clique vertex get a distinct color from its free set?
-    A greedy pass gives each member its lowest free color not yet taken;
-    augmenting-path bipartite matching, started from the greedy's
+def _clique_has_sdr(q: int, barred: list[int]) -> bool:
+    """Can every member of the clique `q` (a vertex bitmask) get a
+    distinct color that its barred masks leave it? A greedy pass gives
+    each color, in order, to its lowest member still unmatched and free
+    for it; augmenting-path bipartite matching, started from the greedy's
     matching, then places only the members it left out. Cliques are
     small."""
-    if len(masks) > k0:
+    k0 = len(barred)
+    if q.bit_count() > k0:
         return False
-    taken = 0
-    picks = []
-    left = []
-    for idx, m in enumerate(masks):
-        m &= ~taken
-        bit = m & -m
-        taken |= bit
-        picks.append(bit)
-        if not bit:
-            left.append(idx)
-    if not left:
-        return True
-    owner = {bit.bit_length() - 1: idx for idx, bit in enumerate(picks) if bit}
+    owner = [0] * k0  # per color, the bit of the member matched to it
+    left = q
+    for c, bar in enumerate(barred):
+        x = left & ~bar
+        if x:
+            x &= -x
+            owner[c] = x
+            left ^= x
+            if not left:
+                return True
 
-    def augment(idx: int, visited: int) -> tuple[bool, int]:
-        while True:
-            m = masks[idx] & ~visited
-            if not m:
-                return False, visited
-            bit = m & -m
-            visited |= bit
-            c = bit.bit_length() - 1
-            if c not in owner:
-                owner[c] = idx
+    def augment(bit: int, visited: int) -> tuple[bool, int]:
+        for c in range(k0):
+            if visited >> c & 1 or barred[c] & bit:
+                continue
+            visited |= 1 << c
+            if not owner[c]:
+                owner[c] = bit
                 return True, visited
             ok, visited = augment(owner[c], visited)
             if ok:
-                owner[c] = idx
+                owner[c] = bit
                 return True, visited
+        return False, visited
 
-    for idx in left:
-        ok, _ = augment(idx, 0)
-        if not ok:
+    while left:
+        bit = left & -left
+        left ^= bit
+        if not augment(bit, 0)[0]:
             return False
     return True
 
@@ -204,12 +178,12 @@ def _clique_has_sdr(masks: list[int], k0: int) -> bool:
 def check_clique_hall(ctx: HallContext) -> bool:
     """Each clique needs a system of distinct representatives among the
     colors; by Hall's theorem the matching test covers the whole family of
-    per-clique subset conditions at once. A clique's member masks are made
-    when it is checked, and the check stops at the first clique with no
-    SDR."""
-    k0 = ctx.k0
+    per-clique subset conditions at once. The matching reads the
+    context's per-color barred masks, and the check stops at the first
+    clique with no SDR."""
+    barred = ctx.barred
     for c in ctx.cliques:
-        if not _clique_has_sdr(ctx._free_masks(c), k0):
+        if not _clique_has_sdr(c, barred):
             return False
     return True
 
@@ -263,9 +237,9 @@ def comb_prune(
     test (a passing rule set proves nothing) but cheap per color count:
     the context copies k0 class sizes and k0 barred masks, and each rule
     works on demand, at most O(k0 * #cliques) big-int operations for the
-    positive rule, O(k0) for the negative one and one free-color mask per
-    member plus one small matching per clique up to the first without an
-    SDR for the clique rule."""
+    positive rule, O(k0) for the negative one and one small matching per
+    clique, color by color, up to the first without an SDR for the clique
+    rule."""
     for k0 in candidate_k0_values(pc, k_lower, k_upper, move):
         ctx = HallContext(pc, decomp, k0, move)
         failed = failing_rule(ctx)

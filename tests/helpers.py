@@ -5,6 +5,7 @@ from the library so each check has two routes)."""
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
 from eqcolor import Graph, gen_gnp
 from eqcolor.coloring import PartialColoring
@@ -13,7 +14,20 @@ from eqcolor.decomposition import (
     find_non_adjacent_cliques,
     mask_vertices,
 )
-from literal_network import FlowNetwork
+
+if TYPE_CHECKING:  # literal_network imports free_colors from here
+    from literal_network import FlowNetwork
+
+
+def free_colors(pc: PartialColoring, v: int, k0: int) -> int:
+    """Bitmask of the colors below k0 that no colored neighbor of v wears,
+    recounted from the neighbors' colors."""
+    free = (1 << k0) - 1
+    for w in pc.g.adj[v]:
+        c = pc.color_of[w]
+        if c >= 0:
+            free &= ~(1 << c)
+    return free
 
 
 def random_partial_coloring(rng, g: Graph, k0: int) -> PartialColoring:
@@ -27,7 +41,7 @@ def random_partial_coloring(rng, g: Graph, k0: int) -> PartialColoring:
     ncol = rng.randint(0, n - 1)
     for v in order[:ncol]:
         lim = min(pc.k_used + 1, k0)
-        mask = pc.free_mask(v, lim)
+        mask = free_colors(pc, v, lim)
         choices = [
             i for i in range(lim) if (mask >> i) & 1 and pc.class_size[i] < ceil
         ]
@@ -120,7 +134,7 @@ def cliques_only_state(rng, max_cliques=3, max_colored=4):
     pc = PartialColoring(g)
     for v in colored:
         lim = min(pc.k_used + 1, k0)
-        free = pc.free_mask(v, lim)
+        free = free_colors(pc, v, lim)
         choices = [
             i for i in range(lim) if (free >> i) & 1 and pc.class_size[i] < ceil
         ]
@@ -333,19 +347,6 @@ def check_decomposition(d: CliqueDecomposition, g: Graph, uncolored: int) -> Non
                 )
 
 
-def recompute_forbidden(pc: PartialColoring):
-    """From-scratch forbidden sets, for comparing against the
-    incrementally maintained ones."""
-    g = pc.g
-    forbidden = [0] * g.n
-    for v in range(g.n):
-        for w in g.adj[v]:
-            c = pc.color_of[w]
-            if c >= 0:
-                forbidden[v] |= 1 << c
-    return forbidden
-
-
 def recompute_masks(pc: PartialColoring):
     """From-scratch (uncolored_mask, barred_mask): the uncolored set, and
     per color the vertices with a neighbor of that color."""
@@ -368,7 +369,6 @@ def literal_hall_context(pc: PartialColoring, decomp: CliqueDecomposition, k0: i
     masks adds one supply to each color in it, each residual vertex adds
     one to each of its colors, and a mask with no bit or one bit counts
     toward `empty_free` or `single_free`."""
-    full = (1 << k0) - 1
     supply = [0] * k0
     single_free = [0] * k0
     empty_free = 0
@@ -383,7 +383,7 @@ def literal_hall_context(pc: PartialColoring, decomp: CliqueDecomposition, k0: i
             single_free[fm.bit_length() - 1] += 1
 
     for clique in decomp.masks:
-        masks = [~pc.forbidden_mask[v] & full for v in mask_vertices(clique)]
+        masks = [free_colors(pc, v, k0) for v in mask_vertices(clique)]
         or_mask = 0
         for fm in masks:
             or_mask |= fm
@@ -392,7 +392,7 @@ def literal_hall_context(pc: PartialColoring, decomp: CliqueDecomposition, k0: i
             supply[f] += or_mask >> f & 1
         clique_masks.append(masks)
     for v in sorted(decomp.residual):
-        fm = ~pc.forbidden_mask[v] & full
+        fm = free_colors(pc, v, k0)
         resid_masks.append(fm)
         classify(fm)
         for f in range(k0):
@@ -412,17 +412,19 @@ def literal_hall_context(pc: PartialColoring, decomp: CliqueDecomposition, k0: i
 
 
 def recompute_priority(pc: PartialColoring):
-    """From-scratch DSATUR keys: saturation * n plus n - 1 - r, with r the
-    vertex's rank by decreasing degree, ties to the lower index (ranked
-    here without `Graph.order`)."""
+    """From-scratch DSATUR keys: saturation * n plus n - 1 - r, with the
+    saturation the number of colors whose recounted barred mask holds the
+    vertex and r the vertex's rank by decreasing degree, ties to the lower
+    index (ranked here without `Graph.order`)."""
     g = pc.g
     n = g.n
     ranked = sorted(range(n), key=lambda v: (-g.degree[v], v))
     priority = [0] * n
     for r, v in enumerate(ranked):
         priority[v] = n - 1 - r
-    for v, mask in enumerate(recompute_forbidden(pc)):
-        priority[v] += mask.bit_count() * n
+    _, barred = recompute_masks(pc)
+    for v in range(n):
+        priority[v] += sum(b >> v & 1 for b in barred) * n
     return priority
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from eqcolor.coloring import PartialColoring
 from eqcolor.decomposition import CliqueDecomposition, mask_vertices
 from eqcolor.oracle import OracleCapError
+from helpers import free_colors
 
 def _max_flow(to: list, cap: list, adj: list, s: int, t: int) -> int:
     """Shortest-augmenting-path max-flow on paired arc arrays: arc a runs
@@ -140,7 +141,7 @@ def build_network(
         f_base = 1 + nu + j * k0
         for v in part:
             node_v = net.u_node[v]
-            mask = pc.free_mask(v, k0)
+            mask = free_colors(pc, v, k0)
             while mask:
                 bit = mask & -mask
                 i = bit.bit_length() - 1

@@ -13,8 +13,8 @@ from eqcolor.coloring import (
 from eqcolor.instances import by_name
 from eqcolor.solver import _dsatur_pick
 from helpers import (
+    free_colors,
     random_partial_coloring,
-    recompute_forbidden,
     recompute_masks,
     recompute_priority,
 )
@@ -43,8 +43,9 @@ def test_extend_updates_forbidden_sets():
     pc = PartialColoring(g)
     pc.extend(1, 0)
     assert [v for v, c in enumerate(pc.color_of) if c == 0] == [1]
-    assert pc.forbidden_mask[0] == 1 and pc.forbidden_mask[2] == 1
-    assert pc.forbidden_mask[0].bit_count() == pc.forbidden_mask[2].bit_count() == 1
+    # a and c are barred from color 0 and from no other color
+    assert pc.barred_mask[0] == 0b101 and not any(pc.barred_mask[1:])
+    assert free_colors(pc, 0, 3) == free_colors(pc, 2, 3) == 0b110
     assert pc.uncolored == {0, 2}
 
 
@@ -75,7 +76,8 @@ def snapshot(pc):
     return (
         list(pc.color_of),
         set(pc.uncolored),
-        list(pc.forbidden_mask),
+        list(pc.barred_mask),
+        list(pc.priority),
         pc.M,
         pc._size_hist[pc.M],
         pc.k_used,
@@ -108,14 +110,13 @@ def test_incremental_matches_recompute_on_random_walks():
         for _ in range(rng.randint(1, 40)):
             if pc.uncolored and (moves == 0 or rng.random() < 0.65):
                 v = rng.choice(sorted(pc.uncolored))
-                mask = pc.free_mask(v, g.n)
+                mask = free_colors(pc, v, g.n)
                 colors = [i for i in range(g.n) if (mask >> i) & 1]
                 pc.extend(v, rng.choice(colors))
                 moves += 1
             elif moves:
                 pc.retract()
                 moves -= 1
-            assert recompute_forbidden(pc) == pc.forbidden_mask
             assert recompute_priority(pc) == pc.priority
             assert recompute_masks(pc) == (pc.uncolored_mask, pc.barred_mask)
             sizes = sorted(s for s in pc.class_size if s)
@@ -139,7 +140,7 @@ def test_dsatur_pick_matches_literal_key_on_random_walks():
         for _ in range(3 * g.n):
             if pc.uncolored and (moves == 0 or rng.random() < 0.6):
                 v = rng.choice(sorted(pc.uncolored))
-                mask = pc.free_mask(v, g.n)
+                mask = free_colors(pc, v, g.n)
                 pc.extend(v, rng.choice([i for i in range(g.n) if (mask >> i) & 1]))
                 moves += 1
             elif moves:
@@ -148,7 +149,11 @@ def test_dsatur_pick_matches_literal_key_on_random_walks():
             if pc.uncolored:
                 expected = max(
                     pc.uncolored,
-                    key=lambda u: (pc.forbidden_mask[u].bit_count(), g.degree[u], -u),
+                    key=lambda u: (
+                        g.n - free_colors(pc, u, g.n).bit_count(),  # saturation
+                        g.degree[u],
+                        -u,
+                    ),
                 )
                 assert _dsatur_pick(pc) == expected
                 checked += 1
@@ -197,7 +202,7 @@ def test_deficit_prune_equivalent_sum_form():
         if not pc.uncolored:
             continue
         for i in range(pc.k_used + 1):
-            free = [u for u in sorted(pc.uncolored) if not (pc.forbidden_mask[u] >> i) & 1]
+            free = [u for u in sorted(pc.uncolored) if free_colors(pc, u, i + 1) >> i & 1]
             if not free:
                 continue
             s = pc.class_size[i]

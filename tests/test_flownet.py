@@ -14,6 +14,7 @@ from helpers import (
     check_flow,
     cliques_only_state,
     find_extension,
+    free_colors,
     mask,
     proper_and_equitable,
     random_decomposition,
@@ -392,10 +393,11 @@ def _partial_flow(rng, pc, decomp, k0):
     W = [0] * k0
     for v in rng.sample(sorted(pc.uncolored), len(pc.uncolored)):
         clique = next((c for c in decomp.masks if c >> v & 1), 0)
+        free = free_colors(pc, v, k0)
         colors = [
             c
             for c in range(k0)
-            if pc.free_mask(v, k0) >> c & 1
+            if free >> c & 1
             and not W[c] & clique
             and pc.class_size[c] + W[c].bit_count() < ceil_size
         ]
@@ -429,7 +431,8 @@ def test_flow_feasible_is_exact_from_any_start():
             continue
         v = rng.choice(sorted(pc.uncolored))
         limit = min(pc.k_used + 1, g.n)
-        colors = [i for i in range(limit) if pc.free_mask(v, limit) >> i & 1]
+        free = free_colors(pc, v, limit)
+        colors = [i for i in range(limit) if free >> i & 1]
         if not colors:
             continue
         move = (v, rng.choice(colors))

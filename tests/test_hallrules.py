@@ -4,7 +4,11 @@ from dataclasses import asdict
 
 from eqcolor import Graph, SearchStats, SolverConfig, gen_gnp, solve, solver
 from eqcolor.coloring import PartialColoring, candidate_k0_values, deficit_prune
-from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
+from eqcolor.decomposition import (
+    CliqueDecomposition,
+    find_non_adjacent_cliques,
+    mask_vertices,
+)
 from eqcolor.flownet import flow_feasible, flow_prune
 from eqcolor.hallrules import (
     HallContext,
@@ -17,7 +21,13 @@ from eqcolor.hallrules import (
 )
 from eqcolor.instances import by_name
 from eqcolor.oracle import brute_extendable
-from helpers import literal_hall_context, mask, random_decomposition, random_state
+from helpers import (
+    free_colors,
+    literal_hall_context,
+    mask,
+    random_decomposition,
+    random_state,
+)
 from literal_network import build_network, check_vertex_flow, feasible_flow
 
 
@@ -82,11 +92,29 @@ def test_positive_complement_fires_when_two_classes_starved():
     assert brute_extendable(g, pc, 3) is False
 
 
+def _clique_and_barred(masks, k0):
+    """The clique matching's input for members 0, 1, ... with the given
+    free-color masks: the clique's vertex bitmask and, per color below
+    k0, the bitmask of the members it is not free for."""
+    barred = [mask(w for w, m in enumerate(masks) if not m >> c & 1) for c in range(k0)]
+    return (1 << len(masks)) - 1, barred
+
+
 def test_clique_sdr_cases():
-    assert _clique_has_sdr([0b01, 0b01], 2) is False  # both forced to color 0
-    assert _clique_has_sdr([0b011, 0b110, 0b101], 3) is True
-    assert _clique_has_sdr([0b0111, 0b0111, 0b0111, 0b0111], 4) is False  # 4 into 3
-    assert _clique_has_sdr([], 2) is True
+    def sdr(masks, k0):
+        return _clique_has_sdr(*_clique_and_barred(masks, k0))
+
+    assert sdr([0b01, 0b01], 2) is False  # both forced to color 0
+    assert sdr([0b011, 0b110, 0b101], 3) is True
+    assert sdr([0b0111, 0b0111, 0b0111, 0b0111], 4) is False  # 4 into 3
+    assert sdr([], 2) is True
+    # The greedy gives colors 0 and 1 to members 0 and 1 (free for {0, 1}
+    # and {1, 2}) and color 2 to nobody, leaving member 2 (free for {0}):
+    # only the augmenting search places it, shifting member 1 to color 2
+    # and member 0 to color 1.
+    assert _clique_has_sdr(0b111, [0b010, 0b100, 0b101]) is True
+    # with member 1 barred from color 2 as well, no path frees color 0
+    assert _clique_has_sdr(0b111, [0b010, 0b100, 0b111]) is False
 
 
 def test_clique_hall_uses_free_sets():
@@ -326,7 +354,7 @@ def test_rules_and_flow_agree_with_literal_network_on_search_states(monkeypatch)
                 n_u = len(pc.uncolored)
                 floor_size, ceil_size = g.n // k0, -(-g.n // k0)
                 sizes = pc.class_size[:k0]
-                masks = [pc.free_mask(v, k0) for v in pc.uncolored]
+                masks = [free_colors(pc, v, k0) for v in pc.uncolored]
                 for c in range(k0):
                     only_c = sum(1 for m in masks if m in (0, 1 << c))
                     with_c = sum(1 for m in masks if m >> c & 1)
@@ -340,13 +368,22 @@ def test_rules_and_flow_agree_with_literal_network_on_search_states(monkeypatch)
 
 
 def _context_fields(ctx):
+    """The context's fields, with each member's free-color mask read off
+    the per-color barred masks."""
+
+    def free_masks(vertices):
+        return [
+            mask(c for c, bar in enumerate(ctx.barred) if not bar >> w & 1)
+            for w in mask_vertices(vertices)
+        ]
+
     return {
         "k0": ctx.k0,
         "floor_size": ctx.floor_size,
         "ceil_size": ctx.ceil_size,
         "class_sizes": ctx.class_sizes,
-        "clique_masks": [ctx._free_masks(c) for c in ctx.cliques],
-        "resid_masks": ctx._free_masks(ctx.residual),
+        "clique_masks": [free_masks(c) for c in ctx.cliques],
+        "resid_masks": free_masks(ctx.residual),
     }
 
 
@@ -401,7 +438,10 @@ def _literal_verdicts(fields):
     positive = all(
         fields["floor_size"] - s <= supply for s, supply in zip(sizes, fields["supply"])
     )
-    clique = all(_clique_has_sdr(masks, k0) for masks in fields["clique_masks"])
+    clique = all(
+        _clique_has_sdr(*_clique_and_barred(masks, k0))
+        for masks in fields["clique_masks"]
+    )
     room = [fields["ceil_size"] - s for s in sizes]
     negative = all(
         single + fields["empty_free"] <= r
@@ -432,13 +472,13 @@ def _check_rules_on_demand(make_ctx, want):
 
 def test_rules_on_demand_match_literal_recount_in_any_order(monkeypatch):
     """The rules compute what they read from the context on demand, and
-    the positive rule leaves sets behind for the negative one and the
-    clique rule member masks for the flow test. Each rule still gives
-    the verdict of the literal recount alone on a fresh context and after
-    the other two in either order, and failing_rule names the first
-    failure in the order positive_single, clique_hall, negative: on random
-    states and on the children real searches hand the engines, judged
-    both after the move and from the parent plus the move."""
+    the positive rule leaves sets behind for the negative one. Each rule
+    still gives the verdict of the literal recount alone on a fresh
+    context and after the other two in either order, and failing_rule
+    names the first failure in the order positive_single, clique_hall,
+    negative: on random states and on the children real searches hand
+    the engines, judged both after the move and from the parent plus the
+    move."""
     rng = random.Random(76)
     failing = Counter()
     for _ in range(1500):
@@ -489,8 +529,8 @@ def _state(pc):
         list(pc.color_of),
         list(pc.class_size),
         pc.uncolored_mask,
-        list(pc.forbidden_mask),
         list(pc.barred_mask),
+        list(pc.priority),
     )
 
 
@@ -521,7 +561,8 @@ def test_child_judged_from_parent_matches_extended_child(monkeypatch):
             continue
         v = rng.choice(sorted(pc.uncolored))
         limit = min(pc.k_used + 1, g.n)
-        colors = [i for i in range(limit) if pc.free_mask(v, limit) >> i & 1]
+        free = free_colors(pc, v, limit)
+        colors = [i for i in range(limit) if free >> i & 1]
         if not colors:
             continue
         move = (v, rng.choice(colors))
@@ -563,7 +604,8 @@ def _hall_condition(masks):
 def test_clique_sdr_equals_hall_condition_exhaustively():
     """The greedy-seeded matching decides exactly Hall's condition, on
     random families of at most 7 free-color masks over k0 <= 8 colors,
-    including families the greedy alone cannot settle."""
+    given as a clique and per-color barred masks, including families the
+    color-by-color greedy alone cannot settle."""
     rng = random.Random(75)
     outcomes = Counter()
     for _ in range(6000):
@@ -574,10 +616,12 @@ def test_clique_sdr_equals_hall_condition_exhaustively():
             for _ in range(rng.randint(0, 7))
         ]
         want = _hall_condition(masks)
-        assert _clique_has_sdr(masks, k0) is want
-        taken = 0
-        for m in masks:  # the greedy: lowest free color not yet taken
-            taken |= (m & ~taken) & -(m & ~taken)
-        outcomes[want, taken.bit_count() == len(masks)] += 1
+        q, barred = _clique_and_barred(masks, k0)
+        assert _clique_has_sdr(q, barred) is want
+        left = q
+        for bar in barred:  # the greedy: each color to its lowest free member
+            x = left & ~bar
+            left ^= x & -x
+        outcomes[want, not left] += 1
     # the augmenting search ran, and both found and missed a matching
     assert outcomes[True, False] > 100 and outcomes[False, False] > 100

@@ -12,7 +12,7 @@ from eqcolor.oracle import (
     brute_chi_eq,
     brute_extendable,
 )
-from helpers import find_extension, random_state
+from helpers import find_extension, free_colors, random_state
 from literal_network import (
     build_network,
     enumerate_hoffman,
@@ -130,7 +130,8 @@ def test_extendable_matches_plain_enumeration_with_gaps():
         lowest = rng.choice((0, 2))
         pc = PartialColoring(g)
         for v in rng.sample(range(n), rng.randint(1, n // 2)):
-            colors = [c for c in range(lowest, k0) if not pc.forbidden_mask[v] >> c & 1]
+            free = free_colors(pc, v, k0)
+            colors = [c for c in range(lowest, k0) if free >> c & 1]
             if colors:
                 pc.extend(v, rng.choice(colors))
         top = max(c for c in range(k0) if pc.class_size[c])

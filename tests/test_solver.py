@@ -302,6 +302,16 @@ def test_interrupt_before_the_node_loop(monkeypatch):
     assert proper_and_equitable(g, sol.coloring, sol.chi_eq)
 
 
+def test_interrupt_during_the_relabel(monkeypatch):
+    """Ctrl-C while the graph is relabeled, before any bound exists,
+    returns one class per vertex, checked and not optimal."""
+    g = gen_gnp(30, 0.5, 4)
+    monkeypatch.setattr(Graph, "relabeled", raising_on_call(Graph.relabeled, 1))
+    sol, stats = solve(g, SolverConfig(variant="comb"))
+    assert stats.interrupted and not stats.timed_out and not sol.optimal
+    assert sol.chi_eq == g.n and sorted(sol.coloring) == list(range(g.n))
+
+
 def test_witness_in_caller_vertex_ids():
     """The search runs on the graph relabeled by its order; the witness
     comes back in the caller's ids, and the search is the one on the
