@@ -42,7 +42,6 @@ class PartialColoring:
     """
 
     __slots__ = (
-        "g",
         "n",
         "color_of",
         "class_size",
@@ -59,7 +58,6 @@ class PartialColoring:
 
     def __init__(self, g: Graph):
         n = g.n
-        self.g = g
         self.n = n
         self.color_of = [-1] * n
         self.class_size = [0] * n
@@ -156,14 +154,12 @@ def deficit_prune(pc: PartialColoring, k_lower: int, i: int) -> bool:
     return pc.n < (M - 1) * k + t
 
 
-def is_equitable(pc: PartialColoring, k0: int) -> bool:
-    """True iff pc is a complete coloring into exactly k0 nonempty classes
-    whose sizes pairwise differ by at most one."""
+def is_equitable(pc: PartialColoring) -> bool:
+    """True iff pc is a complete coloring whose nonempty classes' sizes
+    pairwise differ by at most one."""
     if pc.uncolored:
         return False
     sizes = [s for s in pc.class_size if s > 0]
-    if len(sizes) != k0:
-        return False
     return max(sizes) - min(sizes) <= 1
 
 

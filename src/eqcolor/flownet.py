@@ -272,18 +272,20 @@ def flow_prune(
     decomp: CliqueDecomposition,
     k_lower: int,
     k_upper: int,
-    stats=None,
+    stats,
     move: tuple[int, int] | None = None,
     start=None,
-    found: list | None = None,
+    *,
+    found: list,
 ) -> bool:
     """True iff no k0 in the candidate range admits a feasible flow, i.e.
     the branch cannot reach a strictly better equitable coloring. Given a
     move (v, i), the node judged is the child that colors v with i, read
     from pc without extending it; decomp is the child's decomposition
     either way. Each flow test starts from `start`, the flow of the node
-    judged's parent, if given. When the node survives and `found` is a
-    list, the flow that kept it is appended to it.
+    judged's parent, if given. When the node survives, the flow that kept
+    it is appended to `found`. Each flow test counts in
+    `stats.flow_solves`, and a pruned node in `stats.prunes_flow`.
 
     The arithmetic Hall rules are necessary for feasibility, so each k0 is
     screened by them first and the flow problem is solved only when all
@@ -294,13 +296,10 @@ def flow_prune(
         ctx = hallrules.HallContext(pc, decomp, k0, move)
         if hallrules.failing_rule(ctx) is not None:
             continue
-        if stats is not None:
-            stats.flow_solves += 1
+        stats.flow_solves += 1
         flow = flow_feasible(ctx, start)
         if flow is not None:
-            if found is not None:
-                found.append(flow)
+            found.append(flow)
             return False
-    if stats is not None:
-        stats.prunes_flow += 1
+    stats.prunes_flow += 1
     return True

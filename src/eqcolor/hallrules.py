@@ -8,10 +8,10 @@ representatives (SDR) checked by bipartite matching instead of enumerating
 subsets.
 
 The rules read a `HallContext`, a snapshot of one child at one color
-count, and compute from it only what they need, in bit-sliced form (one
-vertex bitmask per color): a rule that fails early spares the work of the
-ones after it, and a rule that passes leaves behind what a later reader
-(the negative rule) would recompute.
+count, and each computes from it alone what it needs, in bit-sliced form
+(one vertex bitmask per color). No rule reads what another wrote, so any
+one of them can run first, and one that fails spares the work of the
+ones after it.
 
 Callers ask only about k0 >= k_used. Then the all-but-one color sets add
 nothing: with class sizes and uncolored vertices summing to n, a starved
@@ -27,9 +27,9 @@ from .decomposition import CliqueDecomposition
 
 class HallContext:
     """One child's state at one color count k0, as the rules and the flow
-    engine read it. Building it stores only that snapshot; each rule
-    computes what it reads from it, so a rule that settles the verdict
-    early costs only its own work.
+    engine read it. It stores only that snapshot and nothing is written
+    to it afterwards: each rule computes what it reads from it, so a rule
+    that settles the verdict early costs only its own work.
 
     The snapshot: k0, the class-size window floor(n/k0)..ceil(n/k0), the
     first k0 class sizes, the uncolored set `uncolored`, per color f the
@@ -56,8 +56,6 @@ class HallContext:
         "barred",
         "residual",
         "cliques",
-        "_free_any",
-        "_free_two",
     )
 
     def __init__(
@@ -76,48 +74,28 @@ class HallContext:
         self.barred = pc.barred_mask[:k0]
         self.residual = decomp.residual_mask
         self.cliques = decomp.masks
-        # vertices free for at least one and at least two colors, stored by
-        # the positive rule when its pass over the colors completes
-        self._free_any = self._free_two = None
         if move is not None:
             v, i = move
             self.uncolored ^= 1 << v
             self.class_sizes[i] += 1
             self.barred[i] |= pc.adj_mask[v]
 
-    def _free_sets(self) -> tuple[int, int]:
-        """The uncolored vertices free for at least one color, and those
-        free for at least two."""
-        if self._free_any is None:
-            uncolored = self.uncolored
-            one = two = 0
-            for barred in self.barred:
-                free = uncolored & ~barred
-                two |= one & free
-                one |= free
-            self._free_any, self._free_two = one, two
-        return self._free_any, self._free_two
-
 
 def check_positive_single(ctx: HallContext) -> bool:
     """Every color must be fillable to floor(n/k0): at most one vertex per
     clique plus every residual vertex that can still take it. One pass over
-    the colors; a color's cliques are scanned only while its residual
-    vertices leave it short. A pass that completes stores the
-    "free for at least one / two colors" sets the negative rule reads."""
+    the colors still below their floor; a color's cliques are scanned only
+    while its residual vertices leave it short."""
     floor_size = ctx.floor_size
     uncolored = ctx.uncolored
     residual = ctx.residual
     cliques = ctx.cliques
     sizes = ctx.class_sizes
-    one = two = 0
     for f, barred in enumerate(ctx.barred):
-        free = uncolored & ~barred
-        two |= one & free
-        one |= free
         need = floor_size - sizes[f]
         if need <= 0:
             continue
+        free = uncolored & ~barred
         need -= (residual & free).bit_count()
         if need <= 0:
             continue
@@ -128,7 +106,6 @@ def check_positive_single(ctx: HallContext) -> bool:
                     break
         else:
             return False
-    ctx._free_any, ctx._free_two = one, two
     return True
 
 
@@ -193,11 +170,16 @@ def check_negative_single(ctx: HallContext) -> bool:
     color f, the vertices free for f alone plus those free for no color
     (they still have to be colored) against f's room. With no vertex free
     for exactly one color, the fullest class decides."""
-    one, two = ctx._free_sets()
-    empty = (ctx.uncolored & ~one).bit_count()
+    # the uncolored vertices barred from every color so far, and those
+    # barred from all of them but at most one
+    none = most = ctx.uncolored
+    for barred in ctx.barred:
+        most = most & barred | none
+        none &= barred
+    empty = none.bit_count()
     ceil_size = ctx.ceil_size
     sizes = ctx.class_sizes
-    lone = one & ~two  # free for exactly one color
+    lone = most ^ none  # free for exactly one color
     if not lone:
         return max(sizes) + empty <= ceil_size
     for f, barred in enumerate(ctx.barred):
@@ -227,11 +209,13 @@ def comb_prune(
     decomp: CliqueDecomposition,
     k_lower: int,
     k_upper: int,
-    stats=None,
+    stats,
     move: tuple[int, int] | None = None,
 ) -> bool:
     """True iff every candidate k0 fails at least one rule (so also when
-    the candidate range is empty). Given a move (v, i), the node judged is
+    the candidate range is empty). Each rejected k0 counts in
+    `stats.rule_firings` under the first rule it failed, and a pruned
+    node in `stats.prunes_hall`. Given a move (v, i), the node judged is
     the child that colors v with i, read from pc without extending it;
     decomp is the child's decomposition either way. Weaker than the flow
     test (a passing rule set proves nothing) but cheap per color count:
@@ -245,8 +229,6 @@ def comb_prune(
         failed = failing_rule(ctx)
         if failed is None:
             return False
-        if stats is not None:
-            stats.rule_firings[failed] = stats.rule_firings.get(failed, 0) + 1
-    if stats is not None:
-        stats.prunes_hall += 1
+        stats.rule_firings[failed] = stats.rule_firings.get(failed, 0) + 1
+    stats.prunes_hall += 1
     return True

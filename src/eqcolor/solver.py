@@ -127,7 +127,7 @@ def _capped_greedy(g: Graph, k: int):
         else:
             return None
         pc.extend(v, i)
-    if not is_equitable(pc, pc.k_used):
+    if not is_equitable(pc):
         return None
     return pc.k_used, pc.color_of
 
@@ -225,7 +225,7 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
             child_decomp = None
             # flow_prune appends a surviving child's flow here
             found = []
-            extra = (flow, found) if carries_flow else ()
+            extra = {"start": flow, "found": found} if carries_flow else {}
             # iterate colors descending so the LIFO pop order is ascending;
             # a countdown, not a range: this runs at every node, and the
             # range alone costs std about 2 % of its solve time
@@ -240,7 +240,7 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                 if prune is not None:
                     if child_decomp is None:
                         child_decomp = decomp.restricted_to(pc.uncolored_mask ^ bit)
-                    if prune(pc, child_decomp, k_lower, k_upper, stats, (v, i), *extra):
+                    if prune(pc, child_decomp, k_lower, k_upper, stats, (v, i), **extra):
                         continue
                 stack.append((child_depth, v, i, found.pop() if found else None))
 
@@ -266,7 +266,7 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                 timed_out = True
                 break
             if not pc.uncolored_mask:
-                if pc.k_used < k_upper and is_equitable(pc, pc.k_used):
+                if pc.k_used < k_upper and is_equitable(pc):
                     k_upper = pc.k_used
                     incumbent = list(pc.color_of)
                     if k_upper <= k_lower:

@@ -23,7 +23,7 @@ def free_colors(pc: PartialColoring, v: int, k0: int) -> int:
     """Bitmask of the colors below k0 that no colored neighbor of v wears,
     recounted from the neighbors' colors."""
     free = (1 << k0) - 1
-    for w in pc.g.adj[v]:
+    for w in mask_vertices(pc.adj_mask[v]):
         c = pc.color_of[w]
         if c >= 0:
             free &= ~(1 << c)
@@ -350,13 +350,13 @@ def check_decomposition(d: CliqueDecomposition, g: Graph, uncolored: int) -> Non
 def recompute_masks(pc: PartialColoring):
     """From-scratch (uncolored_mask, barred_mask): the uncolored set, and
     per color the vertices with a neighbor of that color."""
-    g = pc.g
+    n = pc.n
     uncolored = 0
-    barred = [0] * g.n
-    for v in range(g.n):
+    barred = [0] * n
+    for v in range(n):
         if pc.color_of[v] < 0:
             uncolored |= 1 << v
-        for w in g.adj[v]:
+        for w in mask_vertices(pc.adj_mask[v]):
             c = pc.color_of[w]
             if c >= 0:
                 barred[c] |= 1 << v
@@ -416,9 +416,9 @@ def recompute_priority(pc: PartialColoring):
     saturation the number of colors whose recounted barred mask holds the
     vertex and r the vertex's rank by decreasing degree, ties to the lower
     index (ranked here without `Graph.order`)."""
-    g = pc.g
-    n = g.n
-    ranked = sorted(range(n), key=lambda v: (-g.degree[v], v))
+    n = pc.n
+    degree = [pc.adj_mask[v].bit_count() for v in range(n)]
+    ranked = sorted(range(n), key=lambda v: (-degree[v], v))
     priority = [0] * n
     for r, v in enumerate(ranked):
         priority[v] = n - 1 - r

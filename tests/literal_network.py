@@ -243,7 +243,7 @@ def check_vertex_flow(
     exactly one W[c] and no colored vertex in any, c is free for it (no
     neighbor wears c), each clique holds at most one vertex per color,
     and every class ends within floor(n/k0)..ceil(n/k0). Reads the
-    adjacency sets and `color_of`, not the masks the engine reads."""
+    neighborhoods and `color_of`, not the barred masks the engine reads."""
     got_k0, W = flow
     assert got_k0 == k0 and len(W) == k0, (got_k0, len(W))
     n = pc.n
@@ -256,7 +256,8 @@ def check_vertex_flow(
             continue
         assert len(wearing) == 1, f"uncolored vertex {v} placed on {wearing}"
         c = wearing[0]
-        assert all(pc.color_of[w] != c for w in pc.g.adj[v]), f"{v} barred from {c}"
+        neighbors = mask_vertices(pc.adj_mask[v])
+        assert all(pc.color_of[w] != c for w in neighbors), f"{v} barred from {c}"
     for clique in decomp.masks:
         for c in range(k0):
             members = [v for v in mask_vertices(clique) if W[c] >> v & 1]

@@ -35,6 +35,38 @@ def test_solver_config_has_three_fields():
     ]
 
 
+def test_search_state_and_hall_snapshot_slots_pinned():
+    """A Hall context is only the child's snapshot: no rule leaves state
+    on it for another. A partial coloring is only the search state."""
+    from eqcolor.coloring import PartialColoring
+    from eqcolor.hallrules import HallContext
+
+    assert HallContext.__slots__ == (
+        "k0",
+        "floor_size",
+        "ceil_size",
+        "class_sizes",
+        "uncolored",
+        "barred",
+        "residual",
+        "cliques",
+    )
+    assert PartialColoring.__slots__ == (
+        "n",
+        "color_of",
+        "class_size",
+        "uncolored",
+        "uncolored_mask",
+        "barred_mask",
+        "adj_mask",
+        "priority",
+        "k_used",
+        "M",
+        "_size_hist",
+        "_trail",
+    )
+
+
 def test_oracle_holds_no_literal_network():
     import eqcolor.oracle
 

@@ -38,7 +38,7 @@ def lopsided_state():
     return g, pc
 
 
-def test_extend_updates_forbidden_sets():
+def test_extend_updates_barred_masks():
     g = path3()
     pc = PartialColoring(g)
     pc.extend(1, 0)
@@ -277,23 +277,30 @@ def test_is_equitable_cases():
     pc = PartialColoring(p4)
     for v, c in [(0, 0), (1, 1), (2, 0), (3, 1)]:
         pc.extend(v, c)
-    assert is_equitable(pc, 2) is True
+    assert is_equitable(pc) is True
+
+    pc = PartialColoring(path3())
+    for v, c in [(0, 0), (1, 1), (2, 0)]:
+        pc.extend(v, c)
+    assert is_equitable(pc) is True  # sizes 2 and 1 differ by one
 
     star = Graph(12, [(0, v) for v in range(1, 12)])
     pc = PartialColoring(star)
     pc.extend(0, 0)
     for v in range(1, 12):
         pc.extend(v, 1)
-    assert is_equitable(pc, 2) is False
+    assert is_equitable(pc) is False
 
     k4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     pc = PartialColoring(k4)
     for v in range(4):
         pc.extend(v, v)
-    assert is_equitable(pc, 4) is True
+    assert is_equitable(pc) is True
 
 
 def test_is_equitable_requires_completion():
+    """Two balanced classes, but vertex 2 is still uncolored."""
     pc = PartialColoring(path3())
     pc.extend(0, 0)
-    assert is_equitable(pc, 1) is False
+    pc.extend(1, 1)
+    assert is_equitable(pc) is False

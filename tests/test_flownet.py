@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from eqcolor import Graph, gen_gnp
+from eqcolor import Graph, SearchStats, gen_gnp
 from eqcolor.coloring import PartialColoring, candidate_k0_values
 from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
 from eqcolor.flownet import flow_feasible, flow_prune
@@ -224,15 +224,17 @@ def test_extract_requires_feasible():
 
 def test_flow_prune_hub_triangles_root():
     g, pc, decomp = hub_triangles_state()
-    assert flow_prune(pc, decomp, 3, 4) is True
-    assert flow_prune(pc, decomp, 3, 5) is False  # k0=4 is feasible
+    assert flow_prune(pc, decomp, 3, 4, SearchStats(), found=[]) is True
+    # k0=4 is feasible
+    assert flow_prune(pc, decomp, 3, 5, SearchStats(), found=[]) is False
 
 
 def test_flow_prune_open_at_known_chi():
     g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
     pc = PartialColoring(g)
     decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
-    assert flow_prune(pc, decomp, 3, 5) is False  # an equitable 3-coloring exists
+    # an equitable 3-coloring exists
+    assert flow_prune(pc, decomp, 3, 5, SearchStats(), found=[]) is False
 
 
 def test_flow_prune_empty_candidate_range():
@@ -244,7 +246,7 @@ def test_flow_prune_empty_candidate_range():
     pc.extend(6, 2)
     decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
     # k_used=3 forces k0=3, but M=5 > ceil(12/3)=4: nothing to test
-    assert flow_prune(pc, decomp, 1, 4) is True
+    assert flow_prune(pc, decomp, 1, 4, SearchStats(), found=[]) is True
     assert brute_extendable(g, pc, 3) is False
 
 
@@ -258,10 +260,11 @@ def test_flow_prune_prefilter_equivalent():
             flow_feasible(HallContext(pc, decomp, k)) is not None
             for k in candidate_k0_values(pc, k_lower, k_upper)
         )
-        assert flow_prune(pc, decomp, k_lower, k_upper) == unfiltered
+        pruned = flow_prune(pc, decomp, k_lower, k_upper, SearchStats(), found=[])
+        assert pruned == unfiltered
 
 
-def test_fast_path_matches_reference():
+def test_cold_flow_feasible_matches_literal_network():
     rng = random.Random(53)
     for _ in range(2000):
         _, pc, decomp, k0 = random_state(rng, n_max=9)
@@ -498,5 +501,6 @@ def test_flow_prune_never_cuts_optimal_path():
             if brute_extendable(g, pc, k)
         ]
         if feasible_ks:
-            assert flow_prune(pc, decomp, 1, feasible_ks[0] + 1) is False
+            k_upper = feasible_ks[0] + 1
+            assert flow_prune(pc, decomp, 1, k_upper, SearchStats(), found=[]) is False
 

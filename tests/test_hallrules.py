@@ -67,7 +67,7 @@ def test_positive_single_vacuous_when_class_full():
     assert check_positive_single(ctx) is True
 
 
-def test_positive_complement_fires_when_two_classes_starved():
+def test_two_starved_classes_fail_the_single_color_rules():
     """Nine vertices, classes (3,2,2), both uncolored vertices can only
     take the first color: the other two classes cannot be topped up. The
     single-color rules see it without the complement set: color 0 would
@@ -175,7 +175,7 @@ def test_negative_open_with_full_freedom():
 
 def test_comb_prune_hub_triangles():
     _, pc, decomp = hub_triangles_state()
-    assert comb_prune(pc, decomp, 3, 4) is True
+    assert comb_prune(pc, decomp, 3, 4, SearchStats()) is True
     assert failing_rule(HallContext(pc, decomp, 3)) == "positive_single"
 
 
@@ -183,7 +183,7 @@ def test_comb_prune_open_on_c5():
     g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
     pc = PartialColoring(g)
     decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
-    assert comb_prune(pc, decomp, 3, 5) is False
+    assert comb_prune(pc, decomp, 3, 5, SearchStats()) is False
 
 
 def test_comb_never_stronger_than_flow():
@@ -192,10 +192,9 @@ def test_comb_never_stronger_than_flow():
         g, pc, decomp, k0 = random_state(rng, n_max=8)
         k_upper = rng.randint(k0, g.n + 1)
         k_lower = rng.randint(1, max(1, pc.k_used))
-        if comb_prune(pc, decomp, k_lower, k_upper):
-            assert flow_prune(pc, decomp, k_lower, k_upper) is True
-        if not flow_prune(pc, decomp, k_lower, k_upper):
-            assert comb_prune(pc, decomp, k_lower, k_upper) is False
+        comb = comb_prune(pc, decomp, k_lower, k_upper, SearchStats())
+        flow = flow_prune(pc, decomp, k_lower, k_upper, SearchStats(), found=[])
+        assert flow or not comb
 
 
 def test_any_failing_rule_implies_flow_infeasible():
@@ -229,7 +228,7 @@ def test_deficit_prune_implies_flow_prune_under_full_freedom():
             continue
         pc.extend(v, i)
         decomp = CliqueDecomposition((), pc.uncolored_mask)
-        assert flow_prune(pc, decomp, pc.k_used, n + 1) is True
+        assert flow_prune(pc, decomp, pc.k_used, n + 1, SearchStats(), found=[]) is True
         checked += 1
     assert checked > 50
 
@@ -254,8 +253,8 @@ def test_rule_menu_misses_spread_deficits_that_flow_catches():
     pc.extend(v, i)
     ctx = HallContext(pc, decomp, 4)
     assert failing_rule(ctx) is None  # every rule passes at k0=4
-    assert comb_prune(pc, decomp, 4, 5) is False
-    assert flow_prune(pc, decomp, 4, 5) is True
+    assert comb_prune(pc, decomp, 4, 5, SearchStats()) is False
+    assert flow_prune(pc, decomp, 4, 5, SearchStats(), found=[]) is True
     assert brute_extendable(g, pc, 4) is False
 
 
@@ -281,25 +280,26 @@ def _harvest(monkeypatch, g, variant, every):
     calls: (graph, color_of, decomposition, k_lower, k_upper, move,
     start). The engine judges the child that makes `move` = (v, i) from
     its parent, and `color_of` is that child's: the parent's with v
-    colored i. The graph is the one the search runs on (`pc.g`, g
-    relabeled by its order), which the decomposition's vertex ids refer
-    to. `start` is the flow the flow tests start from: the parent's, None
-    at the root and under comb."""
+    colored i. The graph is the one the search runs on (g relabeled by
+    its order), which the decomposition's vertex ids refer to. `start` is
+    the flow the flow tests start from: the parent's, None at the root
+    and under comb."""
     name = f"{variant}_prune"
     real = getattr(solver, name)
+    relabeled = g.relabeled()
     states = []
     calls = 0
 
-    def spy(pc, decomp, k_lower, k_upper, stats=None, move=None, *flow_args):
+    def spy(pc, decomp, k_lower, k_upper, stats, move, **flow_args):
         nonlocal calls
         calls += 1
         if calls % every == 0:
             v, i = move
             color_of = list(pc.color_of)
             color_of[v] = i
-            start = flow_args[0] if flow_args else None
-            states.append((pc.g, color_of, decomp, k_lower, k_upper, move, start))
-        return real(pc, decomp, k_lower, k_upper, stats, move, *flow_args)
+            start = flow_args.get("start")
+            states.append((relabeled, color_of, decomp, k_lower, k_upper, move, start))
+        return real(pc, decomp, k_lower, k_upper, stats, move, **flow_args)
 
     monkeypatch.setattr(solver, name, spy)
     solve(g, SolverConfig(variant=variant))
@@ -471,10 +471,9 @@ def _check_rules_on_demand(make_ctx, want):
 
 
 def test_rules_on_demand_match_literal_recount_in_any_order(monkeypatch):
-    """The rules compute what they read from the context on demand, and
-    the positive rule leaves sets behind for the negative one. Each rule
-    still gives the verdict of the literal recount alone on a fresh
-    context and after the other two in either order, and failing_rule
+    """Each rule computes what it reads from the context alone and writes
+    nothing back, so it gives the verdict of the literal recount alone on
+    a fresh context and after the other two in either order, and failing_rule
     names the first failure in the order positive_single, clique_hall,
     negative: on random states and on the children real searches hand
     the engines, judged both after the move and from the parent plus the
@@ -515,12 +514,10 @@ def _judged(pc, decomp, move, k_lower, k_upper):
     with their stats) of the node pc, or of its child that makes `move`."""
     ks = list(candidate_k0_values(pc, k_lower, k_upper, move))
     contexts = [_context_fields(HallContext(pc, decomp, k0, move)) for k0 in ks]
-    verdicts = []
-    for prune in (comb_prune, flow_prune):
-        stats = SearchStats()
-        verdicts.append(
-            (prune(pc, decomp, k_lower, k_upper, stats, move), asdict(stats))
-        )
+    comb_stats, flow_stats = SearchStats(), SearchStats()
+    comb = comb_prune(pc, decomp, k_lower, k_upper, comb_stats, move)
+    flow = flow_prune(pc, decomp, k_lower, k_upper, flow_stats, move, found=[])
+    verdicts = [(comb, asdict(comb_stats)), (flow, asdict(flow_stats))]
     return ks, contexts, verdicts
 
 
