@@ -1,15 +1,14 @@
 """Partial colorings with incremental bookkeeping and arithmetic pruning.
 
 Colors are 0-based indices internally. A partial coloring keeps its state
-as vertex bitmasks: the uncolored set, and per color the vertices with a
+as vertex bitmasks: the uncolored set; per color the vertices with a
 neighbor of that color, the one record of which colors each vertex may
-not take. Next to them it keeps the DSATUR branching priority of every
-vertex and a histogram of class sizes, so the largest-class statistics
-cost O(1). The clique decomposition and the Hall context are built from
-the masks with a few big-int operations per clique and per color. The
-search undoes strictly last-in-first-out, so each trail entry records the
-neighbors its extend barred from a color and the color's old vertex
-bitmask, and a retract restores exactly those.
+not take; and every vertex's DSATUR saturation, bit-sliced into planes.
+A histogram of class sizes makes the largest-class statistics O(1). The
+clique decomposition and the Hall context are built from the masks with
+a few big-int operations per clique and per color. The search undoes
+strictly last-in-first-out, so each trail entry records the color's old
+barred mask, and a retract restores exactly that.
 
 The largest-class test (`deficit_prune`) is decided for a child before
 the move: from the parent's statistics and the child's color alone, so a
@@ -23,33 +22,28 @@ from .graph import Graph
 
 
 class PartialColoring:
-    """Mutable partial coloring supporting O(deg) extend/retract.
+    """Mutable partial coloring; extend/retract cost a few big-int ops.
 
-    `uncolored_mask` has bit v set iff v is uncolored (the bitmask of the
-    set `uncolored`), and `barred_mask[i]` has bit w set iff some neighbor
-    of w wears color i: w may not take i. The masks cover every vertex,
-    colored or not, and so does
-    `priority[v] = s * n + (n - 1 - r)`, where s is the number of colors
-    whose barred mask holds v (v's saturation degree) and r is v's
-    position in `g.order`. The keys are distinct, and a larger key means
-    higher saturation, then higher degree, then lower index, since
-    `g.order` ranks by decreasing degree with ties to the lower index.
+    `uncolored_mask` has bit v set iff v is uncolored, and
+    `barred_mask[i]` has bit w set iff some neighbor of w wears color i:
+    w may not take i. Bit v of `sat[j]` is bit j of v's saturation degree,
+    the number of colors whose barred mask holds v, over n.bit_length()
+    planes (no saturation exceeds n - 1). Masks and planes span all n.
 
-    Each `_trail` entry is `(v, i, barred, old)`, where `barred` lists the
-    neighbors of v that were not in `barred_mask[i]` before v was colored
-    i and `old` is `barred_mask[i]` before the move, so a retract sequence
-    restores earlier states exactly.
+    Each `_trail` entry is `(v, i, old)`, where `old` is `barred_mask[i]`
+    before v was colored i, so `barred_mask[i] ^ old` holds the neighbors
+    the move newly barred, and a retract sequence restores earlier states
+    exactly.
     """
 
     __slots__ = (
         "n",
         "color_of",
         "class_size",
-        "uncolored",
         "uncolored_mask",
         "barred_mask",
         "adj_mask",
-        "priority",
+        "sat",
         "k_used",
         "M",
         "_size_hist",
@@ -61,13 +55,10 @@ class PartialColoring:
         self.n = n
         self.color_of = [-1] * n
         self.class_size = [0] * n
-        self.uncolored = set(range(n))
         self.uncolored_mask = (1 << n) - 1
         self.barred_mask = [0] * n
         self.adj_mask = g.adj_mask
-        self.priority = priority = [0] * n
-        for r, v in enumerate(g.order):
-            priority[v] = n - 1 - r
+        self.sat = [0] * n.bit_length()
         self.k_used = 0
         self.M = 0
         self._size_hist = [0] * (n + 1)
@@ -83,7 +74,6 @@ class PartialColoring:
         assert self.color_of[v] == -1, f"vertex {v} already colored"
         assert not self.barred_mask[i] >> v & 1, f"color {i} barred for {v}"
         self.color_of[v] = i
-        self.uncolored.remove(v)
         self.uncolored_mask ^= 1 << v
         s = self.class_size[i]
         self.class_size[i] = s + 1
@@ -97,24 +87,23 @@ class PartialColoring:
         old = self.barred_mask[i]
         adj = self.adj_mask[v]
         self.barred_mask[i] = old | adj
-        new = adj & ~old
-        priority = self.priority
-        n = self.n
-        barred = []
-        while new:
-            low = new & -new
-            new ^= low
-            w = low.bit_length() - 1
-            priority[w] += n
-            barred.append(w)
-        self._trail.append((v, i, barred, old))
+        # ripple carry: one more for each neighbor the move newly bars
+        carry = adj & ~old
+        sat = self.sat
+        j = 0
+        while carry:
+            plane = sat[j]
+            sat[j] = plane ^ carry
+            carry &= plane
+            j += 1
+        self._trail.append((v, i, old))
 
     def retract(self) -> tuple[int, int]:
         """Undo the most recent extend; returns the (vertex, color) undone."""
-        v, i, barred, old = self._trail.pop()
+        v, i, old = self._trail.pop()
         self.color_of[v] = -1
-        self.uncolored.add(v)
         self.uncolored_mask |= 1 << v
+        borrow = self.barred_mask[i] ^ old
         self.barred_mask[i] = old
         s = self.class_size[i]
         self.class_size[i] = s - 1
@@ -125,10 +114,14 @@ class PartialColoring:
             self._size_hist[s - 1] += 1
         if s == self.M and self._size_hist[s] == 0:
             self.M = s - 1
-        priority = self.priority
-        n = self.n
-        for w in barred:
-            priority[w] -= n
+        # ripple borrow: one less for each neighbor the move newly barred
+        sat = self.sat
+        j = 0
+        while borrow:
+            plane = sat[j]
+            sat[j] = plane ^ borrow
+            borrow &= ~plane
+            j += 1
         return v, i
 
 
@@ -157,7 +150,7 @@ def deficit_prune(pc: PartialColoring, k_lower: int, i: int) -> bool:
 def is_equitable(pc: PartialColoring) -> bool:
     """True iff pc is a complete coloring whose nonempty classes' sizes
     pairwise differ by at most one."""
-    if pc.uncolored:
+    if pc.uncolored_mask:
         return False
     sizes = [s for s in pc.class_size if s > 0]
     return max(sizes) - min(sizes) <= 1

@@ -8,7 +8,7 @@ set), so growing a clique, fencing off its neighbors and projecting onto a
 smaller uncolored set cost a few big-int operations per clique. Seeds and
 growth both take the lowest vertex index: the solver searches a copy of
 its graph relabeled by `Graph.order` (`Graph.relabeled`), where that is
-the static priority of decreasing degree with ties to the lowest index.
+the static order of decreasing degree with ties to the lowest index.
 """
 
 from __future__ import annotations

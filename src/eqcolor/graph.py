@@ -24,7 +24,7 @@ class Graph:
     single undirected edge. Self-loops are rejected.
 
     Besides `n`, `adj`, `edges` and `degree`, it keeps `order`: the vertex
-    priority every greedy scans, by decreasing degree, ties to lower index.
+    ranking every greedy scans, by decreasing degree, ties to lower index.
     `adj_mask` holds the neighborhoods as bitmasks, built on first use.
     """
 

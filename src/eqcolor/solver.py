@@ -3,15 +3,16 @@
 Search contract: depth-first, root seeded with a greedily colored maximal
 clique grown from the first vertices of `Graph.order`; at each node branch
 on an uncolored vertex of maximum saturation (ties: maximum degree, then
-lowest index) over the free colors up to one new class, in increasing
-order. A child survives only if its color index stays below the incumbent
-bound, the arithmetic largest-class test passes, and (for the flow/comb
-variants) the chosen pruning engine finds some candidate color count
-still alive. All tie-breaking is deterministic so node counts are
-comparable across variants.
+lowest index; on the relabeled graph below, just the lowest index) over
+the free colors up to one new class, in increasing order. A child
+survives only if its color index stays below the incumbent bound, the
+arithmetic largest-class test passes, and (for the flow/comb variants)
+the chosen pruning engine finds some candidate color count still alive.
+All tie-breaking is deterministic so node counts are comparable across
+variants.
 
-Branching does O(1) Python work per child: the pick is one C-level `max`
-over the uncolored set keyed by `PartialColoring.priority`, and the
+Branching does O(1) Python work per child: the pick is a walk down the
+saturation planes of `PartialColoring.sat`, one AND per plane, and the
 largest-class test is decided before the move. flow and comb then
 judge a child that passes it from the parent's state plus the move
 (v, i), without extending it (`HallContext` with a move). A surviving
@@ -22,9 +23,9 @@ from that flow; no test changes a flow it starts from.
 
 The search runs on a copy of the graph relabeled by `Graph.order`, so
 vertex r is the r-th vertex of the order and "first in the order" is
-"lowest index": the clique decomposition and the Hall context work on
-vertex bitmasks, where that is the lowest set bit. The witness is mapped
-back to the caller's vertex ids before it is checked.
+"lowest index": the DSATUR pick, the clique decomposition and the Hall
+context work on vertex bitmasks, where that is the lowest set bit. The
+witness is mapped back to the caller's vertex ids before it is checked.
 
 A KeyboardInterrupt anywhere in the search, the relabel, the initial
 bounds and the root decomposition included, ends it like a timeout: the
@@ -100,10 +101,15 @@ def _best_greedy_clique(g: Graph) -> list[int]:
 
 
 def _dsatur_pick(pc: PartialColoring) -> int:
-    """The uncolored vertex of maximum saturation, ties to maximum degree,
-    then to the lowest index: the largest `pc.priority` key. The keys are
-    distinct, so the set's iteration order does not matter."""
-    return max(pc.uncolored, key=pc.priority.__getitem__)
+    """The uncolored vertex of maximum saturation, ties to the lowest index
+    (DSATUR's degree tie-break on a graph relabeled by `Graph.order`): from
+    the top plane down, keep the candidates with the plane's bit if any."""
+    x = pc.uncolored_mask
+    for plane in reversed(pc.sat):
+        top = x & plane
+        if top:
+            x = top
+    return (x & -x).bit_length() - 1
 
 
 def _capped_greedy(g: Graph, k: int):
@@ -135,9 +141,10 @@ def _capped_greedy(g: Graph, k: int):
 def initial_bounds(g: Graph, deadline: float):
     """(k_lower, k_upper, incumbent, clique): the size of a greedy clique
     below, capped greedy above. The greedy retries with one more color on
-    failure and cannot fail at k = n. Once `deadline` (a perf_counter
-    time) has passed, no further greedy is started and the upper bound is
-    n, witnessed by one class per vertex."""
+    failure and cannot fail at k = n. Its pick ties to the lowest index,
+    DSATUR's degree tie-break on a graph relabeled by `Graph.order`. Once
+    `deadline` (a perf_counter time) has passed, no further greedy is
+    started and the upper bound is n, witnessed by one class per vertex."""
     if g.n == 0:
         raise ValueError("graph must be nonempty")
     clique = _best_greedy_clique(g)

@@ -19,6 +19,11 @@ if TYPE_CHECKING:  # literal_network imports free_colors from here
     from literal_network import FlowNetwork
 
 
+def uncolored(pc: PartialColoring) -> set:
+    """The uncolored vertices of pc, as a set."""
+    return set(mask_vertices(pc.uncolored_mask))
+
+
 def free_colors(pc: PartialColoring, v: int, k0: int) -> int:
     """Bitmask of the colors below k0 that no colored neighbor of v wears,
     recounted from the neighbors' colors."""
@@ -62,7 +67,7 @@ def random_state(rng, n_max=10, n_min=2, k0_max=None):
         pc = random_partial_coloring(rng, g, k0)
         if pc.k_used > k0 or pc.M > -(-n // k0):
             continue
-        decomp = random_decomposition(rng, g, pc.uncolored)
+        decomp = random_decomposition(rng, g, uncolored(pc))
         return g, pc, decomp, k0
 
 
@@ -162,7 +167,7 @@ def find_extension(g: Graph, pc: PartialColoring, k0: int):
             sizes[c] += 1
     if any(s > ceil_size for s in sizes):
         return None
-    todo = sorted(pc.uncolored)
+    todo = sorted(uncolored(pc))
 
     def rec(idx):
         if idx == len(todo):
@@ -411,21 +416,22 @@ def literal_hall_context(pc: PartialColoring, decomp: CliqueDecomposition, k0: i
     }
 
 
-def recompute_priority(pc: PartialColoring):
-    """From-scratch DSATUR keys: saturation * n plus n - 1 - r, with the
-    saturation the number of colors whose recounted barred mask holds the
-    vertex and r the vertex's rank by decreasing degree, ties to the lower
-    index (ranked here without `Graph.order`)."""
-    n = pc.n
-    degree = [pc.adj_mask[v].bit_count() for v in range(n)]
-    ranked = sorted(range(n), key=lambda v: (-degree[v], v))
-    priority = [0] * n
-    for r, v in enumerate(ranked):
-        priority[v] = n - 1 - r
+def saturation(pc: PartialColoring) -> list[int]:
+    """Per vertex, colored or not, the number of colors whose recounted
+    barred mask holds it."""
     _, barred = recompute_masks(pc)
-    for v in range(n):
-        priority[v] += sum(b >> v & 1 for b in barred) * n
-    return priority
+    return [sum(b >> v & 1 for b in barred) for v in range(pc.n)]
+
+
+def recompute_sat(pc: PartialColoring) -> list[int]:
+    """From-scratch saturation planes: bit v of plane j is bit j of v's
+    recounted saturation, over n.bit_length() planes."""
+    planes = [0] * pc.n.bit_length()
+    for v, s in enumerate(saturation(pc)):
+        for j in range(len(planes)):
+            if s >> j & 1:
+                planes[j] |= 1 << v
+    return planes
 
 
 def raising_on_call(fn, at: int, exc=KeyboardInterrupt):

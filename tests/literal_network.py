@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from eqcolor.coloring import PartialColoring
 from eqcolor.decomposition import CliqueDecomposition, mask_vertices
 from eqcolor.oracle import OracleCapError
-from helpers import free_colors
+from helpers import free_colors, uncolored
 
 def _max_flow(to: list, cap: list, adj: list, s: int, t: int) -> int:
     """Shortest-augmenting-path max-flow on paired arc arrays: arc a runs
@@ -114,7 +114,7 @@ def build_network(
         parts.append(tuple(sorted(decomp.residual)))
         alphas.append(len(decomp.residual))
     u_vertices = [v for part in parts for v in part]
-    if len(u_vertices) != len(pc.uncolored) or set(u_vertices) != pc.uncolored:
+    if len(u_vertices) != len(set(u_vertices)) or set(u_vertices) != uncolored(pc):
         raise ValueError("decomposition does not cover the uncolored set exactly")
 
     net = FlowNetwork()

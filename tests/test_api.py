@@ -55,11 +55,10 @@ def test_search_state_and_hall_snapshot_slots_pinned():
         "n",
         "color_of",
         "class_size",
-        "uncolored",
         "uncolored_mask",
         "barred_mask",
         "adj_mask",
-        "priority",
+        "sat",
         "k_used",
         "M",
         "_size_hist",

@@ -16,7 +16,9 @@ from helpers import (
     free_colors,
     random_partial_coloring,
     recompute_masks,
-    recompute_priority,
+    recompute_sat,
+    saturation,
+    uncolored,
 )
 
 
@@ -46,7 +48,7 @@ def test_extend_updates_barred_masks():
     # a and c are barred from color 0 and from no other color
     assert pc.barred_mask[0] == 0b101 and not any(pc.barred_mask[1:])
     assert free_colors(pc, 0, 3) == free_colors(pc, 2, 3) == 0b110
-    assert pc.uncolored == {0, 2}
+    assert uncolored(pc) == {0, 2}
 
 
 def test_extend_forbidden_color_asserts():
@@ -68,16 +70,16 @@ def test_extend_colored_vertex_asserts():
 def test_lopsided_state_statistics():
     _, pc = lopsided_state()
     assert sorted(s for s in pc.class_size if s) == [1, 1, 1, 3]
-    assert len(pc.uncolored) == 2
+    assert pc.uncolored_mask.bit_count() == 2
     assert pc.M == 3 and pc._size_hist[pc.M] == 1 and pc.k_used == 4
 
 
 def snapshot(pc):
     return (
         list(pc.color_of),
-        set(pc.uncolored),
+        pc.uncolored_mask,
         list(pc.barred_mask),
-        list(pc.priority),
+        list(pc.sat),
         pc.M,
         pc._size_hist[pc.M],
         pc.k_used,
@@ -108,8 +110,8 @@ def test_incremental_matches_recompute_on_random_walks():
         pc = PartialColoring(g)
         moves = 0
         for _ in range(rng.randint(1, 40)):
-            if pc.uncolored and (moves == 0 or rng.random() < 0.65):
-                v = rng.choice(sorted(pc.uncolored))
+            if pc.uncolored_mask and (moves == 0 or rng.random() < 0.65):
+                v = rng.choice(sorted(uncolored(pc)))
                 mask = free_colors(pc, v, g.n)
                 colors = [i for i in range(g.n) if (mask >> i) & 1]
                 pc.extend(v, rng.choice(colors))
@@ -117,7 +119,7 @@ def test_incremental_matches_recompute_on_random_walks():
             elif moves:
                 pc.retract()
                 moves -= 1
-            assert recompute_priority(pc) == pc.priority
+            assert recompute_sat(pc) == pc.sat
             assert recompute_masks(pc) == (pc.uncolored_mask, pc.barred_mask)
             sizes = sorted(s for s in pc.class_size if s)
             assert pc.M == (max(sizes) if sizes else 0)
@@ -125,30 +127,56 @@ def test_incremental_matches_recompute_on_random_walks():
             assert pc.k_used == len(sizes)
 
 
+def test_saturation_planes_carry_to_the_top_on_complete_graphs():
+    """On K_n every move bars each other uncolored vertex from one more
+    color, so the last vertex climbs to saturation n - 1, and a carry
+    first reaches plane j at the K_n with n - 1 = 2**j (n = 2, 3, 5, 9,
+    17). The top of the n.bit_length() planes is used unless n is a power
+    of two. The planes equal the recount after every extend and every
+    retract, and are all 0 at the end."""
+    for n in range(1, 18):
+        g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+        pc = PartialColoring(g)
+        assert len(pc.sat) == n.bit_length()
+        for v in range(n):
+            pc.extend(v, v)
+            assert pc.sat == recompute_sat(pc)
+        assert max(saturation(pc)) == n - 1
+        assert bool(pc.sat[-1]) == bool(n & (n - 1))
+        while pc.depth:
+            pc.retract()
+            assert pc.sat == recompute_sat(pc)
+        assert not any(pc.sat)
+
+
 def test_dsatur_pick_matches_literal_key_on_random_walks():
     """After every move of random extend/retract walks, the pick is the
     literal max over (saturation, degree, -index). Regular graphs and
-    sparse G(n,p) give many degree ties, so the index tie-break decides."""
+    sparse G(n,p) give many degree ties, so the index tie-break decides.
+    The pick breaks saturation ties by the lowest index, which is the
+    highest degree only on a graph relabeled by `Graph.order`, the graphs
+    the search runs on, so the walks run on relabeled graphs."""
     rng = random.Random(72)
     graphs = [Graph(8, [(v, (v + 1) % 8) for v in range(8)]), by_name("queen5_5")]
     graphs += [gen_gnp(rng.randint(3, 14), rng.uniform(0.1, 0.6), rng.getrandbits(32))
                for _ in range(60)]
     checked = 0
     for g in graphs:
+        g = g.relabeled()
         pc = PartialColoring(g)
         moves = 0
         for _ in range(3 * g.n):
-            if pc.uncolored and (moves == 0 or rng.random() < 0.6):
-                v = rng.choice(sorted(pc.uncolored))
+            if pc.uncolored_mask and (moves == 0 or rng.random() < 0.6):
+                v = rng.choice(sorted(uncolored(pc)))
                 mask = free_colors(pc, v, g.n)
                 pc.extend(v, rng.choice([i for i in range(g.n) if (mask >> i) & 1]))
                 moves += 1
             elif moves:
                 pc.retract()
                 moves -= 1
-            if pc.uncolored:
+            if pc.uncolored_mask:
                 expected = max(
-                    pc.uncolored,
+                    uncolored(pc),
                     key=lambda u: (
                         g.n - free_colors(pc, u, g.n).bit_count(),  # saturation
                         g.degree[u],
@@ -199,10 +227,10 @@ def test_deficit_prune_equivalent_sum_form():
         g = gen_gnp(rng.randint(2, 10), rng.random(), rng.getrandbits(32))
         k0 = rng.randint(1, g.n)
         pc = random_partial_coloring(rng, g, k0)
-        if not pc.uncolored:
+        if not pc.uncolored_mask:
             continue
         for i in range(pc.k_used + 1):
-            free = [u for u in sorted(pc.uncolored) if free_colors(pc, u, i + 1) >> i & 1]
+            free = [u for u in sorted(uncolored(pc)) if free_colors(pc, u, i + 1) >> i & 1]
             if not free:
                 continue
             s = pc.class_size[i]
@@ -216,7 +244,7 @@ def test_deficit_prune_equivalent_sum_form():
             pc.extend(v, i)
             assert k0s == [list(candidate_k0_values(pc, k, k_upper)) for k in (0, k_lower)]
             deficit = sum(pc.M - 1 - c for c in pc.class_size if 0 < c < pc.M - 1)
-            assert predicted == (len(pc.uncolored) < deficit)
+            assert predicted == (pc.uncolored_mask.bit_count() < deficit)
             k = max(k_lower, pc.k_used)
             assert predicted_lower == (g.n < (pc.M - 1) * k + pc._size_hist[pc.M])
             pc.retract()

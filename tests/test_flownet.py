@@ -20,6 +20,7 @@ from helpers import (
     random_decomposition,
     random_state,
     table1_flow,
+    uncolored,
 )
 from literal_network import (
     _max_flow,
@@ -114,7 +115,7 @@ def test_trivial_decomposition_copy_layer_not_binding():
         trivial = CliqueDecomposition((), pc.uncolored_mask)
         net = build_network(pc, trivial, k0)
         for tail, head, lo, up in net.arcs[net.a1_count + net.a2_count :][: net.a3_count]:
-            assert lo == 0 and up == len(pc.uncolored)
+            assert lo == 0 and up == pc.uncolored_mask.bit_count()
         assert (feasible_flow(net) is not None) == assignment_feasible(net)
 
 
@@ -207,7 +208,7 @@ def test_feasible_flow_decodes_to_extension_when_residual_empty():
             continue
         check_flow(net, flow)
         assign = extract_coloring(net, flow)
-        assert set(assign) == pc.uncolored
+        assert set(assign) == uncolored(pc)
         full = list(pc.color_of)
         for v, c in assign.items():
             full[v] = c
@@ -394,7 +395,8 @@ def _partial_flow(rng, pc, decomp, k0):
     W is a list, so a change to it would show."""
     ceil_size = -(-pc.n // k0)
     W = [0] * k0
-    for v in rng.sample(sorted(pc.uncolored), len(pc.uncolored)):
+    todo = sorted(uncolored(pc))
+    for v in rng.sample(todo, len(todo)):
         clique = next((c for c in decomp.masks if c >> v & 1), 0)
         free = free_colors(pc, v, k0)
         colors = [
@@ -430,16 +432,16 @@ def test_flow_feasible_is_exact_from_any_start():
         broken = (k, [rng.getrandbits(g.n) for _ in range(k)])
         flow = _judge_from(pc, decomp, k0, broken)
         seen["broken", flow is not None] += 1
-        if flow is None or not pc.uncolored:
+        if flow is None or not pc.uncolored_mask:
             continue
-        v = rng.choice(sorted(pc.uncolored))
+        v = rng.choice(sorted(uncolored(pc)))
         limit = min(pc.k_used + 1, g.n)
         free = free_colors(pc, v, limit)
         colors = [i for i in range(limit) if free >> i & 1]
         if not colors:
             continue
         move = (v, rng.choice(colors))
-        child_decomp = random_decomposition(rng, g, pc.uncolored - {v})
+        child_decomp = random_decomposition(rng, g, uncolored(pc) - {v})
         for k in candidate_k0_values(pc, 1, g.n + 1, move):
             child_flow = _judge_from(pc, child_decomp, k, flow, move)
             seen["parent's", child_flow is not None] += 1

@@ -27,6 +27,8 @@ from helpers import (
     mask,
     random_decomposition,
     random_state,
+    recompute_sat,
+    uncolored,
 )
 from literal_network import build_network, check_vertex_flow, feasible_flow
 
@@ -246,7 +248,7 @@ def test_rule_menu_misses_spread_deficits_that_flow_catches():
         for _ in range(s):
             pc.extend(v, i)
             v += 1
-    assert len(pc.uncolored) == 1
+    assert pc.uncolored_mask.bit_count() == 1
     decomp = CliqueDecomposition((), pc.uncolored_mask)
     v, i = pc.retract()
     assert deficit_prune(pc, 0, i) is True
@@ -351,10 +353,10 @@ def test_rules_and_flow_agree_with_literal_network_on_search_states(monkeypatch)
                     failures += 1
                     assert not exact
                     continue
-                n_u = len(pc.uncolored)
+                n_u = pc.uncolored_mask.bit_count()
                 floor_size, ceil_size = g.n // k0, -(-g.n // k0)
                 sizes = pc.class_size[:k0]
-                masks = [free_colors(pc, v, k0) for v in pc.uncolored]
+                masks = [free_colors(pc, v, k0) for v in uncolored(pc)]
                 for c in range(k0):
                     only_c = sum(1 for m in masks if m in (0, 1 << c))
                     with_c = sum(1 for m in masks if m >> c & 1)
@@ -527,7 +529,7 @@ def _state(pc):
         list(pc.class_size),
         pc.uncolored_mask,
         list(pc.barred_mask),
-        list(pc.priority),
+        list(pc.sat),
     )
 
 
@@ -535,8 +537,10 @@ def _check_child_judged_from_parent(pc, decomp, move, k_lower, k_upper):
     """Judging the child from pc plus the move matches judging it after
     pc.extend(*move), and leaves pc as it was; returns the judgement."""
     pc.extend(*move)
+    assert pc.sat == recompute_sat(pc)
     want = _judged(pc, decomp, None, k_lower, k_upper)
     pc.retract()
+    assert pc.sat == recompute_sat(pc)
     before = _state(pc)
     assert _judged(pc, decomp, move, k_lower, k_upper) == want
     assert _state(pc) == before
@@ -554,16 +558,16 @@ def test_child_judged_from_parent_matches_extended_child(monkeypatch):
     verdicts = Counter()
     for _ in range(1500):
         g, pc, _, _ = random_state(rng, n_max=12)
-        if not pc.uncolored:
+        if not pc.uncolored_mask:
             continue
-        v = rng.choice(sorted(pc.uncolored))
+        v = rng.choice(sorted(uncolored(pc)))
         limit = min(pc.k_used + 1, g.n)
         free = free_colors(pc, v, limit)
         colors = [i for i in range(limit) if free >> i & 1]
         if not colors:
             continue
         move = (v, rng.choice(colors))
-        decomp = random_decomposition(rng, g, pc.uncolored - {v})
+        decomp = random_decomposition(rng, g, uncolored(pc) - {v})
         k_lower = rng.randint(1, max(1, pc.k_used))
         k_upper = rng.randint(k_lower, g.n + 1)
         want = _check_child_judged_from_parent(pc, decomp, move, k_lower, k_upper)
