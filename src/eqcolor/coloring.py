@@ -124,6 +124,11 @@ class PartialColoring:
             j += 1
         return v, i
 
+    def retract_to(self, depth: int) -> None:
+        """Undo the most recent extends until `depth` of them remain."""
+        for _ in range(len(self._trail) - depth):
+            self.retract()
+
 
 def deficit_prune(pc: PartialColoring, k_lower: int, i: int) -> bool:
     """Necessary-condition prune for the child that puts one more vertex

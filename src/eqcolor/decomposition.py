@@ -71,6 +71,13 @@ def find_non_adjacent_cliques(g: Graph, uncolored: int) -> CliqueDecomposition:
     clique's outside neighbors (the OR of its members' neighborhoods) into
     the residual so later cliques cannot touch it. Singleton cliques fold
     straight into the residual.
+
+    For a residual vertex v of the result, the result on `uncolored`
+    minus v equals this one's `restricted_to(uncolored & ~(1 << v))`: v
+    is a singleton seed or a fenced-off vertex, never the seed or a
+    growth step of a clique, so without it the greedy seeds, grows and
+    fences off the same cliques in the same order. The search reuses that
+    projection in place of a rebuild.
     """
     adj = g.adj_mask
     remaining = uncolored

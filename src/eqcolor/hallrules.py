@@ -109,13 +109,31 @@ def check_positive_single(ctx: HallContext) -> bool:
     return True
 
 
+def _augment(bit: int, visited: int, owner: list[int], barred: list[int]):
+    """Augmenting-path search from the clique member `bit` over the colors
+    not in `visited` (a color bitmask): (placed, visited). On success the
+    path's colors are rematched in `owner`."""
+    for c, bar in enumerate(barred):
+        if visited >> c & 1 or bar & bit:
+            continue
+        visited |= 1 << c
+        if not owner[c]:
+            owner[c] = bit
+            return True, visited
+        ok, visited = _augment(owner[c], visited, owner, barred)
+        if ok:
+            owner[c] = bit
+            return True, visited
+    return False, visited
+
+
 def _clique_has_sdr(q: int, barred: list[int]) -> bool:
     """Can every member of the clique `q` (a vertex bitmask) get a
     distinct color that its barred masks leave it? A greedy pass gives
     each color, in order, to its lowest member still unmatched and free
-    for it; augmenting-path bipartite matching, started from the greedy's
-    matching, then places only the members it left out. Cliques are
-    small."""
+    for it; augmenting-path bipartite matching (`_augment`), started from
+    the greedy's matching, then places only the members it left out.
+    Cliques are small."""
     k0 = len(barred)
     if q.bit_count() > k0:
         return False
@@ -129,25 +147,10 @@ def _clique_has_sdr(q: int, barred: list[int]) -> bool:
             left ^= x
             if not left:
                 return True
-
-    def augment(bit: int, visited: int) -> tuple[bool, int]:
-        for c in range(k0):
-            if visited >> c & 1 or barred[c] & bit:
-                continue
-            visited |= 1 << c
-            if not owner[c]:
-                owner[c] = bit
-                return True, visited
-            ok, visited = augment(owner[c], visited)
-            if ok:
-                owner[c] = bit
-                return True, visited
-        return False, visited
-
     while left:
         bit = left & -left
         left ^= bit
-        if not augment(bit, 0)[0]:
+        if not _augment(bit, 0, owner, barred)[0]:
             return False
     return True
 
@@ -188,19 +191,15 @@ def check_negative_single(ctx: HallContext) -> bool:
     return True
 
 
-_RULES = (
-    ("positive_single", check_positive_single),
-    ("clique_hall", check_clique_hall),
-    ("negative", check_negative_single),
-)
-
-
 def failing_rule(ctx: HallContext) -> str | None:
     """Name of the first failing rule in cheapest-first order, or None when
     all pass for this k0."""
-    for name, rule in _RULES:
-        if not rule(ctx):
-            return name
+    if not check_positive_single(ctx):
+        return "positive_single"
+    if not check_clique_hall(ctx):
+        return "clique_hall"
+    if not check_negative_single(ctx):
+        return "negative"
     return None
 
 

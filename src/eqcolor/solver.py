@@ -21,6 +21,13 @@ it is popped. Under flow a queued child carries the flow its test found
 (`flow_feasible`'s (k0, W)), and the tests of its own children start
 from that flow; no test changes a flow it starts from.
 
+flow and comb rebuild the clique decomposition at every `cd_stride`-th
+node and project the last one at the others. When a node's
+decomposition is its own rebuild and v is one of its residual vertices,
+the rebuild on the children's uncolored set is the projection the node
+makes for them (`find_non_adjacent_cliques`), so a child is queued with
+that projection too and takes it in place of the rebuild.
+
 The search runs on a copy of the graph relabeled by `Graph.order`, so
 vertex r is the r-th vertex of the order and "first in the order" is
 "lowest index": the DSATUR pick, the clique decomposition and the Hall
@@ -201,10 +208,11 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
         return Solution(0, [], True), stats
     # one class per vertex until a greedy finishes
     k_upper, incumbent = g.n, list(range(g.n))
-    # looked up per call, so rebinding the module attributes takes effect
+    # looked up per solve, so rebinding the module attributes takes effect
     prune = {"flow": flow_prune, "comb": comb_prune}.get(cfg.variant)
     carries_flow = cfg.variant == "flow"
-    # (trail depth, vertex, color, flow or None) of unextended children
+    # (parent's trail depth, vertex, color, flow or None, decomposition or
+    # None) of unextended children
     stack = []
     nodes = 1  # root
     timed_out = interrupted = False
@@ -220,19 +228,20 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
 
         def push_children(depth: int, flow) -> None:
             """Queue the children that survive; under flow, their tests
-            start from `flow`, the flow of the node being branched."""
+            start from `flow`, the flow of the node being branched. When
+            `decomp` is this node's own rebuild (`fresh`) and v is in its
+            residual, the children's projection is what a rebuild on their
+            uncolored set returns, so it is queued with them."""
             v = _dsatur_pick(pc)
             limit = pc.k_used + 1
             if limit > k_upper - 1:
                 limit = k_upper - 1
             bit = 1 << v
-            child_depth = depth + 1
             # every child leaves the same uncolored set: project once, for
             # the first child the deficit test lets through
-            child_decomp = None
+            child_decomp = reuse = None
             # flow_prune appends a surviving child's flow here
-            found = []
-            extra = {"start": flow, "found": found} if carries_flow else {}
+            found = [] if carries_flow else None
             # iterate colors descending so the LIFO pop order is ascending;
             # a countdown, not a range: this runs at every node, and the
             # range alone costs std about 2 % of its solve time
@@ -247,9 +256,18 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                 if prune is not None:
                     if child_decomp is None:
                         child_decomp = decomp.restricted_to(pc.uncolored_mask ^ bit)
-                    if prune(pc, child_decomp, k_lower, k_upper, stats, (v, i), **extra):
+                        if fresh and decomp.residual_mask & bit:
+                            reuse = child_decomp
+                    if carries_flow:
+                        pruned = prune(
+                            pc, child_decomp, k_lower, k_upper, stats, (v, i),
+                            start=flow, found=found,
+                        )
+                    else:
+                        pruned = prune(pc, child_decomp, k_lower, k_upper, stats, (v, i))
+                    if pruned:
                         continue
-                stack.append((child_depth, v, i, found.pop() if found else None))
+                stack.append((depth, v, i, found.pop() if found else None, reuse))
 
         # a root clique covering every vertex gives k_lower = n: closed
         if not (closed or timed_out):
@@ -259,14 +277,14 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                 pc.extend(v, idx)
             if prune is not None:
                 decomp = restarted_decomposition(g, pc.uncolored_mask)
+                fresh = True
             push_children(pc.depth, None)
 
         while stack:
-            depth, v, i, flow = stack.pop()
+            depth, v, i, flow, queued = stack.pop()
             if i > k_upper - 2:
                 continue  # bound improved since this child was queued
-            while pc.depth >= depth:
-                pc.retract()
+            pc.retract_to(depth)
             pc.extend(v, i)
             nodes += 1
             if time.perf_counter() > deadline:
@@ -279,9 +297,13 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                     if k_upper <= k_lower:
                         break  # bounds met: optimal proven
                 continue
-            if prune is not None and nodes % stride == 0:
-                decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
-            push_children(depth, flow)
+            if prune is not None:
+                fresh = nodes % stride == 0
+                if fresh:  # a rebuild node: a queued projection equals the rebuild
+                    if queued is None:
+                        queued = find_non_adjacent_cliques(g, pc.uncolored_mask)
+                    decomp = queued
+            push_children(depth + 1, flow)
     except KeyboardInterrupt:
         interrupted = True
         # the interrupt may fall between the two incumbent assignments

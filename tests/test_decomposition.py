@@ -151,3 +151,36 @@ def test_restricted_to_matches_set_projection():
         kept = [c for c in kept if len(c) >= 2]
         assert list(clique_vertices(r)) == kept
         assert r.residual == smaller - {v for c in kept for v in c}
+
+
+def test_rebuild_without_a_residual_vertex_is_the_projection():
+    """Removing a residual vertex v from the uncolored set U changes no
+    step of the greedy: it never seeds a clique of two or more with v,
+    grows one with v, or needs v to fence one off. So the rebuild on U - v
+    is the projection of the decomposition of U, cliques in the same
+    order. Removing a clique member can change the rebuild, which the
+    test sees happen."""
+    rng = random.Random(21)
+    residual_checks = member_changes = 0
+    for _ in range(120):
+        g = gen_gnp(rng.randint(8, 40), rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)), rng.getrandbits(32))
+        if rng.random() < 0.5:
+            g = g.relabeled()
+        uncolored = mask(v for v in range(g.n) if rng.random() < rng.uniform(0.4, 1.0))
+        d = find_non_adjacent_cliques(g, uncolored)
+        for v in range(g.n):
+            bit = 1 << v
+            if not uncolored & bit:
+                continue
+            rebuilt = find_non_adjacent_cliques(g, uncolored ^ bit)
+            projected = d.restricted_to(uncolored ^ bit)
+            same = (rebuilt.masks, rebuilt.residual_mask) == (
+                projected.masks,
+                projected.residual_mask,
+            )
+            if d.residual_mask & bit:
+                assert same
+                residual_checks += 1
+            else:
+                member_changes += not same
+    assert residual_checks > 500 and member_changes > 50

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import time
@@ -6,6 +7,8 @@ import pytest
 
 from eqcolor import Graph, Solution, SolverConfig, gen_gnp, solve
 from eqcolor import solver
+from eqcolor.coloring import PartialColoring
+from eqcolor.decomposition import CliqueDecomposition
 from eqcolor.instances import by_name
 from eqcolor.oracle import brute_chi_eq
 from eqcolor.solver import initial_bounds
@@ -330,3 +333,76 @@ def test_witness_in_caller_vertex_ids():
             sol_h, stats_h = solve(h, cfg)
             assert (sol_h.chi_eq, stats_h.nodes) == (sol.chi_eq, stats.nodes)
             assert sol_h.coloring == [sol.coloring[v] for v in g.order]
+
+
+@pytest.mark.parametrize("variant", ["comb", "flow"])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_rebuild_nodes_use_the_rebuild(monkeypatch, variant, stride):
+    """Every node whose turn it is to rebuild the decomposition (the root
+    and every `cd_stride`-th node) branches on exactly
+    `find_non_adjacent_cliques` of its uncolored set, whether it rebuilt
+    it or took the projection queued with it, and some nodes take it.
+
+    A node's decomposition is the one its children's projection is taken
+    from (the `restricted_to` spy), and the node's count is one plus the
+    extends made since the root was branched (the `extend` spy)."""
+    real_prune = getattr(solver, f"{variant}_prune")
+    real_restrict = CliqueDecomposition.restricted_to
+    real_extend = PartialColoring.extend
+    real_find = solver.find_non_adjacent_cliques
+    checked = reused = 0
+    for g in (by_name("queen6_6"), gen_gnp(40, 0.5, 2), gen_gnp(40, 0.8, 7)):
+        relabeled = g.relabeled()
+        built = {}  # id -> every decomposition the search rebuilt, kept alive
+        seen = {"extends": 0, "root": None, "decomp": None, "node": None}
+
+        def extend(pc, v, i):
+            seen["extends"] += 1
+            real_extend(pc, v, i)
+
+        def restricted_to(decomp, uncolored):
+            seen["decomp"] = decomp
+            return real_restrict(decomp, uncolored)
+
+        def find(g, uncolored):
+            decomp = real_find(g, uncolored)
+            built[id(decomp)] = decomp
+            return decomp
+
+        def prune(pc, decomp, k_lower, k_upper, stats, move, **flow_args):
+            nonlocal checked, reused
+            if seen["root"] is None:
+                seen["root"] = seen["extends"]
+            node = 1 + seen["extends"] - seen["root"]
+            if seen["node"] != node and (node == 1 or node % stride == 0):
+                seen["node"] = node
+                got = seen["decomp"]
+                want = real_find(relabeled, pc.uncolored_mask)
+                assert (got.masks, got.residual_mask) == (want.masks, want.residual_mask)
+                checked += 1
+                reused += node > 1 and id(got) not in built
+            return real_prune(pc, decomp, k_lower, k_upper, stats, move, **flow_args)
+
+        monkeypatch.setattr(PartialColoring, "extend", extend)
+        monkeypatch.setattr(CliqueDecomposition, "restricted_to", restricted_to)
+        monkeypatch.setattr(solver, "find_non_adjacent_cliques", find)
+        monkeypatch.setattr(solver, f"{variant}_prune", prune)
+        sol, _ = solve(g, SolverConfig(variant=variant, cd_stride=stride))
+        monkeypatch.undo()
+        assert sol.optimal
+    assert checked > 1000 and reused > 10
+
+
+@pytest.mark.parametrize("variant", ["std", "comb", "flow"])
+def test_a_solve_leaves_no_cyclic_garbage(variant):
+    """A search allocates per node; none of it may need the cycle
+    collector to be freed."""
+    for g in (by_name("queen6_6"), gen_gnp(40, 0.7, 3)):
+        gc.collect()
+        gc.disable()
+        try:
+            solve(g, SolverConfig(variant=variant))
+        finally:
+            garbage = gc.collect()
+            gc.enable()
+        assert garbage == 0
