@@ -71,10 +71,11 @@ class PartialColoring:
     def extend(self, v: int, i: int) -> None:
         """Place uncolored v into class i. Violating the preconditions
         (v uncolored, i free for v) is a programming error."""
-        assert self.color_of[v] == -1, f"vertex {v} already colored"
-        assert not self.barred_mask[i] >> v & 1, f"color {i} barred for {v}"
+        bit = 1 << v
+        assert self.uncolored_mask & bit, f"vertex {v} already colored"
+        assert not self.barred_mask[i] & bit, f"color {i} barred for {v}"
         self.color_of[v] = i
-        self.uncolored_mask ^= 1 << v
+        self.uncolored_mask ^= bit
         s = self.class_size[i]
         self.class_size[i] = s + 1
         if s == 0:
@@ -118,9 +119,10 @@ class PartialColoring:
         sat = self.sat
         j = 0
         while borrow:
-            plane = sat[j]
-            sat[j] = plane ^ borrow
-            borrow &= ~plane
+            plane = sat[j] ^ borrow
+            sat[j] = plane
+            # borrow & (old ^ borrow) == borrow & ~old: no complement needed
+            borrow &= plane
             j += 1
         return v, i
 

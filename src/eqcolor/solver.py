@@ -15,18 +15,22 @@ Branching does O(1) Python work per child: the pick is a walk down the
 saturation planes of `PartialColoring.sat`, one AND per plane, and the
 largest-class test is decided before the move. flow and comb then
 judge a child that passes it from the parent's state plus the move
-(v, i), without extending it (`HallContext` with a move). A surviving
-child is queued unextended under every variant and extended once, when
-it is popped. Under flow a queued child carries the flow its test found
-(`flow_feasible`'s (k0, W)), and the tests of its own children start
-from that flow; no test changes a flow it starts from.
+(v, i), without extending it (`HallContext` with a move). A child is
+extended once, when the search enters it, under every variant: a node's
+lowest-color surviving child at once, since it is the one the LIFO
+stack would pop next, and only its siblings are queued, unextended, to
+be extended when they are popped. Under flow a child carries the flow
+its test found (`flow_feasible`'s (k0, W)), whether it is entered at
+once or queued, and the tests of its own children start from that flow;
+no test changes a flow it starts from.
 
 flow and comb rebuild the clique decomposition at every `cd_stride`-th
 node and project the last one at the others. When a node's
 decomposition is its own rebuild and v is one of its residual vertices,
 the rebuild on the children's uncolored set is the projection the node
-makes for them (`find_non_adjacent_cliques`), so a child is queued with
-that projection too and takes it in place of the rebuild.
+makes for them (`find_non_adjacent_cliques`), so a child carries that
+projection too, entered at once or queued, and takes it in place of the
+rebuild.
 
 The search runs on a copy of the graph relabeled by `Graph.order`, so
 vertex r is the r-th vertex of the order and "first in the order" is
@@ -208,13 +212,16 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
         return Solution(0, [], True), stats
     # one class per vertex until a greedy finishes
     k_upper, incumbent = g.n, list(range(g.n))
-    # looked up per solve, so rebinding the module attributes takes effect
+    # looked up per solve, so rebinding the module attributes (and
+    # PartialColoring.extend) takes effect
     prune = {"flow": flow_prune, "comb": comb_prune}.get(cfg.variant)
+    deficit, find, extend = deficit_prune, find_non_adjacent_cliques, PartialColoring.extend
     carries_flow = cfg.variant == "flow"
     # (parent's trail depth, vertex, color, flow or None, decomposition or
-    # None) of unextended children
+    # None) of the queued children, entered when popped
     stack = []
     nodes = 1  # root
+    prunes_deficit = 0
     timed_out = interrupted = False
     try:
         g = g.relabeled()
@@ -224,92 +231,108 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
         # past the deadline, screening the root's children alone could take
         # k_upper engine calls per child
         timed_out = not closed and time.perf_counter() > deadline
-        stride = cfg.cd_stride
-
-        def push_children(depth: int, flow) -> None:
-            """Queue the children that survive; under flow, their tests
-            start from `flow`, the flow of the node being branched. When
-            `decomp` is this node's own rebuild (`fresh`) and v is in its
-            residual, the children's projection is what a rebuild on their
-            uncolored set returns, so it is queued with them."""
-            v = _dsatur_pick(pc)
-            limit = pc.k_used + 1
-            if limit > k_upper - 1:
-                limit = k_upper - 1
-            bit = 1 << v
-            # every child leaves the same uncolored set: project once, for
-            # the first child the deficit test lets through
-            child_decomp = reuse = None
-            # flow_prune appends a surviving child's flow here
-            found = [] if carries_flow else None
-            # iterate colors descending so the LIFO pop order is ascending;
-            # a countdown, not a range: this runs at every node, and the
-            # range alone costs std about 2 % of its solve time
-            i = limit
-            while i > 0:
-                i -= 1
-                if barred[i] & bit:
-                    continue
-                if deficit_prune(pc, k_lower, i):
-                    stats.prunes_deficit += 1
-                    continue
-                if prune is not None:
-                    if child_decomp is None:
-                        child_decomp = decomp.restricted_to(pc.uncolored_mask ^ bit)
-                        if fresh and decomp.residual_mask & bit:
-                            reuse = child_decomp
-                    if carries_flow:
-                        pruned = prune(
-                            pc, child_decomp, k_lower, k_upper, stats, (v, i),
-                            start=flow, found=found,
-                        )
-                    else:
-                        pruned = prune(pc, child_decomp, k_lower, k_upper, stats, (v, i))
-                    if pruned:
-                        continue
-                stack.append((depth, v, i, found.pop() if found else None, reuse))
-
         # a root clique covering every vertex gives k_lower = n: closed
         if not (closed or timed_out):
+            stride = cfg.cd_stride
             pc = PartialColoring(g)
             barred = pc.barred_mask
             for idx, v in enumerate(root_clique):
-                pc.extend(v, idx)
+                extend(pc, v, idx)
+            depth = pc.depth  # of the node entered last
+            flow = None  # the flow the node's tests start from, under flow
             if prune is not None:
                 decomp = restarted_decomposition(g, pc.uncolored_mask)
                 fresh = True
-            push_children(pc.depth, None)
-
-        while stack:
-            depth, v, i, flow, queued = stack.pop()
-            if i > k_upper - 2:
-                continue  # bound improved since this child was queued
-            pc.retract_to(depth)
-            pc.extend(v, i)
-            nodes += 1
-            if time.perf_counter() > deadline:
-                timed_out = True
-                break
-            if not pc.uncolored_mask:
-                if pc.k_used < k_upper and is_equitable(pc):
-                    k_upper = pc.k_used
-                    incumbent = list(pc.color_of)
-                    if k_upper <= k_lower:
-                        break  # bounds met: optimal proven
-                continue
-            if prune is not None:
-                fresh = nodes % stride == 0
-                if fresh:  # a rebuild node: a queued projection equals the rebuild
-                    if queued is None:
-                        queued = find_non_adjacent_cliques(g, pc.uncolored_mask)
-                    decomp = queued
-            push_children(depth + 1, flow)
+            while True:
+                if pc.uncolored_mask:
+                    # branch: screen the children, keep the lowest-color
+                    # survivor in `child` and queue the others. When
+                    # `decomp` is this node's own rebuild (`fresh`) and v is
+                    # in its residual, the children's projection is what a
+                    # rebuild on their uncolored set returns, so it goes
+                    # with them.
+                    v = _dsatur_pick(pc)
+                    limit = pc.k_used + 1
+                    if limit > k_upper - 1:
+                        limit = k_upper - 1
+                    bit = 1 << v
+                    # every child leaves the same uncolored set: project
+                    # once, for the first child the deficit test lets through
+                    child_decomp = reuse = None
+                    # flow_prune appends a surviving child's flow here
+                    found = [] if carries_flow else None
+                    child = -1
+                    # colors descending, so the stack pops the siblings in
+                    # ascending order; a countdown, not a range: this runs
+                    # at every node, and the range alone costs std about 2 %
+                    # of its solve time
+                    i = limit
+                    while i > 0:
+                        i -= 1
+                        if barred[i] & bit:
+                            continue
+                        if deficit(pc, k_lower, i):
+                            prunes_deficit += 1
+                            continue
+                        if prune is not None:
+                            if child_decomp is None:
+                                child_decomp = decomp.restricted_to(pc.uncolored_mask ^ bit)
+                                if fresh and decomp.residual_mask & bit:
+                                    reuse = child_decomp
+                            if carries_flow:
+                                pruned = prune(
+                                    pc, child_decomp, k_lower, k_upper, stats, (v, i),
+                                    start=flow, found=found,
+                                )
+                            else:
+                                pruned = prune(pc, child_decomp, k_lower, k_upper, stats, (v, i))
+                            if pruned:
+                                continue
+                        if child >= 0:
+                            stack.append((depth, v, child, child_flow, reuse))
+                        child = i
+                        child_flow = found.pop() if found else None
+                else:  # a complete coloring
+                    if pc.k_used < k_upper and is_equitable(pc):
+                        k_upper = pc.k_used
+                        incumbent = list(pc.color_of)
+                        if k_upper <= k_lower:
+                            break  # bounds met: optimal proven
+                    child = -1
+                if child >= 0:
+                    # straight down into the lowest-color survivor, the child
+                    # the stack would pop next: nothing was extended and no
+                    # bound changed since this node was branched, so it needs
+                    # neither a retract nor the bound check
+                    i, flow, queued = child, child_flow, reuse
+                else:
+                    # back to the last queued child the bound still admits
+                    while stack:
+                        depth, v, i, flow, queued = stack.pop()
+                        if i <= k_upper - 2:
+                            break
+                    else:
+                        break  # the stack ran out: the search is complete
+                    pc.retract_to(depth)
+                extend(pc, v, i)
+                depth += 1
+                nodes += 1
+                if time.perf_counter() > deadline:
+                    timed_out = True
+                    break
+                if prune is not None and pc.uncolored_mask:
+                    fresh = nodes % stride == 0
+                    if fresh:  # a rebuild node: a queued projection equals the rebuild
+                        if queued is None:
+                            queued = find(g, pc.uncolored_mask)
+                        decomp = queued
     except KeyboardInterrupt:
         interrupted = True
         # the interrupt may fall between the two incumbent assignments
         k_upper = len(set(incumbent))
 
     stats.nodes = nodes
+    stats.prunes_deficit = prunes_deficit
     stats.elapsed = time.perf_counter() - t0
     stats.timed_out = timed_out
     stats.interrupted = interrupted

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import random
 import time
@@ -214,12 +215,15 @@ def test_corrupted_incumbent_rejected(monkeypatch, corrupt):
         solve(g)
 
 
-def test_deadline_checked_at_every_node():
+@pytest.mark.parametrize("variant", ["std", "comb", "flow"])
+def test_deadline_checked_at_every_node(variant):
     """Flow nodes on G(150, 0.9) take milliseconds each, so reading the
-    clock only every 1,024 nodes would overshoot a 0.5 s limit fourfold."""
+    clock only every 1,024 nodes would overshoot a 0.5 s limit fourfold;
+    every engine reads it after every extend, whether the node was popped
+    or descended into straight from its parent."""
     g = gen_gnp(150, 0.9, 7)
     t0 = time.perf_counter()
-    sol, stats = solve(g, SolverConfig(variant="flow", time_limit=0.5))
+    sol, stats = solve(g, SolverConfig(variant=variant, time_limit=0.5))
     wall = time.perf_counter() - t0
     assert stats.timed_out and not sol.optimal
     assert proper_and_equitable(g, sol.coloring, sol.chi_eq)
@@ -275,12 +279,14 @@ def test_root_children_not_screened_past_the_deadline(monkeypatch):
     assert stats.k_lower < sol.chi_eq
 
 
-def test_interrupt_returns_checked_incumbent(monkeypatch):
+@pytest.mark.parametrize("variant", ["std", "comb", "flow"])
+def test_interrupt_returns_checked_incumbent(monkeypatch, variant):
     """Ctrl-C in the node loop ends the search like a timeout: the
-    incumbent comes back checked, with optimal=False."""
+    incumbent comes back checked, with optimal=False. Every engine runs
+    the largest-class test on every child, so it raises under each."""
     g = by_name("queen6_6")
-    monkeypatch.setattr(solver, "comb_prune", raising_on_call(solver.comb_prune, 20))
-    sol, stats = solve(g, SolverConfig(variant="comb"))
+    monkeypatch.setattr(solver, "deficit_prune", raising_on_call(solver.deficit_prune, 20))
+    sol, stats = solve(g, SolverConfig(variant=variant))
     assert stats.interrupted and not stats.timed_out and not sol.optimal
     assert stats.nodes > 1
     solver._check_witness(g, sol)
@@ -406,3 +412,40 @@ def test_a_solve_leaves_no_cyclic_garbage(variant):
             garbage = gc.collect()
             gc.enable()
         assert garbage == 0
+
+
+# sha256 of every (vertex, color) move of a solve, the capped greedy's
+# included, in order: (variant, cd_stride, graph) -> first 16 hex digits
+VISIT_DIGESTS = {
+    ("std", 1, "myciel4"): "71f913629a381b6b",
+    ("std", 1, "queen6_6"): "9627ce6c37756cc9",
+    ("std", 1, "gnp30"): "726bb6d66453a7d3",
+    ("comb", 1, "myciel4"): "557168fb1ad6bc00",
+    ("comb", 1, "queen6_6"): "6b907f5b77756cad",
+    ("comb", 1, "gnp30"): "9f385d889904837e",
+    ("flow", 1, "myciel4"): "84fabd96c4f6dd2f",
+    ("flow", 1, "queen6_6"): "c4a76eccc4bad97b",
+    ("flow", 1, "gnp30"): "c8a34a7a818ab293",
+    ("comb", 3, "myciel4"): "b711b2e330c36ba7",
+    ("comb", 3, "queen6_6"): "d493b8691231bfc8",
+    ("comb", 3, "gnp30"): "9f385d889904837e",
+}
+
+
+@pytest.mark.parametrize("variant,stride,name", sorted(VISIT_DIGESTS))
+def test_visit_order_pinned(monkeypatch, variant, stride, name):
+    """The search visits its nodes in one fixed order: a child taken out of
+    turn changes the digest even where the node count stays the same."""
+    g = gen_gnp(30, 0.5, 3) if name == "gnp30" else by_name(name)
+    real_extend = PartialColoring.extend
+    moves = []
+
+    def extend(pc, v, i):
+        moves.append((v, i))
+        real_extend(pc, v, i)
+
+    monkeypatch.setattr(PartialColoring, "extend", extend)
+    sol, _ = solve(g, SolverConfig(variant=variant, cd_stride=stride))
+    assert sol.optimal
+    digest = hashlib.sha256(repr(moves).encode()).hexdigest()[:16]
+    assert digest == VISIT_DIGESTS[variant, stride, name]
