@@ -7,8 +7,10 @@ not take; and every vertex's DSATUR saturation, bit-sliced into planes.
 A histogram of class sizes makes the largest-class statistics O(1). The
 clique decomposition and the Hall context are built from the masks with
 a few big-int operations per clique and per color. The search undoes
-strictly last-in-first-out, so each trail entry records the color's old
-barred mask, and a retract restores exactly that.
+strictly last-in-first-out: each trail entry records the color's old
+barred mask, and a backtrack to a node's mark restores those masks from
+the trail and the planes and counters from the mark at once.
+Single-step `retract` is the inverse of one move.
 
 The largest-class test (`deficit_prune`) is decided for a child before
 the move: from the parent's statistics and the child's color alone, so a
@@ -32,8 +34,10 @@ class PartialColoring:
 
     Each `_trail` entry is `(v, i, old)`, where `old` is `barred_mask[i]`
     before v was colored i, so `barred_mask[i] ^ old` holds the neighbors
-    the move newly barred, and a retract sequence restores earlier states
-    exactly.
+    the move newly barred. The search backtracks to a node's `mark()` with
+    `retract_to`, which pops the trail down to the mark's depth and copies
+    the saved planes and counters back; `retract` undoes one move, with a
+    ripple borrow over the planes. Either restores earlier states exactly.
     """
 
     __slots__ = (
@@ -126,10 +130,33 @@ class PartialColoring:
             j += 1
         return v, i
 
-    def retract_to(self, depth: int) -> None:
-        """Undo the most recent extends until `depth` of them remain."""
-        for _ in range(len(self._trail) - depth):
-            self.retract()
+    def mark(self) -> tuple:
+        """The state a backtrack returns to: `(depth, planes, uncolored_mask,
+        M, k_used)`, with the saturation planes copied into a tuple."""
+        return len(self._trail), tuple(self.sat), self.uncolored_mask, self.M, self.k_used
+
+    def retract_to(self, mark: tuple) -> None:
+        """Undo the extends made since `mark` was taken; the mark must be
+        on the path to the current state. The trail restores the colors,
+        barred masks and class sizes move by move, newest first, so each
+        color's oldest saved mask is the one that stays; the planes and the
+        counters are copied back from the mark, with no borrow chain."""
+        depth, planes, self.uncolored_mask, self.M, self.k_used = mark
+        trail = self._trail
+        color_of = self.color_of
+        barred = self.barred_mask
+        size = self.class_size
+        hist = self._size_hist
+        for v, i, old in reversed(trail[depth:]):
+            color_of[v] = -1
+            barred[i] = old
+            s = size[i]
+            size[i] = s - 1
+            hist[s] -= 1
+            hist[s - 1] += 1
+        hist[0] = 0  # empty classes are not counted
+        del trail[depth:]
+        self.sat[:] = planes  # in place: no new list, and a held reference stays valid
 
 
 def deficit_prune(pc: PartialColoring, k_lower: int, i: int) -> bool:

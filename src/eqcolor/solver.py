@@ -71,10 +71,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if not isinstance(self.cd_stride, int) or self.cd_stride < 1:
+        # bool is an int subclass: True would pass as a stride of 1 or a
+        # one-second limit. `not limit > 0` rejects NaN too.
+        stride, limit = self.cd_stride, self.time_limit
+        if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
             raise ValueError("cd_stride must be an integer >= 1")
-        if not self.time_limit > 0:  # rejects NaN too
-            raise ValueError("time_limit must be positive")
+        if isinstance(limit, bool) or not isinstance(limit, (int, float)) or not limit > 0:
+            raise ValueError("time_limit must be a positive number")
 
 
 @dataclass
@@ -217,8 +220,11 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
     prune = {"flow": flow_prune, "comb": comb_prune}.get(cfg.variant)
     deficit, find, extend = deficit_prune, find_non_adjacent_cliques, PartialColoring.extend
     carries_flow = cfg.variant == "flow"
-    # (parent's trail depth, vertex, color, flow or None, decomposition or
-    # None) of the queued children, entered when popped
+    # (parent's mark, vertex, color, flow or None, decomposition or None)
+    # of the queued children, entered when popped: the search backtracks
+    # to the parent's `PartialColoring.mark()`, taken once, when the parent
+    # queues its first child, and shared by all the children it queues.
+    # Single-step `retract` is the inverse of one move; no backtrack uses it
     stack = []
     nodes = 1  # root
     prunes_deficit = 0
@@ -238,7 +244,6 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
             barred = pc.barred_mask
             for idx, v in enumerate(root_clique):
                 extend(pc, v, idx)
-            depth = pc.depth  # of the node entered last
             flow = None  # the flow the node's tests start from, under flow
             if prune is not None:
                 decomp = restarted_decomposition(g, pc.uncolored_mask)
@@ -262,6 +267,7 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                     # flow_prune appends a surviving child's flow here
                     found = [] if carries_flow else None
                     child = -1
+                    node_mark = None
                     # colors descending, so the stack pops the siblings in
                     # ascending order; a countdown, not a range: this runs
                     # at every node, and the range alone costs std about 2 %
@@ -289,7 +295,9 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                             if pruned:
                                 continue
                         if child >= 0:
-                            stack.append((depth, v, child, child_flow, reuse))
+                            if node_mark is None:
+                                node_mark = pc.mark()
+                            stack.append((node_mark, v, child, child_flow, reuse))
                         child = i
                         child_flow = found.pop() if found else None
                 else:  # a complete coloring
@@ -303,19 +311,18 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                     # straight down into the lowest-color survivor, the child
                     # the stack would pop next: nothing was extended and no
                     # bound changed since this node was branched, so it needs
-                    # neither a retract nor the bound check
+                    # neither a backtrack nor the bound check
                     i, flow, queued = child, child_flow, reuse
                 else:
                     # back to the last queued child the bound still admits
                     while stack:
-                        depth, v, i, flow, queued = stack.pop()
+                        node_mark, v, i, flow, queued = stack.pop()
                         if i <= k_upper - 2:
                             break
                     else:
                         break  # the stack ran out: the search is complete
-                    pc.retract_to(depth)
+                    pc.retract_to(node_mark)
                 extend(pc, v, i)
-                depth += 1
                 nodes += 1
                 if time.perf_counter() > deadline:
                     timed_out = True

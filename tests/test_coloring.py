@@ -77,12 +77,14 @@ def test_lopsided_state_statistics():
 def snapshot(pc):
     return (
         list(pc.color_of),
+        list(pc.class_size),
         pc.uncolored_mask,
         list(pc.barred_mask),
         list(pc.sat),
         pc.M,
-        pc._size_hist[pc.M],
+        list(pc._size_hist),
         pc.k_used,
+        list(pc._trail),
     )
 
 
@@ -147,6 +149,58 @@ def test_saturation_planes_carry_to_the_top_on_complete_graphs():
             pc.retract()
             assert pc.sat == recompute_sat(pc)
         assert not any(pc.sat)
+
+
+def test_retract_to_a_mark_matches_recompute_and_single_steps():
+    """Random walks that interleave extends with marks taken at random
+    depths and backtrack to a random earlier mark of the current path.
+    After each backtrack the state equals the recount and a twin that
+    undid the same moves one `retract` at a time. The walks run on
+    relabeled G(n,p) graphs and on K_n for n up to 17. On K_n they
+    backtrack only from a full coloring, whose last vertex saturation
+    n - 1 carried into the top plane unless n is a power of two."""
+    rng = random.Random(73)
+    # (graph, chance of a backtrack while some vertex is uncolored)
+    walks = [(Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)]), 0.0)
+             for n in range(1, 18)]
+    walks += [(gen_gnp(rng.randint(2, 14), rng.random(), rng.getrandbits(32)).relabeled(), 0.2)
+              for _ in range(100)]
+    backtracks = 0
+    top_restored = set()
+    for g, p_backtrack in walks:
+        pc, twin = PartialColoring(g), PartialColoring(g)
+        sat = pc.sat
+        marks = []  # marks of the current path, shallowest first
+        for _ in range(6 * g.n):
+            if marks and (not pc.uncolored_mask or rng.random() < p_backtrack):
+                mark = rng.choice(marks)
+                # a backtrack leaves the path of any mark taken deeper
+                marks = [m for m in marks if m[0] <= mark[0]]
+                if pc.sat[-1]:
+                    top_restored.add(g.n)
+                pc.retract_to(mark)
+                while twin.depth > mark[0]:
+                    twin.retract()
+                backtracks += 1
+                assert pc.sat is sat
+                assert pc.depth == mark[0]
+                assert recompute_sat(pc) == pc.sat
+                assert recompute_masks(pc) == (pc.uncolored_mask, pc.barred_mask)
+                sizes = sorted(s for s in pc.class_size if s)
+                assert pc.M == (max(sizes) if sizes else 0)
+                assert pc._size_hist[pc.M] == sizes.count(pc.M)
+                assert pc.k_used == len(sizes)
+                assert snapshot(pc) == snapshot(twin)
+            if pc.uncolored_mask:
+                if rng.random() < 0.4:
+                    marks.append(pc.mark())
+                v = rng.choice(sorted(uncolored(pc)))
+                mask = free_colors(pc, v, g.n)
+                i = rng.choice([i for i in range(g.n) if (mask >> i) & 1])
+                pc.extend(v, i)
+                twin.extend(v, i)
+    assert backtracks > 1000
+    assert {n for n in range(2, 18) if n & (n - 1)} <= top_restored
 
 
 def test_dsatur_pick_matches_literal_key_on_random_walks():

@@ -43,6 +43,14 @@ def test_config_validation():
         SolverConfig(time_limit=0)
     with pytest.raises(ValueError):
         SolverConfig(time_limit=float("nan"))
+    # a bool is an int, but not a stride or a number of seconds
+    with pytest.raises(ValueError):
+        SolverConfig(cd_stride=True)
+    with pytest.raises(ValueError):
+        SolverConfig(time_limit=True)
+    with pytest.raises(ValueError):
+        SolverConfig(time_limit="5")
+    assert SolverConfig(time_limit=5).time_limit == 5
 
 
 def test_initial_bounds_complete_graph():
