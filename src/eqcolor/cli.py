@@ -253,6 +253,8 @@ def cmd_verify(args) -> int:
                 instances.append((path.rsplit("/", 1)[-1], parse_dimacs(fh.read())))
         if args.gnp:
             n, p, count = int(args.gnp[0]), float(args.gnp[1]), int(args.gnp[2])
+            if count < 1:
+                raise ValueError("count must be >= 1")
             for index, _, g in _gnp_instances(n, p, count, args.seed):
                 instances.append((f"gnp(n={n},p={p:g},#{index})", g))
     except (OSError, ValueError) as exc:

@@ -68,10 +68,6 @@ class PartialColoring:
         self._size_hist = [0] * (n + 1)
         self._trail = []
 
-    @property
-    def depth(self) -> int:
-        return len(self._trail)
-
     def extend(self, v: int, i: int) -> None:
         """Place uncolored v into class i. Violating the preconditions
         (v uncolored, i free for v) is a programming error."""

@@ -23,17 +23,18 @@ class Graph:
     Duplicate edges and both orientations of the same pair collapse to a
     single undirected edge. Self-loops are rejected.
 
-    Besides `n`, `adj`, `edges` and `degree`, it keeps `order`: the vertex
-    ranking every greedy scans, by decreasing degree, ties to lower index.
-    `adj_mask` holds the neighborhoods as bitmasks, built on first use.
+    Besides `n`, `edges` and `degree`, it keeps `adj_mask`, each vertex's
+    neighborhood as a bitmask (bit w set iff w is adjacent), and `order`:
+    the vertex ranking every greedy scans, by decreasing degree, ties to
+    lower index.
     """
 
-    __slots__ = ("n", "adj", "edges", "degree", "order", "_adj_mask")
+    __slots__ = ("n", "adj_mask", "edges", "degree", "order")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj = [set() for _ in range(n)]
+        adj = [0] * n
         edge_set = set()
         for u, v in edges:
             if u == v:
@@ -42,26 +43,15 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u > v:
                 u, v = v, u
-            if (u, v) in edge_set:
-                continue
             edge_set.add((u, v))
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         self.n = n
-        self.adj = tuple(frozenset(s) for s in adj)
+        self.adj_mask = tuple(adj)
         self.edges = frozenset(edge_set)
-        self.degree = degree = tuple(len(s) for s in adj)
+        self.degree = degree = tuple(m.bit_count() for m in adj)
         # sorted is stable, so equal degrees stay in increasing index order
         self.order = tuple(sorted(range(n), key=degree.__getitem__, reverse=True))
-        self._adj_mask = None
-
-    @property
-    def adj_mask(self) -> tuple[int, ...]:
-        """Per vertex, the bitmask of its neighbors (bit w set iff w is
-        adjacent). Built on first use, so only a search pays for it."""
-        if self._adj_mask is None:
-            self._adj_mask = tuple(sum(1 << w for w in s) for s in self.adj)
-        return self._adj_mask
 
     def relabeled(self) -> "Graph":
         """The same graph with vertex r standing for `order[r]`. Its own
@@ -180,21 +170,19 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
 
 def greedy_maximal_clique(g: Graph, start: int) -> list[int]:
     """Grow an inclusion-maximal clique from `start` by repeatedly adding the
-    common neighbor that comes first in `g.order`. One forward scan of the
-    order suffices: the common neighbors only shrink, so a vertex passed
-    over never becomes one again.
+    lowest-index common neighbor. On a graph relabeled by its order (the
+    one the search works on) that is the common neighbor that comes first
+    in `g.order`.
 
     Returns the clique in growth order.
     """
     if not 0 <= start < g.n:
         raise ValueError(f"start vertex {start} out of range")
-    adj = g.adj
+    adj = g.adj_mask
     clique = [start]
     common = adj[start]
-    for v in g.order:
-        if not common:
-            break
-        if v in common:
-            clique.append(v)
-            common = common & adj[v]
+    while common:
+        v = (common & -common).bit_length() - 1
+        clique.append(v)
+        common &= adj[v]
     return clique

@@ -9,6 +9,7 @@ test code: `tests/literal_network.py`."""
 from __future__ import annotations
 
 from .coloring import PartialColoring
+from .decomposition import mask_vertices
 from .graph import Graph
 
 
@@ -19,15 +20,16 @@ class OracleCapError(ValueError):
     pass
 
 
-def _search_equitable(g: Graph, color_of, sizes, k0, order, idx):
-    """Depth-first completion with the forced class-size windows.
+def _search_equitable(nbrs, color_of, sizes, k0, order, idx):
+    """Depth-first completion with the forced class-size windows; `nbrs[v]`
+    lists v's neighbors.
 
     Of the still-empty classes only the lowest is tried; that is sound
     because empty classes are interchangeable. Nonempty classes above it
     are still tried: a partial coloring may leave gaps below its used
     classes.
     """
-    n = g.n
+    n = len(color_of)
     floor_size = n // k0
     remaining = len(order) - idx
     deficit = 0
@@ -41,7 +43,7 @@ def _search_equitable(g: Graph, color_of, sizes, k0, order, idx):
     v = order[idx]
     ceil_size = -(-n // k0)
     forbidden = 0
-    for w in g.adj[v]:
+    for w in nbrs[v]:
         c = color_of[w]
         if c >= 0:
             forbidden |= 1 << c
@@ -55,7 +57,7 @@ def _search_equitable(g: Graph, color_of, sizes, k0, order, idx):
             new_class_seen = True
         color_of[v] = i
         sizes[i] += 1
-        if _search_equitable(g, color_of, sizes, k0, order, idx + 1):
+        if _search_equitable(nbrs, color_of, sizes, k0, order, idx + 1):
             return True
         sizes[i] -= 1
         color_of[v] = -1
@@ -68,10 +70,11 @@ def brute_chi_eq(g: Graph) -> int:
         raise OracleCapError(f"n={g.n} exceeds oracle cap {MAX_N}")
     if g.n == 0:
         return 0
+    nbrs = tuple(map(mask_vertices, g.adj_mask))
     for k0 in range(1, g.n + 1):
         color_of = [-1] * g.n
         sizes = [0] * k0
-        if _search_equitable(g, color_of, sizes, k0, g.order, 0):
+        if _search_equitable(nbrs, color_of, sizes, k0, g.order, 0):
             return k0
     raise AssertionError("k0 = n is always feasible")
 
@@ -94,4 +97,5 @@ def brute_extendable(g: Graph, pc: PartialColoring, k0: int) -> bool:
         return False
     color_of = list(pc.color_of)
     order = [v for v in g.order if color_of[v] < 0]
-    return _search_equitable(g, color_of, sizes, k0, order, 0)
+    nbrs = tuple(map(mask_vertices, g.adj_mask))
+    return _search_equitable(nbrs, color_of, sizes, k0, order, 0)

@@ -154,11 +154,13 @@ def _capped_greedy(g: Graph, k: int):
 
 def initial_bounds(g: Graph, deadline: float):
     """(k_lower, k_upper, incumbent, clique): the size of a greedy clique
-    below, capped greedy above. The greedy retries with one more color on
-    failure and cannot fail at k = n. Its pick ties to the lowest index,
-    DSATUR's degree tie-break on a graph relabeled by `Graph.order`. Once
-    `deadline` (a perf_counter time) has passed, no further greedy is
-    started and the upper bound is n, witnessed by one class per vertex."""
+    below, capped greedy above. The clique grows by the lowest-index
+    common neighbor and the greedy's pick ties to the lowest index: on a
+    graph relabeled by `Graph.order`, the one the search works on, that is
+    the vertex first in the order. The greedy retries with one more color
+    on failure and cannot fail at k = n. Once `deadline` (a perf_counter
+    time) has passed, no further greedy is started and the upper bound is
+    n, witnessed by one class per vertex."""
     if g.n == 0:
         raise ValueError("graph must be nonempty")
     clique = _best_greedy_clique(g)

@@ -19,6 +19,15 @@ if TYPE_CHECKING:  # literal_network imports free_colors from here
     from literal_network import FlowNetwork
 
 
+def neighbors(g: Graph) -> list[set]:
+    """Per vertex, the set of its neighbors, built from `g.edges` alone."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def uncolored(pc: PartialColoring) -> set:
     """The uncolored vertices of pc, as a set."""
     return set(mask_vertices(pc.uncolored_mask))
@@ -168,6 +177,7 @@ def find_extension(g: Graph, pc: PartialColoring, k0: int):
     if any(s > ceil_size for s in sizes):
         return None
     todo = sorted(uncolored(pc))
+    adj = neighbors(g)
 
     def rec(idx):
         if idx == len(todo):
@@ -178,7 +188,7 @@ def find_extension(g: Graph, pc: PartialColoring, k0: int):
         for i in range(k0):
             if sizes[i] >= ceil_size:
                 continue
-            if any(color_of[w] == i for w in g.adj[v]):
+            if any(color_of[w] == i for w in adj[v]):
                 continue
             color_of[v] = i
             sizes[i] += 1
@@ -290,12 +300,13 @@ def reference_clique(g: Graph, start: int, candidates) -> list[int]:
     """Literal greedy growth: add the candidate of highest degree (ties to
     the lowest index) by a `min` over the candidates left, keep only its
     neighbors, repeat."""
+    adj = neighbors(g)
     clique = [start]
     common = set(candidates)
     while common:
         v = min(common, key=lambda w: (-g.degree[w], w))
         clique.append(v)
-        common &= g.adj[v]
+        common &= adj[v]
     return clique
 
 
@@ -304,17 +315,18 @@ def reference_decomposition(g: Graph, uncolored):
     remaining vertex of highest degree (ties to the lowest index), grow by
     `reference_clique`, move the clique's remaining neighbors into the
     residual; a singleton joins the residual."""
+    adj = neighbors(g)
     remaining = set(uncolored)
     cliques = []
     residual = set()
     while remaining:
         v = min(remaining, key=lambda w: (-g.degree[w], w))
-        clique = reference_clique(g, v, g.adj[v] & remaining)
+        clique = reference_clique(g, v, adj[v] & remaining)
         remaining.difference_update(clique)
         if len(clique) == 1:
             residual.add(v)
             continue
-        boundary = set().union(*(g.adj[u] for u in clique)) & remaining
+        boundary = set().union(*(adj[u] for u in clique)) & remaining
         remaining -= boundary
         residual |= boundary
         cliques.append(tuple(clique))

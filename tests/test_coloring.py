@@ -145,7 +145,7 @@ def test_saturation_planes_carry_to_the_top_on_complete_graphs():
             assert pc.sat == recompute_sat(pc)
         assert max(saturation(pc)) == n - 1
         assert bool(pc.sat[-1]) == bool(n & (n - 1))
-        while pc.depth:
+        while pc._trail:
             pc.retract()
             assert pc.sat == recompute_sat(pc)
         assert not any(pc.sat)
@@ -179,11 +179,11 @@ def test_retract_to_a_mark_matches_recompute_and_single_steps():
                 if pc.sat[-1]:
                     top_restored.add(g.n)
                 pc.retract_to(mark)
-                while twin.depth > mark[0]:
+                while len(twin._trail) > mark[0]:
                     twin.retract()
                 backtracks += 1
                 assert pc.sat is sat
-                assert pc.depth == mark[0]
+                assert len(pc._trail) == mark[0]
                 assert recompute_sat(pc) == pc.sat
                 assert recompute_masks(pc) == (pc.uncolored_mask, pc.barred_mask)
                 sizes = sorted(s for s in pc.class_size if s)

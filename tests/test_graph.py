@@ -6,7 +6,7 @@ import pytest
 from eqcolor import DimacsError, Graph, gen_gnp, parse_dimacs, write_dimacs
 from eqcolor.graph import greedy_maximal_clique
 from eqcolor.instances import mycielski_graph
-from helpers import reference_clique
+from helpers import neighbors, reference_clique
 
 
 def test_parse_basic():
@@ -19,6 +19,7 @@ def test_parse_basic():
 def test_parse_collapses_duplicates_and_orientations():
     g = parse_dimacs("p edge 2 1\ne 1 2\ne 2 1")
     assert g.m == 1
+    assert g.adj_mask == (0b10, 0b01)
 
 
 def test_parse_comments_and_blank_lines():
@@ -111,13 +112,14 @@ def test_gnp_validates_arguments():
 
 
 def _all_maximal_cliques(g):
+    adj = neighbors(g)
     out = []
     verts = range(g.n)
     for r in range(1, g.n + 1):
         for sub in combinations(verts, r):
-            if all(v in g.adj[u] for u, v in combinations(sub, 2)):
+            if all(v in adj[u] for u, v in combinations(sub, 2)):
                 if not any(
-                    all(u in g.adj[w] for u in sub) for w in verts if w not in sub
+                    all(u in adj[w] for u in sub) for w in verts if w not in sub
                 ):
                     out.append(set(sub))
     return out
@@ -148,12 +150,13 @@ def test_greedy_clique_is_maximal_clique():
         g = gen_gnp(rng.randint(2, 9), rng.uniform(0.2, 0.9), rng.getrandbits(32))
         start = rng.randrange(g.n)
         clique = set(greedy_maximal_clique(g, start))
+        adj = neighbors(g)
         for u in clique:
             for v in clique:
-                assert u == v or v in g.adj[u]
+                assert u == v or v in adj[u]
         for w in range(g.n):
             if w not in clique:
-                assert not all(w in g.adj[u] for u in clique)
+                assert not all(w in adj[u] for u in clique)
 
 
 def test_order_is_decreasing_degree_ties_to_lowest_index():
@@ -177,16 +180,20 @@ def test_relabeled_follows_the_order():
         assert {frozenset((o[a], o[b])) for a, b in h.edges} == {
             frozenset(e) for e in g.edges
         }
-        assert h.adj_mask == tuple(sum(1 << w for w in h.adj[v]) for v in range(g.n))
+        assert h.adj_mask == tuple(sum(1 << w for w in s) for s in neighbors(h))
+        assert h.degree == tuple(m.bit_count() for m in h.adj_mask)
 
 
 def test_greedy_clique_matches_min_reference():
-    """Scanning `g.order` picks exactly what a `min` by (-degree, index)
-    over the common neighbors picks, in the same growth order."""
+    """On a relabeled graph, growing by the lowest-index common neighbor
+    picks exactly what a `min` by (-degree, index) over the common
+    neighbors picks, in the same growth order."""
     rng = random.Random(5)
     for _ in range(300):
         g = gen_gnp(rng.randint(1, 30), rng.uniform(0.05, 0.95), rng.getrandbits(32))
+        g = g.relabeled()
+        adj = neighbors(g)
         for start in range(g.n):
             assert greedy_maximal_clique(g, start) == reference_clique(
-                g, start, g.adj[start]
+                g, start, adj[start]
             )
