@@ -201,13 +201,15 @@ def _agg_path(out_path: str) -> str:
 
 
 def aggregate_rows(rows, time_limit: float):
-    """Collapse per-run rows into per-(n, p, variant) cells."""
+    """Collapse per-run rows into per-(n, p, variant) cells, ordered by n,
+    then by the numeric value of p, then by variant."""
     cells = {}
     for row in rows:
-        key = (int(row["n"]), row["p"], row["variant"])
+        key = (int(row["n"]), float(row["p"]), row["variant"])
         cells.setdefault(key, []).append(row)
     out = []
-    for (n, p, variant), group in sorted(cells.items()):
+    for (n, _, variant), group in sorted(cells.items()):
+        p = group[0]["p"]
         time_total = 0.0
         timeouts = 0
         node_sum = 0

@@ -9,6 +9,12 @@ smaller uncolored set cost a few big-int operations per clique. Seeds and
 growth both take the lowest vertex index: the solver searches a copy of
 its graph relabeled by `Graph.order` (`Graph.relabeled`), where that is
 the static order of decreasing degree with ties to the lowest index.
+
+A decomposition also keeps the union of its cliques, so a projection that
+takes no clique member, such as coloring a residual vertex, is O(1): one
+AND decides it, and it returns the same cliques tuple with a new residual.
+A decomposition lies inside the uncolored set it was made or projected
+for, which the Hall rules rely on.
 """
 
 from __future__ import annotations
@@ -31,27 +37,40 @@ class CliqueDecomposition:
     joins two distinct cliques) and a residual set U0 covering the rest.
 
     `masks` holds the cliques and `residual_mask` the residual set, as
-    vertex bitmasks. `residual` (the residual's vertex ids) and `covered()`
-    (the number of clique vertices) serve the benchmark's layer trace; the
-    search reads only the masks."""
+    vertex bitmasks. `covered_mask` keeps the union of the cliques, so a
+    projection that takes no clique member (`restricted_to`) is decided
+    with one AND and returns the same `masks` tuple; the constructor ORs
+    the cliques when it is not given. `residual` (the residual's vertex
+    ids) and `covered()` (the number of clique vertices) serve the
+    benchmark's layer trace; the search reads only the masks."""
 
-    __slots__ = ("masks", "residual_mask")
+    __slots__ = ("masks", "residual_mask", "covered_mask")
 
-    def __init__(self, masks, residual_mask: int):
+    def __init__(self, masks, residual_mask: int, covered_mask: int | None = None):
         self.masks = tuple(masks)
         self.residual_mask = residual_mask
+        if covered_mask is None:
+            covered_mask = 0
+            for c in self.masks:
+                covered_mask |= c
+        self.covered_mask = covered_mask
 
     @property
     def residual(self) -> frozenset:
         return frozenset(mask_vertices(self.residual_mask))
 
     def covered(self) -> int:
-        return sum(c.bit_count() for c in self.masks)
+        return self.covered_mask.bit_count()
 
     def restricted_to(self, uncolored: int) -> "CliqueDecomposition":
         """Project onto a new uncolored set (a bitmask): a clique minus
         colored members stays a clique; parts shrunk below size 2 and any
-        vertices this decomposition never saw fall into the residual."""
+        vertices this decomposition never saw fall into the residual. When
+        the new set keeps every clique member, the cliques are the same
+        and only the residual changes: O(1) big-int operations."""
+        covered = self.covered_mask
+        if not covered & ~uncolored:
+            return CliqueDecomposition(self.masks, uncolored & ~covered, covered)
         cliques = []
         covered = 0
         for c in self.masks:
@@ -59,7 +78,7 @@ class CliqueDecomposition:
             if c & (c - 1):  # two or more members
                 cliques.append(c)
                 covered |= c
-        return CliqueDecomposition(cliques, uncolored & ~covered)
+        return CliqueDecomposition(cliques, uncolored & ~covered, covered)
 
 
 def find_non_adjacent_cliques(g: Graph, uncolored: int) -> CliqueDecomposition:
@@ -103,7 +122,7 @@ def find_non_adjacent_cliques(g: Graph, uncolored: int) -> CliqueDecomposition:
             residual |= boundary
         else:
             residual |= clique
-    return CliqueDecomposition(cliques, residual)
+    return CliqueDecomposition(cliques, residual, uncolored ^ residual)
 
 
 def restarted_decomposition(g: Graph, uncolored: int) -> CliqueDecomposition:

@@ -11,7 +11,8 @@ The rules read a `HallContext`, a snapshot of one child at one color
 count, and each computes from it alone what it needs, in bit-sliced form
 (one vertex bitmask per color). No rule reads what another wrote, so any
 one of them can run first, and one that fails spares the work of the
-ones after it.
+ones after it. The rules assume that the decomposition, its residual
+included, lies inside the uncolored set (see `HallContext`).
 
 Callers ask only about k0 >= k_used. Then the all-but-one color sets add
 nothing: with class sizes and uncolored vertices summing to n, a starved
@@ -45,6 +46,11 @@ class HallContext:
     `uncolored` loses v, class i grows by one and `barred[i]` gains v's
     neighbors. The decomposition must be the child's (v uncolored in pc,
     not in decomp), and k0 a candidate of the child, so k0 > i.
+
+    The rules rely on the decomposition lying inside the uncolored set:
+    then a residual vertex is free for f unless `barred[f]` holds it, so
+    the positive rule counts the residual once and reads each color's
+    residual supply off one AND with its barred mask.
     """
 
     __slots__ = (
@@ -83,23 +89,24 @@ class HallContext:
 
 def check_positive_single(ctx: HallContext) -> bool:
     """Every color must be fillable to floor(n/k0): at most one vertex per
-    clique plus every residual vertex that can still take it. One pass over
-    the colors still below their floor; a color's cliques are scanned only
-    while its residual vertices leave it short."""
-    floor_size = ctx.floor_size
-    uncolored = ctx.uncolored
+    clique plus every residual vertex that can still take it. The residual
+    lies inside the uncolored set, so a color's residual supply is the
+    residual's size, counted once, less the residual vertices its barred
+    mask holds: one AND and one bit count for each color below its floor.
+    A color's free set is built, and its cliques are scanned, only while
+    its residual vertices leave it short."""
     residual = ctx.residual
-    cliques = ctx.cliques
-    sizes = ctx.class_sizes
-    for f, barred in enumerate(ctx.barred):
-        need = floor_size - sizes[f]
+    floor_size = ctx.floor_size
+    # the floor less the whole residual; a color's barred ones add back
+    short = floor_size - residual.bit_count()
+    for size, barred in zip(ctx.class_sizes, ctx.barred):
+        if size >= floor_size:
+            continue
+        need = short - size + (residual & barred).bit_count()
         if need <= 0:
             continue
-        free = uncolored & ~barred
-        need -= (residual & free).bit_count()
-        if need <= 0:
-            continue
-        for c in cliques:
+        free = ctx.uncolored & ~barred
+        for c in ctx.cliques:
             if c & free:
                 need -= 1
                 if not need:
@@ -158,21 +165,33 @@ def _clique_has_sdr(q: int, barred: list[int]) -> bool:
 def check_clique_hall(ctx: HallContext) -> bool:
     """Each clique needs a system of distinct representatives among the
     colors; by Hall's theorem the matching test covers the whole family of
-    per-clique subset conditions at once. The matching reads the
-    context's per-color barred masks, and the check stops at the first
-    clique with no SDR."""
+    per-clique subset conditions at once. The plain color-by-color greedy
+    of `_clique_has_sdr`, with no record of who took which color, settles
+    a clique whose members it matches all; only a clique it leaves a
+    member of goes to the matching itself. The check reads the context's
+    per-color barred masks and stops at the first clique with no SDR."""
     barred = ctx.barred
-    for c in ctx.cliques:
-        if not _clique_has_sdr(c, barred):
-            return False
+    for q in ctx.cliques:
+        left = q
+        for bar in barred:
+            x = left & ~bar
+            if x:
+                left ^= x & -x
+                if not left:
+                    break
+        else:
+            if not _clique_has_sdr(q, barred):
+                return False
     return True
 
 
 def check_negative_single(ctx: HallContext) -> bool:
     """Vertices forced into one color must fit under its ceiling: per
     color f, the vertices free for f alone plus those free for no color
-    (they still have to be colored) against f's room. With no vertex free
-    for exactly one color, the fullest class decides."""
+    (they still have to be colored) against f's room. No class takes more
+    than all of them, so a class of at most ceil - empty - |lone| members
+    cannot overflow and is passed over before its AND and bit count. With
+    no vertex free for exactly one color, the fullest class decides."""
     # the uncolored vertices barred from every color so far, and those
     # barred from all of them but at most one
     none = most = ctx.uncolored
@@ -185,9 +204,11 @@ def check_negative_single(ctx: HallContext) -> bool:
     lone = most ^ none  # free for exactly one color
     if not lone:
         return max(sizes) + empty <= ceil_size
+    roomy = ceil_size - empty - lone.bit_count()  # a class no larger cannot overflow
     for f, barred in enumerate(ctx.barred):
-        if (lone & ~barred).bit_count() + empty > ceil_size - sizes[f]:
-            return False
+        if sizes[f] > roomy:
+            if (lone & ~barred).bit_count() + empty > ceil_size - sizes[f]:
+                return False
     return True
 
 
@@ -220,9 +241,9 @@ def comb_prune(
     test (a passing rule set proves nothing) but cheap per color count:
     the context copies k0 class sizes and k0 barred masks, and each rule
     works on demand, at most O(k0 * #cliques) big-int operations for the
-    positive rule, O(k0) for the negative one and one small matching per
-    clique, color by color, up to the first without an SDR for the clique
-    rule."""
+    positive rule, O(k0) for the negative one and, for the clique rule, a
+    color-by-color greedy per clique, up to the first without an SDR, with
+    a small matching only where the greedy leaves a member."""
     for k0 in candidate_k0_values(pc, k_lower, k_upper, move):
         ctx = HallContext(pc, decomp, k0, move)
         failed = failing_rule(ctx)

@@ -349,6 +349,8 @@ def check_decomposition(d: CliqueDecomposition, g: Graph, uncolored: int) -> Non
             if missing:
                 v = missing.bit_length() - 1
                 raise ValueError(f"{mask_vertices(c)} is not a clique: {u}-{v} missing")
+    if d.covered_mask != seen:
+        raise ValueError("kept clique mask is not the union of the cliques")
     if seen & d.residual_mask:
         raise ValueError("residual overlaps a clique")
     if seen | d.residual_mask != uncolored:

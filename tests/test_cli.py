@@ -224,6 +224,17 @@ def test_bench_aggregate_matches_recomputation(tmp_path):
     assert recomputed == agg[1:]
 
 
+def test_bench_aggregate_orders_p_by_value(tmp_path):
+    """p = 0.00005 is written as 5e-05, which sorts after 0.5 as a string;
+    the aggregate still puts its cells first."""
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--n", "6", "--p", "0.5", "0.00005", "--count", "1"]
+    assert main(argv + ["--algos", "std", "--out", str(out)]) == 0
+    with open(tmp_path / "bench.agg.csv") as fh:
+        agg = list(csv.reader(fh))
+    assert [row[1] for row in agg[1:]] == ["5e-05", "0.5"]
+
+
 def test_bench_replay_identical_modulo_time(tmp_path):
     spec = dict(n_list=[9], p_list=[0.4, 0.6], count=4, seed=77)
     paths = []

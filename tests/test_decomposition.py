@@ -134,23 +134,39 @@ def test_decomposition_matches_min_reference():
 
 
 def test_restricted_to_matches_set_projection():
-    """On relabeled random graphs, projecting onto a random uncolored set
-    (some vertices removed, some the decomposition never saw added) keeps
-    each clique's surviving members when two or more survive, in the same
-    order, and puts every other vertex of the new set in the residual."""
+    """On relabeled random graphs, projecting onto a new uncolored set
+    keeps each clique's surviving members when two or more survive, in
+    the same order, and puts every other vertex of the new set in the
+    residual. Three kinds of new set: one that drops only residual
+    vertices (the cliques tuple comes back as it was), one that drops
+    clique members, and one that also adds vertices the decomposition
+    never saw."""
     rng = random.Random(9)
+    kinds = {"residual only": 0, "members": 0, "unseen": 0}
     for _ in range(300):
         g = gen_gnp(rng.randint(1, 30), rng.uniform(0.05, 0.95), rng.getrandbits(32))
         g = g.relabeled()
         uncolored = {v for v in range(g.n) if rng.random() < 0.8}
         d = find_non_adjacent_cliques(g, mask(uncolored))
-        smaller = {v for v in range(g.n) if rng.random() < 0.7}
-        r = d.restricted_to(mask(smaller))
-        check_decomposition(r, g, mask(smaller))
-        kept = [tuple(v for v in c if v in smaller) for c in clique_vertices(d)]
-        kept = [c for c in kept if len(c) >= 2]
-        assert list(clique_vertices(r)) == kept
-        assert r.residual == smaller - {v for c in kept for v in c}
+        members = {v for c in clique_vertices(d) for v in c}
+        residual_only = members | {v for v in d.residual if rng.random() < 0.5}
+        dropped = {v for v in uncolored if rng.random() < 0.8}
+        widened = {v for v in range(g.n) if rng.random() < 0.7}
+        for kind, smaller, exercised in (
+            ("residual only", residual_only, bool(d.masks) and residual_only != uncolored),
+            ("members", dropped, bool(members - dropped)),
+            ("unseen", widened, bool(widened - uncolored)),
+        ):
+            r = d.restricted_to(mask(smaller))
+            check_decomposition(r, g, mask(smaller))
+            kept = [tuple(v for v in c if v in smaller) for c in clique_vertices(d)]
+            kept = [c for c in kept if len(c) >= 2]
+            assert list(clique_vertices(r)) == kept
+            assert r.residual == smaller - {v for c in kept for v in c}
+            if kind == "residual only":
+                assert r.masks is d.masks
+            kinds[kind] += exercised
+    assert min(kinds.values()) > 100, kinds
 
 
 def test_rebuild_without_a_residual_vertex_is_the_projection():

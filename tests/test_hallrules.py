@@ -452,6 +452,49 @@ def _literal_verdicts(fields):
     return {"positive_single": positive, "clique_hall": clique, "negative": negative}
 
 
+def _branches(fields):
+    """The branches the rules take on this context, counted from the
+    literal recount of `literal_hall_context`: each color the positive
+    rule reaches that its residual vertices leave short, so that it
+    counts the cliques; each clique the clique rule reaches, by whether
+    the color-by-color greedy matches every member or, if not, whether
+    the full matching still finds an SDR; and, when some vertex is free
+    for exactly one color, the classes the negative rule passes over by
+    size (at most ceil - empty - |lone| members) and those one member
+    above that bound that overflow."""
+    out = Counter()
+    k0, sizes = fields["k0"], fields["class_sizes"]
+    for f, size in enumerate(sizes):
+        need = fields["floor_size"] - size
+        if need > sum(m >> f & 1 for m in fields["resid_masks"]):
+            out["positive counts cliques"] += 1
+        if need > fields["supply"][f]:
+            break
+    for masks in fields["clique_masks"]:
+        left = list(range(len(masks)))
+        for c in range(k0):
+            taker = next((m for m in left if masks[m] >> c & 1), None)
+            if taker is not None:
+                left.remove(taker)
+        if not left:
+            out["greedy settles clique"] += 1
+        elif _hall_condition(masks):
+            out["matching finds SDR"] += 1
+        else:
+            out["matching finds no SDR"] += 1
+            break
+    empty, ceil_size = fields["empty_free"], fields["ceil_size"]
+    lone = sum(fields["single_free"])
+    roomy = ceil_size - empty - lone
+    if lone:  # with none, the fullest class decides
+        for size, single in zip(sizes, fields["single_free"]):
+            if size <= roomy:
+                out["negative skips class"] += 1
+            elif size == roomy + 1 and single + empty > ceil_size - size:
+                out["negative overflow at bound"] += 1
+    return out
+
+
 def _check_rules_on_demand(make_ctx, want):
     """Each rule alone on a fresh context, and after the other two in
     either order and then once more, gives its literal verdict, and
@@ -479,13 +522,17 @@ def test_rules_on_demand_match_literal_recount_in_any_order(monkeypatch):
     names the first failure in the order positive_single, clique_hall,
     negative: on random states and on the children real searches hand
     the engines, judged both after the move and from the parent plus the
-    move."""
+    move. Every branch a rule can take is taken on these states, as
+    `_branches` counts them from the literal recount."""
     rng = random.Random(76)
     failing = Counter()
+    branches = Counter()
     for _ in range(1500):
         _, pc, decomp, k0 = random_state(rng, n_max=12)
         for k in range(max(k0, pc.k_used, 1), min(k0 + 2, pc.n) + 1):
-            want = _literal_verdicts(literal_hall_context(pc, decomp, k))
+            fields = literal_hall_context(pc, decomp, k)
+            want = _literal_verdicts(fields)
+            branches += _branches(fields)
             failing[_check_rules_on_demand(lambda: HallContext(pc, decomp, k), want)] += 1
     runs = [
         (by_name("queen6_6"), "comb", 20),
@@ -500,7 +547,9 @@ def test_rules_on_demand_match_literal_recount_in_any_order(monkeypatch):
             color_of[move[0]] = -1
             parent = _replay(g, color_of)
             for k0 in candidate_k0_values(child, k_lower, k_upper):
-                want = _literal_verdicts(literal_hall_context(child, decomp, k0))
+                fields = literal_hall_context(child, decomp, k0)
+                want = _literal_verdicts(fields)
+                branches += _branches(fields)
                 _check_rules_on_demand(lambda: HallContext(child, decomp, k0), want)
                 failing[
                     _check_rules_on_demand(
@@ -509,6 +558,8 @@ def test_rules_on_demand_match_literal_recount_in_any_order(monkeypatch):
                 ] += 1
     # every subset of the three rules fails together somewhere
     assert len(failing) == 8 and min(failing.values()) > 20, failing
+    # and every branch of the rules is taken
+    assert len(branches) == 6 and min(branches.values()) > 20, branches
 
 
 def _judged(pc, decomp, move, k_lower, k_upper):
