@@ -20,7 +20,10 @@ The arcs from the vertices are read the same way, per color: x has an
 arc to c unless the context's `barred[c]` holds x.
 The search queues a surviving child with the flow its test found, and the
 tests of that child's own children start from it: the start is patched to
-the new state, and only what the patch left open is completed.
+the new state, a patched start that is still a full flow is returned at
+once, and otherwise only what the patch left open is completed. The
+completion's augmenting searches run in `_augment`, a plain function of
+this module, one call per path.
 """
 
 from __future__ import annotations
@@ -37,32 +40,37 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
     whenever no class is above ceil(n/k0), as at every k0
     `candidate_k0_values` offers (the literal network refuses the others).
     Outside that precondition the answer means nothing: on 8 isolated
-    vertices with 4 colored 0, k0 = 3 gets a flow although
-    `oracle.brute_extendable` says no extension exists.
+    vertices with 4 colored 0, k0 = 3 gets a flow although class 0 is
+    already above ceil(8/3) = 3, so no extension exists. The clique
+    lookups assume what every decomposition the search makes holds: its
+    cliques and residual part partition ctx's uncolored set.
 
     `start` is any earlier flow (k0', W'), normally the parent node's; it
     is read, never changed. The patch keeps of it what is still valid:
     per color, the vertices that are still uncolored, free for the color
     and not already kept on a lower color, one vertex per clique of ctx's
     decomposition, and no more vertices than the class's ceiling leaves
-    room for (`hi`). What it drops is unplaced. With no start every vertex
-    is.
+    room for. What it drops is unplaced. With no start every vertex is.
+    The same pass over the colors counts how many vertices the classes
+    below their floors still lack. When no vertex is unplaced and none is
+    lacking, the patched start is a full flow and is returned as it is.
 
     The completion, in order of cost:
     - each unplaced vertex goes directly on a free color that its clique
       does not hold and whose class is below its ceiling, preferring a
-      class below its floor (`lo`);
+      class below its floor;
     - each class below its floor takes vertices that can move to it
       directly from classes above their floors;
-    - what remains is settled by breadth-first augmenting paths. A vertex
-      may move to any other free color, bumping its clique's holder of
-      that color if there is one (this stands in for the clique's copy
-      of the color); a class leads to its wearers. (A) While a class is
-      below its floor, one search from every surplus (an unplaced
-      vertex, or a class above its floor) must reach a class below its
-      floor. (B) Then every unplaced vertex must reach a class below its
-      ceiling. A search that reaches none proves that no full flow
-      exists; one that does moves the vertices along its path.
+    - what remains is settled by breadth-first augmenting paths, one call
+      of `_augment` each. A vertex may move to any other free color,
+      bumping its clique's holder of that color if there is one (this
+      stands in for the clique's copy of the color); a class leads to its
+      wearers. (A) While a class is below its floor, one search from
+      every surplus (an unplaced vertex, or a class above its floor) must
+      reach a class below its floor. (B) Then every unplaced vertex must
+      reach a class below its ceiling. A search that reaches none proves
+      that no full flow exists; one that does moves the vertices along
+      its path.
 
     Exactness from any start. Every step keeps the flow f within the
     ceilings, the free colors and the clique limits. Let f* be any full
@@ -84,187 +92,231 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
     """
     k0 = ctx.k0
     floor_size, ceil_size = ctx.floor_size, ctx.ceil_size
-    sizes = ctx.class_sizes
-    # per color, how many uncolored vertices it must take, and may take,
-    # for its class to end within the window
-    lo = [floor_size - s if s < floor_size else 0 for s in sizes]
-    hi = [ceil_size - s for s in sizes]
     uncolored = ctx.uncolored
-    if sum(lo) > uncolored.bit_count():
-        return None
     barred = ctx.barred
     cliques = ctx.cliques
     covered = uncolored & ~ctx.residual  # the clique members
+    prev = () if start is None else start[1]
+    if len(prev) < k0:
+        prev = list(prev) + [0] * (k0 - len(prev))
 
-    def clique_of(bit):
-        """The clique holding the vertex `bit`, 0 for a residual vertex."""
-        if bit & covered:
-            for q in cliques:
-                if q & bit:
-                    return q
-        return 0
-
-    def entering(c):
-        """The vertices that can move into color c directly: free for it,
-        not wearing it, and outside the cliques that hold it."""
-        wc = W[c]
-        into = uncolored & ~barred[c] & ~wc
-        if wc & covered:
-            for q in cliques:
-                if wc & q:
-                    into &= ~q
-        return into
-
-    # the patch
+    # the patch, in one pass over the colors: W[c] is what color c keeps
+    # of the start, size[c] the size of its class with them
     W = []
-    count = []
+    size = []
+    deficit = 0  # how many vertices the classes below their floors lack
     unplaced = uncolored
-    if start is not None:
-        for w, bar, room in zip(start[1], barred, hi):
-            w &= unplaced & ~bar
-            x = w & covered
-            if x & (x - 1):  # two clique members: keep one per clique
-                for q in cliques:
-                    y = x & q
-                    if y & (y - 1):
-                        w ^= y ^ (y & -y)
-                    x ^= y
-                    if not x & (x - 1):
-                        break
-            size = w.bit_count()
-            while size > room:
-                w &= w - 1
-                size -= 1
-            W.append(w)
-            count.append(size)
-            unplaced ^= w
-    if len(W) < k0:
-        count += [0] * (k0 - len(W))
-        W += [0] * (k0 - len(W))
+    for s, w, bar in zip(ctx.class_sizes, prev, barred):
+        w &= unplaced & ~bar
+        x = w & covered
+        if x & (x - 1):  # two clique members: keep one per clique
+            for q in cliques:
+                y = x & q
+                if y & (y - 1):
+                    w ^= y ^ (y & -y)
+                x ^= y
+                if not x & (x - 1):
+                    break
+        t = s + w.bit_count()
+        while t > ceil_size and w:
+            w &= w - 1
+            t -= 1
+        W.append(w)
+        size.append(t)
+        unplaced ^= w
+        if t < floor_size:
+            deficit += floor_size - t
+    if not (unplaced or deficit):
+        return k0, tuple(W)
 
     # direct placements
     todo = unplaced
     while todo:
         bit = todo & -todo
         todo ^= bit
-        q = clique_of(bit)
+        q = 0  # bit's clique
+        if bit & covered:
+            for q in cliques:
+                if q & bit:
+                    break
         pick = -1
         for c in range(k0):
-            if count[c] >= hi[c] or barred[c] & bit or W[c] & q:
+            if barred[c] & bit or size[c] >= ceil_size or W[c] & q:
                 continue
-            if count[c] < lo[c]:
+            if size[c] < floor_size:
                 pick = c
+                deficit -= 1
                 break
             if pick < 0:
                 pick = c
         if pick >= 0:
             W[pick] |= bit
-            count[pick] += 1
+            size[pick] += 1
             unplaced ^= bit
 
     # direct shifts into the classes below their floors
-    short = False
-    for c in range(k0):
-        if count[c] >= lo[c]:
+    for c in range(k0 if deficit else 0):
+        if size[c] >= floor_size:
             continue
-        into = entering(c)
+        into = _entering(W[c], barred[c], uncolored, cliques, covered)
         for d in range(k0):
-            while into and count[d] > lo[d] and count[c] < lo[c]:
-                bit = W[d] & into
-                if not bit:
-                    break
+            bit = W[d] & into
+            while bit and size[d] > floor_size:
                 bit &= -bit
                 W[d] ^= bit
                 W[c] |= bit
-                count[d] -= 1
-                count[c] += 1
-                into &= ~(clique_of(bit) or bit)
-        if count[c] < lo[c]:
-            short = True
-
-    def augment(cap, sources):
-        """One breadth-first search, a level at a time on vertex bitmasks,
-        from the unplaced vertices and the colors in `sources` to a color
-        below `cap`; moves the vertices on the path found and returns
-        True, or returns False."""
-        nonlocal unplaced
-        enter = [entering(c) for c in range(k0)]
-        via = {}  # color reached -> the vertex that enters it
-        bumper = {}  # vertex reached by a bump -> the clique-mate taking its color
-        seen_c = 0
-        front = unplaced
-        for d in sources:
-            seen_c |= 1 << d
-            front |= W[d]
-        seen_v = front
-        end = -1
-        while front:
-            nxt = 0
-            for c in range(k0):
-                if seen_c >> c & 1:
-                    continue
-                x = front & enter[c]
-                if x:
-                    seen_c |= 1 << c
-                    via[c] = (x & -x).bit_length() - 1
-                    if count[c] < cap[c]:
-                        end = c
-                        break
-                    x = W[c] & ~seen_v  # the color leads to its wearers
-                    seen_v |= x
-                    nxt |= x
-            if end >= 0:
-                break
-            if front & covered:
-                for q in cliques:
-                    s = front & q
-                    if not s:
-                        continue
-                    for c in range(k0):
-                        y = W[c] & q & ~seen_v
-                        if y:
-                            x = s & ~barred[c]
-                            if x:
-                                seen_v |= y
-                                nxt |= y
-                                bumper[y.bit_length() - 1] = (x & -x).bit_length() - 1
-            front = nxt
-        if end < 0:
-            return False
-        count[end] += 1
-        c = end
-        x = via[c]
-        while True:  # x moves into c
-            bit = 1 << x
-            for old in range(k0):
-                if W[old] & bit:
+                size[d] -= 1
+                size[c] += 1
+                deficit -= 1
+                if size[c] == floor_size:
                     break
+                q = bit  # bit's clique, or bit itself, can no longer enter c
+                if bit & covered:
+                    for q in cliques:
+                        if q & bit:
+                            break
+                into &= ~q
+                bit = W[d] & into
             else:
-                old = -1
-            W[c] |= bit
-            if old < 0:
-                unplaced ^= bit
-                return True
-            W[old] ^= bit
-            if x in bumper:
-                x = bumper[x]
-            elif old in via:
-                x = via[old]
-            else:  # old is a source color
-                count[old] -= 1
-                return True
-            c = old
+                continue
+            break  # c is at its floor
+    if not (deficit or unplaced):
+        return k0, tuple(W)
 
-    # (A) the floors, from every surplus
-    while short:
-        if not augment(lo, [d for d in range(k0) if count[d] > lo[d]]):
-            return None
-        short = any(n < need for n, need in zip(count, lo))
+    # the augmenting searches, on every color's `_entering` mask, built
+    # here inline (the hot loop) and kept current by `_augment`
+    enter = []
+    for wc, bar in zip(W, barred):
+        into = uncolored & ~bar & ~wc
+        if wc & covered:
+            for q in cliques:
+                if wc & q:
+                    into &= ~q
+        enter.append(into)
+    net = (W, size, enter, uncolored, barred, cliques, covered)
+    if deficit:
+        # (A) the floors, from every surplus
+        surplus = 0
+        for d in range(k0):
+            if size[d] > floor_size:
+                surplus |= 1 << d
+        while deficit:
+            got = _augment(net, floor_size, surplus, unplaced)
+            if not got:
+                return None
+            if got > 0:
+                unplaced ^= got
+            elif size[~got] == floor_size:
+                surplus ^= 1 << ~got
+            deficit -= 1
     # (B) the ceilings, for the vertices still unplaced
     while unplaced:
-        if not augment(hi, ()):
+        got = _augment(net, ceil_size, 0, unplaced)
+        if not got:
             return None
+        unplaced ^= got
     return k0, tuple(W)
+
+
+def _entering(wc, bar, uncolored, cliques, covered):
+    """The vertices that can move directly into the color whose wearers
+    are `wc` and whose barred mask is `bar`: free for it, not wearing it,
+    and outside the cliques that hold it."""
+    into = uncolored & ~bar & ~wc
+    if wc & covered:
+        for q in cliques:
+            if wc & q:
+                into &= ~q
+    return into
+
+
+def _augment(net, cap, sources, unplaced):
+    """One breadth-first search of `flow_feasible`, a level at a time on
+    vertex bitmasks, from the `unplaced` vertices and the colors in the
+    bitmask `sources` to a class below the size `cap`. `net` is the
+    flow's state (W, size, enter, uncolored, barred, cliques, covered),
+    where enter[c] is `_entering` of color c. On success the search moves
+    the vertices on the path found, keeping W, size and enter current,
+    and returns the path's start: the bit of the vertex it placed, or ~d
+    for a source color d, which gave up one vertex. It returns 0 when no
+    path exists."""
+    W, size, enter, uncolored, barred, cliques, covered = net
+    via = {}  # color reached -> the vertex bit that enters it
+    bumper = {}  # vertex bit reached by a bump -> (the clique-mate taking its color, that color)
+    # the entering masks of the colors not reached yet; a source's is zeroed
+    opened = enter[:]
+    front = unplaced
+    m = sources
+    while m:
+        b = m & -m
+        d = b.bit_length() - 1
+        front |= W[d]
+        opened[d] = 0
+        m ^= b
+    seen_v = front
+    end = -1
+    while front:
+        nxt = 0
+        for c, into in enumerate(opened):
+            x = front & into
+            if x:
+                opened[c] = 0
+                via[c] = x & -x
+                if size[c] < cap:
+                    end = c
+                    break
+                x = W[c] & ~seen_v  # the color leads to its wearers
+                seen_v |= x
+                nxt |= x
+        if end >= 0:
+            break
+        if front & covered:
+            for q in cliques:
+                s = front & q
+                if not s:
+                    continue
+                rest = q & ~seen_v  # the clique-mates not reached yet
+                if not rest:
+                    continue
+                for c, w in enumerate(W):
+                    y = w & rest
+                    if y:
+                        x = s & ~barred[c]
+                        if x:
+                            nxt |= y
+                            bumper[y] = (x & -x, c)
+            seen_v |= nxt
+        front = nxt
+    if end < 0:
+        return 0
+    size[end] += 1
+    c = end
+    bit = via[c]
+    while True:  # bit moves into c
+        q = bit  # bit's clique, or bit itself, can no longer enter c
+        if bit & covered:
+            for q in cliques:
+                if q & bit:
+                    break
+        W[c] |= bit
+        enter[c] &= ~q
+        if bit & unplaced:
+            return bit
+        if bit in bumper:
+            x, old = bumper[bit]
+        else:  # a wearer: the one color other than c that holds it
+            old = 0
+            while not W[old] & bit or old == c:
+                old += 1
+            x = via.get(old)
+        W[old] ^= bit
+        # no member of bit's clique wears old now, so all can enter it
+        enter[old] |= q & uncolored & ~barred[old]
+        if x is None:  # old is a source color
+            size[old] -= 1
+            return ~old
+        bit = x
+        c = old
 
 
 def flow_prune(

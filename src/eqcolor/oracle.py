@@ -1,19 +1,18 @@
 """Ground truth by capped enumeration: the exact equitable chromatic
 number (`brute_chi_eq`, which `eqcolor verify` checks the engines
-against) and exact extendability of a partial coloring
-(`brute_extendable`), both on one depth-first search. Hard size caps make
+against), on a depth-first search that the tests' exact extendability
+check (`tests/extension_oracle.py`) runs too. A hard size cap makes
 accidental blowups an error instead of a silent hang. The paper's literal
 extendability network, which the search's flow engine never builds, is
 test code: `tests/literal_network.py`."""
 
 from __future__ import annotations
 
-from .coloring import PartialColoring
 from .decomposition import mask_vertices
 from .graph import Graph
 
 
-MAX_N = 12  # the largest graph either search accepts
+MAX_N = 12  # the largest graph the enumeration accepts
 
 
 class OracleCapError(ValueError):
@@ -78,24 +77,3 @@ def brute_chi_eq(g: Graph) -> int:
             return k0
     raise AssertionError("k0 = n is always feasible")
 
-
-def brute_extendable(g: Graph, pc: PartialColoring, k0: int) -> bool:
-    """True iff some completion of pc is a proper equitable k0-coloring
-    preserving every existing class as a subset."""
-    if g.n > MAX_N:
-        raise OracleCapError(f"n={g.n} exceeds oracle cap {MAX_N}")
-    if not 1 <= k0 <= g.n:
-        raise ValueError(f"need 1 <= k0 <= n, got {k0}")
-    sizes = [0] * k0
-    for v, c in enumerate(pc.color_of):
-        if c >= 0:
-            if c >= k0:
-                return False
-            sizes[c] += 1
-    ceil_size = -(-g.n // k0)
-    if any(s > ceil_size for s in sizes):
-        return False
-    color_of = list(pc.color_of)
-    order = [v for v in g.order if color_of[v] < 0]
-    nbrs = tuple(map(mask_vertices, g.adj_mask))
-    return _search_equitable(nbrs, color_of, sizes, k0, order, 0)

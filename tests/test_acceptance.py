@@ -9,8 +9,9 @@ import pytest
 
 from eqcolor import Graph, SolverConfig, gen_gnp, solve
 from eqcolor.hallrules import HallContext, failing_rule
-from eqcolor.oracle import brute_chi_eq, brute_extendable
+from eqcolor.oracle import brute_chi_eq
 from eqcolor.instances import by_name
+from extension_oracle import brute_extendable
 from helpers import cliques_only_state, proper_and_equitable, random_state
 from literal_network import build_network, enumerate_hoffman, feasible_flow
 

@@ -8,7 +8,7 @@ from eqcolor.coloring import PartialColoring, candidate_k0_values
 from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
 from eqcolor.flownet import flow_feasible, flow_prune
 from eqcolor.hallrules import HallContext
-from eqcolor.oracle import brute_extendable
+from extension_oracle import brute_extendable
 from helpers import (
     assignment_feasible,
     check_flow,
@@ -449,6 +449,31 @@ def test_flow_feasible_is_exact_from_any_start():
                 back = _judge_from(pc, decomp, k0, child_flow)
                 seen["child's", back is not None] += 1
     assert min(seen.values()) > 100 and len(seen) == 7, seen
+
+
+def test_full_start_comes_back_as_it_is():
+    """A start that is already a full flow for the context comes back with
+    equal W, and the start is not changed; one that places every vertex
+    within the ceilings but leaves a class below its floor is completed.
+    On 7 isolated vertices at k0 = 3 (windows [2, 3]), the start puts
+    3/3/1 vertices on colors 0-2, so class 2 lacks one."""
+    rng = random.Random(57)
+    full = 0
+    for _ in range(400):
+        _, pc, decomp, k0 = random_state(rng, n_max=9)
+        ctx = HallContext(pc, decomp, k0)
+        flow = flow_feasible(ctx)
+        if flow is None:
+            continue
+        start = (k0, list(flow[1]))
+        assert flow_feasible(ctx, start) == (k0, tuple(flow[1]))
+        assert start == (k0, list(flow[1]))
+        full += 1
+    assert full > 100
+    _, pc, decomp = _isolated_uncolored_state(7, [], [])
+    start = (3, [mask([0, 1, 2]), mask([3, 4, 5]), mask([6])])
+    flow = _judge_from(pc, decomp, 3, start)
+    assert flow[1][2] & mask([6]) and flow[1][2].bit_count() == 2
 
 
 def _random_paired_network(rng):

@@ -20,7 +20,7 @@ from eqcolor.hallrules import (
     failing_rule,
 )
 from eqcolor.instances import by_name
-from eqcolor.oracle import brute_extendable
+from extension_oracle import brute_extendable
 from helpers import (
     free_colors,
     literal_hall_context,

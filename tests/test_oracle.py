@@ -7,11 +7,8 @@ from eqcolor import Graph, gen_gnp
 from eqcolor.coloring import PartialColoring
 from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
 from eqcolor import oracle
-from eqcolor.oracle import (
-    OracleCapError,
-    brute_chi_eq,
-    brute_extendable,
-)
+from eqcolor.oracle import OracleCapError, brute_chi_eq
+from extension_oracle import brute_extendable
 from helpers import find_extension, free_colors, random_state
 from literal_network import (
     build_network,
