@@ -4,9 +4,10 @@ Colors are 0-based indices internally. A partial coloring keeps its state
 as vertex bitmasks: the uncolored set; per color the vertices with a
 neighbor of that color, the one record of which colors each vertex may
 not take; and every vertex's DSATUR saturation, bit-sliced into planes.
-A histogram of class sizes makes the largest-class statistics O(1). The
-clique decomposition and the Hall context are built from the masks with
-a few big-int operations per clique and per color. The search undoes
+The largest class size M and the number of classes of that size keep
+the largest-class test O(1). The clique decomposition and the Hall
+context are built from the masks with a few big-int operations per
+clique and per color. The search undoes
 strictly last-in-first-out: each trail entry records the color's old
 barred mask, and a backtrack to a node's mark restores those masks from
 the trail and the planes and counters from the mark at once.
@@ -50,7 +51,7 @@ class PartialColoring:
         "sat",
         "k_used",
         "M",
-        "_size_hist",
+        "M_count",
         "_trail",
     )
 
@@ -65,7 +66,7 @@ class PartialColoring:
         self.sat = [0] * n.bit_length()
         self.k_used = 0
         self.M = 0
-        self._size_hist = [0] * (n + 1)
+        self.M_count = 0  # how many classes have size M
         self._trail = []
 
     def extend(self, v: int, i: int) -> None:
@@ -80,11 +81,12 @@ class PartialColoring:
         self.class_size[i] = s + 1
         if s == 0:
             self.k_used += 1
-        else:
-            self._size_hist[s] -= 1
-        self._size_hist[s + 1] += 1
-        if s + 1 > self.M:
+        M = self.M
+        if s == M:
             self.M = s + 1
+            self.M_count = 1
+        elif s + 1 == M:
+            self.M_count += 1
         old = self.barred_mask[i]
         adj = self.adj_mask[v]
         self.barred_mask[i] = old | adj
@@ -108,13 +110,13 @@ class PartialColoring:
         self.barred_mask[i] = old
         s = self.class_size[i]
         self.class_size[i] = s - 1
-        self._size_hist[s] -= 1
-        if s - 1 == 0:
+        if s == 1:
             self.k_used -= 1
-        else:
-            self._size_hist[s - 1] += 1
-        if s == self.M and self._size_hist[s] == 0:
-            self.M = s - 1
+        if s == self.M:
+            self.M_count -= 1
+            if not self.M_count:  # the last class of size M shrank
+                self.M = s - 1
+                self.M_count = self.class_size.count(s - 1) if s > 1 else 0
         # ripple borrow: one less for each neighbor the move newly barred
         sat = self.sat
         j = 0
@@ -128,8 +130,11 @@ class PartialColoring:
 
     def mark(self) -> tuple:
         """The state a backtrack returns to: `(depth, planes, uncolored_mask,
-        M, k_used)`, with the saturation planes copied into a tuple."""
-        return len(self._trail), tuple(self.sat), self.uncolored_mask, self.M, self.k_used
+        M, M_count, k_used)`, with the saturation planes copied into a tuple."""
+        return (
+            len(self._trail), tuple(self.sat), self.uncolored_mask,
+            self.M, self.M_count, self.k_used,
+        )
 
     def retract_to(self, mark: tuple) -> None:
         """Undo the extends made since `mark` was taken; the mark must be
@@ -137,20 +142,15 @@ class PartialColoring:
         barred masks and class sizes move by move, newest first, so each
         color's oldest saved mask is the one that stays; the planes and the
         counters are copied back from the mark, with no borrow chain."""
-        depth, planes, self.uncolored_mask, self.M, self.k_used = mark
+        depth, planes, self.uncolored_mask, self.M, self.M_count, self.k_used = mark
         trail = self._trail
         color_of = self.color_of
         barred = self.barred_mask
         size = self.class_size
-        hist = self._size_hist
         for v, i, old in reversed(trail[depth:]):
             color_of[v] = -1
             barred[i] = old
-            s = size[i]
-            size[i] = s - 1
-            hist[s] -= 1
-            hist[s - 1] += 1
-        hist[0] = 0  # empty classes are not counted
+            size[i] -= 1
         del trail[depth:]
         self.sat[:] = planes  # in place: no new list, and a held reference stays valid
 
@@ -168,9 +168,9 @@ def deficit_prune(pc: PartialColoring, k_lower: int, i: int) -> bool:
     if s > M:
         M, t = s, 1
     elif s == M:
-        t = pc._size_hist[M] + 1
+        t = pc.M_count + 1
     else:
-        t = pc._size_hist[M]
+        t = pc.M_count
     k = pc.k_used + (s == 1)
     if k_lower > k:
         k = k_lower

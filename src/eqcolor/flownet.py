@@ -13,7 +13,8 @@ its lower bounds (`tests/literal_network.py`). This module decides the same
 question on the `hallrules.HallContext` snapshot, with no network built.
 
 A flow here is bit-sliced: `W[c]` is the bitmask of the uncolored vertices
-the flow puts into color c, and (k0, W) is what `flow_feasible` returns.
+the flow puts into color c, and the tuple W is what `flow_feasible`
+returns; its length is the color count k0.
 Through a clique, vertex x's unit reaches color c on the clique's copy of
 c, so one bit per (vertex, color) says everything the network's arcs do.
 The arcs from the vertices are read the same way, per color: x has an
@@ -34,8 +35,8 @@ from . import hallrules
 
 
 def flow_feasible(ctx: hallrules.HallContext, start=None):
-    """A full flow for the state behind ctx at ctx.k0, as (k0, W), or None
-    when there is none. Equivalent to `feasible_flow` on the literal
+    """A full flow W for the state behind ctx at ctx.k0, or None when
+    there is none. Equivalent to `feasible_flow` on the literal
     network in `tests/literal_network.py`, property-tested against it,
     whenever no class is above ceil(n/k0), as at every k0
     `candidate_k0_values` offers (the literal network refuses the others).
@@ -45,7 +46,7 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
     lookups assume what every decomposition the search makes holds: its
     cliques and residual part partition ctx's uncolored set.
 
-    `start` is any earlier flow (k0', W'), normally the parent node's; it
+    `start` is any earlier flow W', normally the parent node's; it
     is read, never changed. The patch keeps of it what is still valid:
     per color, the vertices that are still uncolored, free for the color
     and not already kept on a lower color, one vertex per clique of ctx's
@@ -96,7 +97,7 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
     barred = ctx.barred
     cliques = ctx.cliques
     covered = uncolored & ~ctx.residual  # the clique members
-    prev = () if start is None else start[1]
+    prev = () if start is None else start
     if len(prev) < k0:
         prev = list(prev) + [0] * (k0 - len(prev))
 
@@ -127,7 +128,7 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
         if t < floor_size:
             deficit += floor_size - t
     if not (unplaced or deficit):
-        return k0, tuple(W)
+        return tuple(W)
 
     # direct placements
     todo = unplaced
@@ -153,38 +154,12 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
             W[pick] |= bit
             size[pick] += 1
             unplaced ^= bit
-
-    # direct shifts into the classes below their floors
-    for c in range(k0 if deficit else 0):
-        if size[c] >= floor_size:
-            continue
-        into = _entering(W[c], barred[c], uncolored, cliques, covered)
-        for d in range(k0):
-            bit = W[d] & into
-            while bit and size[d] > floor_size:
-                bit &= -bit
-                W[d] ^= bit
-                W[c] |= bit
-                size[d] -= 1
-                size[c] += 1
-                deficit -= 1
-                if size[c] == floor_size:
-                    break
-                q = bit  # bit's clique, or bit itself, can no longer enter c
-                if bit & covered:
-                    for q in cliques:
-                        if q & bit:
-                            break
-                into &= ~q
-                bit = W[d] & into
-            else:
-                continue
-            break  # c is at its floor
     if not (deficit or unplaced):
-        return k0, tuple(W)
+        return tuple(W)
 
-    # the augmenting searches, on every color's `_entering` mask, built
-    # here inline (the hot loop) and kept current by `_augment`
+    # enter[c]: the vertices that can move directly into color c, free
+    # for it, not wearing it and outside the cliques that hold it; the
+    # direct shifts and `_augment` keep it current
     enter = []
     for wc, bar in zip(W, barred):
         into = uncolored & ~bar & ~wc
@@ -193,6 +168,38 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
                 if wc & q:
                     into &= ~q
         enter.append(into)
+
+    # direct shifts into the classes below their floors
+    for c in range(k0 if deficit else 0):
+        if size[c] >= floor_size:
+            continue
+        for d in range(k0):
+            bit = W[d] & enter[c]
+            while bit and size[d] > floor_size:
+                bit &= -bit
+                q = bit  # bit's clique, or bit itself
+                if bit & covered:
+                    for q in cliques:
+                        if q & bit:
+                            break
+                W[d] ^= bit
+                W[c] |= bit
+                enter[c] &= ~q
+                # no member of bit's clique wears d now, so all can enter it
+                enter[d] |= q & uncolored & ~barred[d]
+                size[d] -= 1
+                size[c] += 1
+                deficit -= 1
+                if size[c] == floor_size:
+                    break
+                bit = W[d] & enter[c]
+            else:
+                continue
+            break  # c is at its floor
+    if not (deficit or unplaced):
+        return tuple(W)
+
+    # the augmenting searches
     net = (W, size, enter, uncolored, barred, cliques, covered)
     if deficit:
         # (A) the floors, from every surplus
@@ -215,19 +222,7 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
         if not got:
             return None
         unplaced ^= got
-    return k0, tuple(W)
-
-
-def _entering(wc, bar, uncolored, cliques, covered):
-    """The vertices that can move directly into the color whose wearers
-    are `wc` and whose barred mask is `bar`: free for it, not wearing it,
-    and outside the cliques that hold it."""
-    into = uncolored & ~bar & ~wc
-    if wc & covered:
-        for q in cliques:
-            if wc & q:
-                into &= ~q
-    return into
+    return tuple(W)
 
 
 def _augment(net, cap, sources, unplaced):
@@ -235,11 +230,11 @@ def _augment(net, cap, sources, unplaced):
     vertex bitmasks, from the `unplaced` vertices and the colors in the
     bitmask `sources` to a class below the size `cap`. `net` is the
     flow's state (W, size, enter, uncolored, barred, cliques, covered),
-    where enter[c] is `_entering` of color c. On success the search moves
-    the vertices on the path found, keeping W, size and enter current,
-    and returns the path's start: the bit of the vertex it placed, or ~d
-    for a source color d, which gave up one vertex. It returns 0 when no
-    path exists."""
+    where enter[c] holds the vertices that can move directly into color
+    c. On success the search moves the vertices on the path found, keeping
+    W, size and enter current, and returns the path's start: the bit of
+    the vertex it placed, or ~d for a source color d, which gave up one
+    vertex. It returns 0 when no path exists."""
     W, size, enter, uncolored, barred, cliques, covered = net
     via = {}  # color reached -> the vertex bit that enters it
     bumper = {}  # vertex bit reached by a bump -> (the clique-mate taking its color, that color)

@@ -133,10 +133,11 @@ def parse_dimacs(text: str) -> Graph:
 
 
 def write_dimacs(g: Graph, name: str | None = None) -> str:
-    """Serialize a graph to DIMACS .col text (1-based vertices, sorted edges)."""
+    """Serialize a graph to DIMACS .col text (1-based vertices, sorted edges),
+    with one comment line per line of `name`."""
     lines = []
     if name:
-        lines.append(f"c {name}")
+        lines.extend(f"c {line}" for line in name.splitlines())
     lines.append(f"p edge {g.n} {g.m}")
     for u, v in sorted(g.edges):
         lines.append(f"e {u + 1} {v + 1}")

@@ -20,7 +20,7 @@ extended once, when the search enters it, under every variant: a node's
 lowest-color surviving child at once, since it is the one the LIFO
 stack would pop next, and only its siblings are queued, unextended, to
 be extended when they are popped. Under flow a child carries the flow
-its test found (`flow_feasible`'s (k0, W)), whether it is entered at
+its test found (`flow_feasible`'s W), whether it is entered at
 once or queued, and the tests of its own children start from that flow;
 no test changes a flow it starts from.
 

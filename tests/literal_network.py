@@ -235,17 +235,16 @@ def extract_coloring(net: FlowNetwork, flow: list[int] | None) -> dict[int, int]
 
 
 def check_vertex_flow(
-    pc: PartialColoring, decomp: CliqueDecomposition, k0: int, flow
+    pc: PartialColoring, decomp: CliqueDecomposition, k0: int, W
 ) -> None:
-    """Assert that `flow`, a (k0, W) pair from `flow_feasible` with W[c]
-    the bitmask of the uncolored vertices it puts into color c, is a full
+    """Assert that `W`, a flow from `flow_feasible` with W[c] the
+    bitmask of the uncolored vertices it puts into color c, is a full
     flow of the network for (pc, decomp, k0): each uncolored vertex is in
     exactly one W[c] and no colored vertex in any, c is free for it (no
     neighbor wears c), each clique holds at most one vertex per color,
     and every class ends within floor(n/k0)..ceil(n/k0). Reads the
     neighborhoods and `color_of`, not the barred masks the engine reads."""
-    got_k0, W = flow
-    assert got_k0 == k0 and len(W) == k0, (got_k0, len(W))
+    assert len(W) == k0, (len(W), k0)
     n = pc.n
     for c, w in enumerate(W):
         assert 0 <= w < 1 << n, f"color {c} holds a vertex outside the graph"

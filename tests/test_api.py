@@ -61,7 +61,7 @@ def test_search_state_and_hall_snapshot_slots_pinned():
         "sat",
         "k_used",
         "M",
-        "_size_hist",
+        "M_count",
         "_trail",
     )
 

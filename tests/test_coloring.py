@@ -71,7 +71,15 @@ def test_lopsided_state_statistics():
     _, pc = lopsided_state()
     assert sorted(s for s in pc.class_size if s) == [1, 1, 1, 3]
     assert pc.uncolored_mask.bit_count() == 2
-    assert pc.M == 3 and pc._size_hist[pc.M] == 1 and pc.k_used == 4
+    assert pc.M == 3 and pc.M_count == 1 and pc.k_used == 4
+
+
+def check_class_statistics(pc):
+    """M, M_count and k_used equal a recount of the class sizes."""
+    sizes = [s for s in pc.class_size if s]
+    assert pc.M == (max(sizes) if sizes else 0)
+    assert pc.M_count == sizes.count(pc.M)
+    assert pc.k_used == len(sizes)
 
 
 def snapshot(pc):
@@ -82,7 +90,7 @@ def snapshot(pc):
         list(pc.barred_mask),
         list(pc.sat),
         pc.M,
-        list(pc._size_hist),
+        pc.M_count,
         pc.k_used,
         list(pc._trail),
     )
@@ -106,7 +114,12 @@ def test_retract_restores_prior_state():
 
 
 def test_incremental_matches_recompute_on_random_walks():
+    """After every extend and every single-step retract the masks, planes
+    and class statistics equal their recount. Some retracts shrink the
+    last class of size M while smaller classes remain, so M_count is
+    recounted there."""
     rng = random.Random(71)
+    recounts = 0
     for _ in range(120):
         g = gen_gnp(rng.randint(2, 10), rng.random(), rng.getrandbits(32))
         pc = PartialColoring(g)
@@ -119,14 +132,14 @@ def test_incremental_matches_recompute_on_random_walks():
                 pc.extend(v, rng.choice(colors))
                 moves += 1
             elif moves:
+                M = pc.M
                 pc.retract()
                 moves -= 1
+                recounts += 0 < pc.M < M
             assert recompute_sat(pc) == pc.sat
             assert recompute_masks(pc) == (pc.uncolored_mask, pc.barred_mask)
-            sizes = sorted(s for s in pc.class_size if s)
-            assert pc.M == (max(sizes) if sizes else 0)
-            assert pc._size_hist[pc.M] == sizes.count(pc.M)
-            assert pc.k_used == len(sizes)
+            check_class_statistics(pc)
+    assert recounts >= 20, recounts
 
 
 def test_saturation_planes_carry_to_the_top_on_complete_graphs():
@@ -186,10 +199,7 @@ def test_retract_to_a_mark_matches_recompute_and_single_steps():
                 assert len(pc._trail) == mark[0]
                 assert recompute_sat(pc) == pc.sat
                 assert recompute_masks(pc) == (pc.uncolored_mask, pc.barred_mask)
-                sizes = sorted(s for s in pc.class_size if s)
-                assert pc.M == (max(sizes) if sizes else 0)
-                assert pc._size_hist[pc.M] == sizes.count(pc.M)
-                assert pc.k_used == len(sizes)
+                check_class_statistics(pc)
                 assert snapshot(pc) == snapshot(twin)
             if pc.uncolored_mask:
                 if rng.random() < 0.4:
@@ -199,6 +209,7 @@ def test_retract_to_a_mark_matches_recompute_and_single_steps():
                 i = rng.choice([i for i in range(g.n) if (mask >> i) & 1])
                 pc.extend(v, i)
                 twin.extend(v, i)
+                check_class_statistics(pc)
     assert backtracks > 1000
     assert {n for n in range(2, 18) if n & (n - 1)} <= top_restored
 
@@ -300,7 +311,7 @@ def test_deficit_prune_equivalent_sum_form():
             deficit = sum(pc.M - 1 - c for c in pc.class_size if 0 < c < pc.M - 1)
             assert predicted == (pc.uncolored_mask.bit_count() < deficit)
             k = max(k_lower, pc.k_used)
-            assert predicted_lower == (g.n < (pc.M - 1) * k + pc._size_hist[pc.M])
+            assert predicted_lower == (g.n < (pc.M - 1) * k + pc.M_count)
             pc.retract()
     assert min(cases.values()) > 500, cases
 

@@ -297,7 +297,29 @@ def test_search_places_a_vertex_by_bumping_its_clique_mate():
     assert feasible_flow(build_network(pc, decomp, 5)) is not None
     flow = flow_feasible(HallContext(pc, decomp, 5))
     check_vertex_flow(pc, decomp, 5, flow)
-    assert flow[1][1] == mask([8]) and flow[1][3] == mask([3])
+    assert flow[1] == mask([8]) and flow[3] == mask([3])
+
+
+def test_shift_out_of_a_class_lets_a_clique_mate_in():
+    """k0 = 3 on 10 vertices: windows [3, 4]. 7, 8 and 9 wear colors 0, 1
+    and 2; {0, 1, 6} is a clique. 9 bars 3, 4, 5 and 6 from color 2, and
+    7 bars 2 from color 0. The direct placements put 0 on color 0, 1 and
+    2 on color 1, 3 and 4 on color 0 and 5 on color 1, so classes 0-2
+    hold 4/4/1 and 6 is unplaced: its clique holds colors 0 and 1. The
+    direct shifts fill class 2 with 0 from color 0 and 2 from color 1;
+    1, lower than 2 on color 1, may not follow its clique-mate 0 into
+    color 2. Color 0 no longer holds the clique, so the search places 6
+    on it."""
+    g = Graph(10, [(0, 1), (0, 6), (1, 6), (2, 7), (3, 9), (4, 9), (5, 9), (6, 9)])
+    pc = PartialColoring(g)
+    for v, c in ((7, 0), (8, 1), (9, 2)):
+        pc.extend(v, c)
+    decomp = CliqueDecomposition([mask([0, 1, 6])], mask([2, 3, 4, 5]))
+    assert feasible_flow(build_network(pc, decomp, 3)) is not None
+    flow = flow_feasible(HallContext(pc, decomp, 3))
+    assert flow is not None
+    check_vertex_flow(pc, decomp, 3, flow)
+    assert flow == (mask([3, 4, 6]), mask([1, 5]), mask([0, 2]))
 
 
 def _isolated_uncolored_state(n, colored, edges):
@@ -351,7 +373,7 @@ def test_direct_placements_fill_floors_under_ceilings():
         7, [(0, 0), (1, 0), (2, 1), (3, 2)], [(4, 2), (4, 3)]
     )
     flow = flow_feasible(HallContext(pc, decomp, 3))
-    assert flow == (3, (mask([4]), mask([5]), mask([6])))
+    assert flow == (mask([4]), mask([5]), mask([6]))
     assert feasible_flow(build_network(pc, decomp, 3)) is not None
     assert brute_extendable(g, pc, 3) is True
 
@@ -374,9 +396,9 @@ def _judge_from(pc, decomp, k0, start, move=None):
     started from `start`: the verdict equals the literal network's, the
     start comes back unchanged, and a returned flow passes
     check_vertex_flow. Returns the flow."""
-    before = None if start is None else (start[0], list(start[1]))
+    before = None if start is None else list(start)
     flow = flow_feasible(HallContext(pc, decomp, k0, move), start)
-    assert before is None or (start[0], list(start[1])) == before
+    assert before is None or list(start) == before
     if move is not None:
         pc.extend(*move)
     exact = feasible_flow(build_network(pc, decomp, k0)) is not None
@@ -408,7 +430,7 @@ def _partial_flow(rng, pc, decomp, k0):
         ]
         if colors and rng.random() < 0.5:
             W[rng.choice(colors)] |= 1 << v
-    return k0, W
+    return W
 
 
 def test_flow_feasible_is_exact_from_any_start():
@@ -429,7 +451,7 @@ def test_flow_feasible_is_exact_from_any_start():
         flow = _judge_from(pc, decomp, k0, _partial_flow(rng, pc, decomp, k0))
         seen["partial", flow is not None] += 1
         k = rng.randint(1, g.n)
-        broken = (k, [rng.getrandbits(g.n) for _ in range(k)])
+        broken = [rng.getrandbits(g.n) for _ in range(k)]
         flow = _judge_from(pc, decomp, k0, broken)
         seen["broken", flow is not None] += 1
         if flow is None or not pc.uncolored_mask:
@@ -465,15 +487,15 @@ def test_full_start_comes_back_as_it_is():
         flow = flow_feasible(ctx)
         if flow is None:
             continue
-        start = (k0, list(flow[1]))
-        assert flow_feasible(ctx, start) == (k0, tuple(flow[1]))
-        assert start == (k0, list(flow[1]))
+        start = list(flow)
+        assert flow_feasible(ctx, start) == flow
+        assert start == list(flow)
         full += 1
     assert full > 100
     _, pc, decomp = _isolated_uncolored_state(7, [], [])
-    start = (3, [mask([0, 1, 2]), mask([3, 4, 5]), mask([6])])
+    start = [mask([0, 1, 2]), mask([3, 4, 5]), mask([6])]
     flow = _judge_from(pc, decomp, 3, start)
-    assert flow[1][2] & mask([6]) and flow[1][2].bit_count() == 2
+    assert flow[2] & mask([6]) and flow[2].bit_count() == 2
 
 
 def _random_paired_network(rng):

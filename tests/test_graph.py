@@ -74,6 +74,17 @@ def test_roundtrip_write_parse():
         assert h.n == g.n and h.edges == g.edges
 
 
+def test_roundtrip_keeps_a_multiline_name_in_comments():
+    """A name that spans lines, by any line break the parser splits on,
+    is written as one comment line per line and parses back."""
+    g = Graph(2, [(0, 1)])
+    for name in ("two\nlines", "a\r\nb\rc\n", "\nx\n\ny", "e 1 1\u2028p edge 9 9"):
+        text = write_dimacs(g, name=name)
+        h = parse_dimacs(text)
+        assert h.n == g.n and h.edges == g.edges
+        assert text.splitlines()[:-2] == ["c " + line for line in name.splitlines()]
+
+
 def test_graph_rejects_self_loop_and_range():
     with pytest.raises(ValueError):
         Graph(3, [(1, 1)])
