@@ -67,41 +67,45 @@ def cmd_solve(args) -> int:
         status, code = "INTERRUPTED", EXIT_INTERRUPTED
     else:
         status, code = "TIMEOUT", EXIT_TIMEOUT
+    # the counters both reports give, in the order they give them
+    report = {
+        "status": status,
+        "lower_bound": stats.k_lower,
+        "nodes": stats.nodes,
+        **_prunes(stats),
+        "rule_firings": dict(sorted(stats.rule_firings.items())),
+        "flow_solves": stats.flow_solves,
+    }
     if args.json:
         print(json.dumps({
             "chi_eq": sol.chi_eq,
             "optimal": sol.optimal,
-            "status": status,
-            "lower_bound": stats.k_lower,
-            "nodes": stats.nodes,
-            "prunes_deficit": stats.prunes_deficit,
-            "prunes_flow": stats.prunes_flow,
-            "prunes_hall": stats.prunes_hall,
-            "rule_firings": dict(sorted(stats.rule_firings.items())),
-            "flow_solves": stats.flow_solves,
+            **report,
             "time_s": round(stats.elapsed, 6),
             "coloring": sol.coloring,
         }))
         return code
-    name = args.path.rsplit("/", 1)[-1]
-    print(f"instance:        {name}")
-    print(f"n:               {g.n}")
-    print(f"density:         {g.density():.4f}")
-    if sol.optimal:
-        print(f"chi_eq:          {sol.chi_eq}")
-    else:
-        print(f"best_found:      {sol.chi_eq}")
-    print(f"status:          {status}")
-    print(f"lower_bound:     {stats.k_lower}")
-    print(f"nodes:           {stats.nodes}")
-    print(f"prunes_deficit:  {stats.prunes_deficit}")
-    print(f"prunes_flow:     {stats.prunes_flow}")
-    print(f"prunes_hall:     {stats.prunes_hall}")
-    firings = ",".join(f"{k}={v}" for k, v in sorted(stats.rule_firings.items()))
-    print(f"rule_firings:    {firings or 0}")
-    print(f"flow_solves:     {stats.flow_solves}")
-    print(f"time_s:          {stats.elapsed:.3f}")
+    lines = {
+        "instance": args.path.rsplit("/", 1)[-1],
+        "n": g.n,
+        "density": f"{g.density():.4f}",
+        "chi_eq" if sol.optimal else "best_found": sol.chi_eq,
+        **report,
+        "time_s": f"{stats.elapsed:.3f}",
+    }
+    firings = ",".join(f"{k}={v}" for k, v in report["rule_firings"].items())
+    lines["rule_firings"] = firings or 0
+    for key, value in lines.items():
+        print(f"{key + ':':<17}{value}")
     return code
+
+
+_PRUNES = ("prunes_deficit", "prunes_flow", "prunes_hall")
+
+
+def _prunes(stats) -> dict:
+    """The solve's prune counters, under their report and CSV names."""
+    return {name: getattr(stats, name) for name in _PRUNES}
 
 
 DATA_HEADER = [
@@ -114,9 +118,7 @@ DATA_HEADER = [
     "nodes",
     "time_s",
     "timed_out",
-    "prunes_deficit",
-    "prunes_flow",
-    "prunes_hall",
+    *_PRUNES,
 ]
 AGG_HEADER = ["n", "p", "variant", "avg_time", "timeouts", "avg_nodes"]
 
@@ -131,7 +133,7 @@ def run_bench(spec: BenchSpec, out_path: str) -> tuple[str, str]:
     Timeout accounting: a timed-out run contributes the full time limit to
     the average time and is excluded from the node average.
     """
-    agg_path = _agg_path(out_path)
+    agg_path = out_path.removesuffix(".csv") + ".agg.csv"
     rows = []
     with open(out_path, "w", encoding="utf-8", newline="") as fh, open(
         agg_path, "w", encoding="utf-8", newline=""
@@ -159,7 +161,7 @@ def _campaign_rows(spec: BenchSpec):
                 for cfg, sol, stats in _solves(g, configs):
                     yield {
                         "n": n,
-                        "p": _fmt_p(p),
+                        "p": f"{p:g}",
                         "index": index,
                         "seed": seed,
                         "variant": cfg.variant,
@@ -167,9 +169,7 @@ def _campaign_rows(spec: BenchSpec):
                         "nodes": stats.nodes,
                         "time_s": f"{stats.elapsed:.6f}",
                         "timed_out": int(stats.timed_out),
-                        "prunes_deficit": stats.prunes_deficit,
-                        "prunes_flow": stats.prunes_flow,
-                        "prunes_hall": stats.prunes_hall,
+                        **_prunes(stats),
                     }
 
 
@@ -188,16 +188,6 @@ def _solves(g: Graph, configs):
         if stats.interrupted:
             raise KeyboardInterrupt
         yield cfg, sol, stats
-
-
-def _fmt_p(p: float) -> str:
-    return f"{p:g}"
-
-
-def _agg_path(out_path: str) -> str:
-    if out_path.endswith(".csv"):
-        return out_path[:-4] + ".agg.csv"
-    return out_path + ".agg.csv"
 
 
 def aggregate_rows(rows, time_limit: float):

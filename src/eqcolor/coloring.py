@@ -11,7 +11,9 @@ clique and per color. The search undoes
 strictly last-in-first-out: each trail entry records the color's old
 barred mask, and a backtrack to a node's mark restores those masks from
 the trail and the planes and counters from the mark at once.
-Single-step `retract` is the inverse of one move.
+Single-step `retract` is the inverse of one move. The trail's (vertex,
+color) moves are the one record of who wears which color: `coloring()`
+replays them when a caller needs the colors as a list.
 
 The largest-class test (`deficit_prune`) is decided for a child before
 the move: from the parent's statistics and the child's color alone, so a
@@ -43,7 +45,6 @@ class PartialColoring:
 
     __slots__ = (
         "n",
-        "color_of",
         "class_size",
         "uncolored_mask",
         "barred_mask",
@@ -58,7 +59,6 @@ class PartialColoring:
     def __init__(self, g: Graph):
         n = g.n
         self.n = n
-        self.color_of = [-1] * n
         self.class_size = [0] * n
         self.uncolored_mask = (1 << n) - 1
         self.barred_mask = [0] * n
@@ -75,7 +75,6 @@ class PartialColoring:
         bit = 1 << v
         assert self.uncolored_mask & bit, f"vertex {v} already colored"
         assert not self.barred_mask[i] & bit, f"color {i} barred for {v}"
-        self.color_of[v] = i
         self.uncolored_mask ^= bit
         s = self.class_size[i]
         self.class_size[i] = s + 1
@@ -104,7 +103,6 @@ class PartialColoring:
     def retract(self) -> tuple[int, int]:
         """Undo the most recent extend; returns the (vertex, color) undone."""
         v, i, old = self._trail.pop()
-        self.color_of[v] = -1
         self.uncolored_mask |= 1 << v
         borrow = self.barred_mask[i] ^ old
         self.barred_mask[i] = old
@@ -138,21 +136,27 @@ class PartialColoring:
 
     def retract_to(self, mark: tuple) -> None:
         """Undo the extends made since `mark` was taken; the mark must be
-        on the path to the current state. The trail restores the colors,
-        barred masks and class sizes move by move, newest first, so each
+        on the path to the current state. The trail restores the barred
+        masks and class sizes move by move, newest first, so each
         color's oldest saved mask is the one that stays; the planes and the
         counters are copied back from the mark, with no borrow chain."""
         depth, planes, self.uncolored_mask, self.M, self.M_count, self.k_used = mark
         trail = self._trail
-        color_of = self.color_of
         barred = self.barred_mask
         size = self.class_size
-        for v, i, old in reversed(trail[depth:]):
-            color_of[v] = -1
+        for _, i, old in reversed(trail[depth:]):
             barred[i] = old
             size[i] -= 1
         del trail[depth:]
         self.sat[:] = planes  # in place: no new list, and a held reference stays valid
+
+    def coloring(self) -> list[int]:
+        """Each vertex's color, -1 for an uncolored vertex, replayed from
+        the trail: a new list, which later moves leave as it is."""
+        color_of = [-1] * self.n
+        for v, i, _ in self._trail:
+            color_of[v] = i
+        return color_of
 
 
 def deficit_prune(pc: PartialColoring, k_lower: int, i: int) -> bool:

@@ -119,7 +119,8 @@ def check_positive_single(ctx: HallContext) -> bool:
 def _augment(bit: int, visited: int, owner: list[int], barred: list[int]):
     """Augmenting-path search from the clique member `bit` over the colors
     not in `visited` (a color bitmask): (placed, visited). On success the
-    path's colors are rematched in `owner`."""
+    path's colors are rematched in `owner`. A module-level function, not a
+    closure, so a matching leaves no reference cycle behind."""
     for c, bar in enumerate(barred):
         if visited >> c & 1 or bar & bit:
             continue
@@ -139,8 +140,10 @@ def _clique_has_sdr(q: int, barred: list[int]) -> bool:
     distinct color that its barred masks leave it? A greedy pass gives
     each color, in order, to its lowest member still unmatched and free
     for it; augmenting-path bipartite matching (`_augment`), started from
-    the greedy's matching, then places only the members it left out.
-    Cliques are small."""
+    the greedy's matching, then places only the members it left out; a
+    clique the greedy matches whole falls through to True. The search
+    calls this only for cliques `check_clique_hall`'s same greedy could
+    not settle. Cliques are small."""
     k0 = len(barred)
     if q.bit_count() > k0:
         return False
@@ -152,8 +155,6 @@ def _clique_has_sdr(q: int, barred: list[int]) -> bool:
             x &= -x
             owner[c] = x
             left ^= x
-            if not left:
-                return True
     while left:
         bit = left & -left
         left ^= bit

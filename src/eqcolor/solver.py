@@ -149,7 +149,7 @@ def _capped_greedy(g: Graph, k: int):
         pc.extend(v, i)
     if not is_equitable(pc):
         return None
-    return pc.k_used, pc.color_of
+    return pc.k_used, pc.coloring()
 
 
 def initial_bounds(g: Graph, deadline: float):
@@ -305,7 +305,7 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                 else:  # a complete coloring
                     if pc.k_used < k_upper and is_equitable(pc):
                         k_upper = pc.k_used
-                        incumbent = list(pc.color_of)
+                        incumbent = pc.coloring()
                         if k_upper <= k_lower:
                             break  # bounds met: optimal proven
                     child = -1

@@ -19,7 +19,8 @@ def brute_extendable(g: Graph, pc: PartialColoring, k0: int) -> bool:
     if not 1 <= k0 <= g.n:
         raise ValueError(f"need 1 <= k0 <= n, got {k0}")
     sizes = [0] * k0
-    for v, c in enumerate(pc.color_of):
+    color_of = pc.coloring()
+    for c in color_of:
         if c >= 0:
             if c >= k0:
                 return False
@@ -27,7 +28,6 @@ def brute_extendable(g: Graph, pc: PartialColoring, k0: int) -> bool:
     ceil_size = -(-g.n // k0)
     if any(s > ceil_size for s in sizes):
         return False
-    color_of = list(pc.color_of)
     order = [v for v in g.order if color_of[v] < 0]
     nbrs = tuple(map(mask_vertices, g.adj_mask))
     return oracle._search_equitable(nbrs, color_of, sizes, k0, order, 0)

@@ -37,8 +37,9 @@ def free_colors(pc: PartialColoring, v: int, k0: int) -> int:
     """Bitmask of the colors below k0 that no colored neighbor of v wears,
     recounted from the neighbors' colors."""
     free = (1 << k0) - 1
+    color_of = pc.coloring()
     for w in mask_vertices(pc.adj_mask[v]):
-        c = pc.color_of[w]
+        c = color_of[w]
         if c >= 0:
             free &= ~(1 << c)
     return free
@@ -167,7 +168,7 @@ def find_extension(g: Graph, pc: PartialColoring, k0: int):
     n = g.n
     floor_size = n // k0
     ceil_size = -(-n // k0)
-    color_of = list(pc.color_of)
+    color_of = pc.coloring()
     sizes = [0] * k0
     for c in color_of:
         if c >= k0:
@@ -372,11 +373,12 @@ def recompute_masks(pc: PartialColoring):
     n = pc.n
     uncolored = 0
     barred = [0] * n
+    color_of = pc.coloring()
     for v in range(n):
-        if pc.color_of[v] < 0:
+        if color_of[v] < 0:
             uncolored |= 1 << v
         for w in mask_vertices(pc.adj_mask[v]):
-            c = pc.color_of[w]
+            c = color_of[w]
             if c >= 0:
                 barred[c] |= 1 << v
     return uncolored, barred

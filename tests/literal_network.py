@@ -243,20 +243,22 @@ def check_vertex_flow(
     exactly one W[c] and no colored vertex in any, c is free for it (no
     neighbor wears c), each clique holds at most one vertex per color,
     and every class ends within floor(n/k0)..ceil(n/k0). Reads the
-    neighborhoods and `color_of`, not the barred masks the engine reads."""
+    neighborhoods and `pc.coloring()`, not the barred masks the engine
+    reads."""
     assert len(W) == k0, (len(W), k0)
     n = pc.n
+    color_of = pc.coloring()
     for c, w in enumerate(W):
         assert 0 <= w < 1 << n, f"color {c} holds a vertex outside the graph"
     for v in range(n):
         wearing = [c for c in range(k0) if W[c] >> v & 1]
-        if pc.color_of[v] >= 0:
+        if color_of[v] >= 0:
             assert not wearing, f"colored vertex {v} placed on {wearing}"
             continue
         assert len(wearing) == 1, f"uncolored vertex {v} placed on {wearing}"
         c = wearing[0]
         neighbors = mask_vertices(pc.adj_mask[v])
-        assert all(pc.color_of[w] != c for w in neighbors), f"{v} barred from {c}"
+        assert all(color_of[w] != c for w in neighbors), f"{v} barred from {c}"
     for clique in decomp.masks:
         for c in range(k0):
             members = [v for v in mask_vertices(clique) if W[c] >> v & 1]

@@ -37,7 +37,8 @@ def test_solver_config_has_three_fields():
 
 def test_search_state_and_hall_snapshot_slots_pinned():
     """A Hall context is only the child's snapshot: no rule leaves state
-    on it for another. A partial coloring is only the search state."""
+    on it for another. A partial coloring is only the search state, and
+    it keeps no color list: `coloring()` replays the trail's moves."""
     from eqcolor.coloring import PartialColoring
     from eqcolor.hallrules import HallContext
 
@@ -53,7 +54,6 @@ def test_search_state_and_hall_snapshot_slots_pinned():
     )
     assert PartialColoring.__slots__ == (
         "n",
-        "color_of",
         "class_size",
         "uncolored_mask",
         "barred_mask",

@@ -7,7 +7,7 @@ from eqcolor import cli, solver
 from eqcolor.cli import BenchSpec, instance_seed, main, run_bench
 from eqcolor.graph import write_dimacs
 from eqcolor.instances import by_name
-from eqcolor import Graph, Solution
+from eqcolor import Graph, Solution, gen_gnp
 from helpers import proper_and_equitable, raising_on_call
 
 
@@ -177,8 +177,6 @@ def test_bench_keeps_finished_rows_on_interrupt(tmp_path, monkeypatch, capsys):
 
 
 def test_solve_timeout_exit_two(tmp_path, capsys):
-    from eqcolor import gen_gnp
-
     hard = tmp_path / "hard.col"
     hard.write_text(write_dimacs(gen_gnp(60, 0.5, 3)))
     rc = main(["solve", str(hard), "--algo", "std", "--time-limit", "0.05"])
@@ -382,3 +380,44 @@ def test_verify_requires_input(capsys):
     rc = main(["verify"])
     assert rc == 1
     assert "nothing to verify" in capsys.readouterr().err
+
+
+def test_text_json_and_bench_report_the_same_counters(myciel4_file, tmp_path, capsys):
+    """Under each algorithm, the text and --json reports of a solve give
+    the same value for every field they share, time aside: the text
+    lists rule firings as name=count pairs, or 0 when there are none.
+    A bench row's nodes and prune counters are those of solve() on the
+    row's seeded graph under the row's variant."""
+    for algo in ("std", "flow", "comb"):
+        assert main(["solve", myciel4_file, "--algo", algo]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        text = {key: value.strip() for key, value in (line.split(":", 1) for line in lines)}
+        assert main(["solve", myciel4_file, "--algo", algo, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        firings = text["rule_firings"]
+        text["rule_firings"] = {} if firings == "0" else {
+            name: int(count) for name, count in (kv.split("=") for kv in firings.split(","))
+        }
+        shared = (set(text) & set(report)) - {"time_s"}
+        assert shared == {
+            "chi_eq", "status", "lower_bound", "nodes", "prunes_deficit",
+            "prunes_flow", "prunes_hall", "rule_firings", "flow_solves",
+        }
+        for key in shared:
+            want = report[key] if key in ("status", "rule_firings") else str(report[key])
+            assert text[key] == want, (algo, key)
+
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--n", "12", "--p", "0.5", "--count", "1", "--algos", "flow", "comb"]
+    assert main(argv + ["--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["variant"] for row in rows] == ["flow", "comb"]
+    counters = ("nodes", "prunes_deficit", "prunes_flow", "prunes_hall")
+    for row in rows:
+        assert row["seed"] == str(instance_seed(0, 12, 0.5, 0))
+        g = gen_gnp(12, 0.5, int(row["seed"]))
+        _, stats = solver.solve(g, solver.SolverConfig(row["variant"]))
+        assert [int(row[key]) for key in counters] == [getattr(stats, key) for key in counters]
+    # the seeded graph prunes under both engines, each in its own column
+    assert rows[0]["prunes_flow"] != "0" and rows[1]["prunes_hall"] != "0"

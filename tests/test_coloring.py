@@ -44,7 +44,7 @@ def test_extend_updates_barred_masks():
     g = path3()
     pc = PartialColoring(g)
     pc.extend(1, 0)
-    assert [v for v, c in enumerate(pc.color_of) if c == 0] == [1]
+    assert pc.coloring() == [-1, 0, -1]
     # a and c are barred from color 0 and from no other color
     assert pc.barred_mask[0] == 0b101 and not any(pc.barred_mask[1:])
     assert free_colors(pc, 0, 3) == free_colors(pc, 2, 3) == 0b110
@@ -82,9 +82,18 @@ def check_class_statistics(pc):
     assert pc.k_used == len(sizes)
 
 
+def check_colors(pc, path):
+    """`pc.coloring()` equals the colors of the (vertex, color) moves a
+    walk recorded itself, oldest first: -1 for every other vertex."""
+    want = [-1] * pc.n
+    for v, i in path:
+        want[v] = i
+    assert pc.coloring() == want
+
+
 def snapshot(pc):
     return (
-        list(pc.color_of),
+        pc.coloring(),
         list(pc.class_size),
         pc.uncolored_mask,
         list(pc.barred_mask),
@@ -115,27 +124,29 @@ def test_retract_restores_prior_state():
 
 def test_incremental_matches_recompute_on_random_walks():
     """After every extend and every single-step retract the masks, planes
-    and class statistics equal their recount. Some retracts shrink the
-    last class of size M while smaller classes remain, so M_count is
-    recounted there."""
+    and class statistics equal their recount, and the colors equal the
+    walk's own record of its moves. Some retracts shrink the last class
+    of size M while smaller classes remain, so M_count is recounted
+    there."""
     rng = random.Random(71)
     recounts = 0
     for _ in range(120):
         g = gen_gnp(rng.randint(2, 10), rng.random(), rng.getrandbits(32))
         pc = PartialColoring(g)
-        moves = 0
+        path = []  # the walk's moves, oldest first
         for _ in range(rng.randint(1, 40)):
-            if pc.uncolored_mask and (moves == 0 or rng.random() < 0.65):
+            if pc.uncolored_mask and (not path or rng.random() < 0.65):
                 v = rng.choice(sorted(uncolored(pc)))
                 mask = free_colors(pc, v, g.n)
                 colors = [i for i in range(g.n) if (mask >> i) & 1]
-                pc.extend(v, rng.choice(colors))
-                moves += 1
-            elif moves:
+                i = rng.choice(colors)
+                pc.extend(v, i)
+                path.append((v, i))
+            elif path:
                 M = pc.M
-                pc.retract()
-                moves -= 1
+                assert pc.retract() == path.pop()
                 recounts += 0 < pc.M < M
+            check_colors(pc, path)
             assert recompute_sat(pc) == pc.sat
             assert recompute_masks(pc) == (pc.uncolored_mask, pc.barred_mask)
             check_class_statistics(pc)
@@ -171,7 +182,9 @@ def test_retract_to_a_mark_matches_recompute_and_single_steps():
     undid the same moves one `retract` at a time. The walks run on
     relabeled G(n,p) graphs and on K_n for n up to 17. On K_n they
     backtrack only from a full coloring, whose last vertex saturation
-    n - 1 carried into the top plane unless n is a power of two."""
+    n - 1 carried into the top plane unless n is a power of two. After
+    every extend and backtrack the colors equal the walk's own record of
+    the moves on its path."""
     rng = random.Random(73)
     # (graph, chance of a backtrack while some vertex is uncolored)
     walks = [(Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)]), 0.0)
@@ -184,6 +197,7 @@ def test_retract_to_a_mark_matches_recompute_and_single_steps():
         pc, twin = PartialColoring(g), PartialColoring(g)
         sat = pc.sat
         marks = []  # marks of the current path, shallowest first
+        path = []  # the moves of the current path, oldest first
         for _ in range(6 * g.n):
             if marks and (not pc.uncolored_mask or rng.random() < p_backtrack):
                 mark = rng.choice(marks)
@@ -192,6 +206,8 @@ def test_retract_to_a_mark_matches_recompute_and_single_steps():
                 if pc.sat[-1]:
                     top_restored.add(g.n)
                 pc.retract_to(mark)
+                del path[mark[0]:]
+                check_colors(pc, path)
                 while len(twin._trail) > mark[0]:
                     twin.retract()
                 backtracks += 1
@@ -209,6 +225,8 @@ def test_retract_to_a_mark_matches_recompute_and_single_steps():
                 i = rng.choice([i for i in range(g.n) if (mask >> i) & 1])
                 pc.extend(v, i)
                 twin.extend(v, i)
+                path.append((v, i))
+                check_colors(pc, path)
                 check_class_statistics(pc)
     assert backtracks > 1000
     assert {n for n in range(2, 18) if n & (n - 1)} <= top_restored

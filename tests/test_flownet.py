@@ -209,7 +209,7 @@ def test_feasible_flow_decodes_to_extension_when_residual_empty():
         check_flow(net, flow)
         assign = extract_coloring(net, flow)
         assert set(assign) == uncolored(pc)
-        full = list(pc.color_of)
+        full = pc.coloring()
         for v, c in assign.items():
             full[v] = c
         assert proper_and_equitable(g, full, k0)

@@ -297,7 +297,7 @@ def _harvest(monkeypatch, g, variant, every):
         calls += 1
         if calls % every == 0:
             v, i = move
-            color_of = list(pc.color_of)
+            color_of = pc.coloring()
             color_of[v] = i
             start = flow_args.get("start")
             states.append((relabeled, color_of, decomp, k_lower, k_upper, move, start))
@@ -576,7 +576,7 @@ def _judged(pc, decomp, move, k_lower, k_upper):
 
 def _state(pc):
     return (
-        list(pc.color_of),
+        pc.coloring(),
         list(pc.class_size),
         pc.uncolored_mask,
         list(pc.barred_mask),
