@@ -127,8 +127,6 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
         unplaced ^= w
         if t < floor_size:
             deficit += floor_size - t
-    if not (unplaced or deficit):
-        return tuple(W)
 
     # direct placements
     todo = unplaced
@@ -196,8 +194,6 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
             else:
                 continue
             break  # c is at its floor
-    if not (deficit or unplaced):
-        return tuple(W)
 
     # the augmenting searches
     net = (W, size, enter, uncolored, barred, cliques, covered)

@@ -144,10 +144,7 @@ def _clique_has_sdr(q: int, barred: list[int]) -> bool:
     clique the greedy matches whole falls through to True. The search
     calls this only for cliques `check_clique_hall`'s same greedy could
     not settle. Cliques are small."""
-    k0 = len(barred)
-    if q.bit_count() > k0:
-        return False
-    owner = [0] * k0  # per color, the bit of the member matched to it
+    owner = [0] * len(barred)  # per color, the bit of the member matched to it
     left = q
     for c, bar in enumerate(barred):
         x = left & ~bar
@@ -191,8 +188,7 @@ def check_negative_single(ctx: HallContext) -> bool:
     color f, the vertices free for f alone plus those free for no color
     (they still have to be colored) against f's room. No class takes more
     than all of them, so a class of at most ceil - empty - |lone| members
-    cannot overflow and is passed over before its AND and bit count. With
-    no vertex free for exactly one color, the fullest class decides."""
+    cannot overflow and is passed over before its AND and bit count."""
     # the uncolored vertices barred from every color so far, and those
     # barred from all of them but at most one
     none = most = ctx.uncolored
@@ -203,8 +199,6 @@ def check_negative_single(ctx: HallContext) -> bool:
     ceil_size = ctx.ceil_size
     sizes = ctx.class_sizes
     lone = most ^ none  # free for exactly one color
-    if not lone:
-        return max(sizes) + empty <= ceil_size
     roomy = ceil_size - empty - lone.bit_count()  # a class no larger cannot overflow
     for f, barred in enumerate(ctx.barred):
         if sizes[f] > roomy:

@@ -1,10 +1,10 @@
-"""Shared test utilities: random state generators and independent
-reference implementations used to cross-check the package (kept separate
-from the library so each check has two routes)."""
+"""Shared test utilities: the example graphs and states several modules
+use, random state generators, and independent reference implementations
+used to cross-check the package (kept separate from the library so each
+check has two routes)."""
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING
 
 from eqcolor import Graph, gen_gnp
@@ -17,6 +17,63 @@ from eqcolor.decomposition import (
 
 if TYPE_CHECKING:  # literal_network imports free_colors from here
     from literal_network import FlowNetwork
+
+
+def star(n: int) -> Graph:
+    """The star on n vertices: center 0 joined to 1..n-1."""
+    return Graph(n, [(0, v) for v in range(1, n)])
+
+
+def complete(n: int) -> Graph:
+    """The complete graph K_n."""
+    return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+
+
+def hub_triangles_graph() -> Graph:
+    """Hub 0 joined to 1..5, plus two disjoint triangles {6,7,8} and
+    {9,10,11}: chi_eq = 4, which std needs many nodes to prove."""
+    edges = [(0, v) for v in range(1, 6)]
+    edges += [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)]
+    return Graph(12, edges)
+
+
+def hub_triangles_state():
+    """(graph, pc, decomposition) of `hub_triangles_graph` with the hub
+    colored 0: the two triangles and the hub's private neighbors remain
+    uncolored. No equitable 3-coloring extends this; a 4-coloring does."""
+    g = hub_triangles_graph()
+    pc = PartialColoring(g)
+    pc.extend(0, 0)
+    return g, pc, find_non_adjacent_cliques(g, pc.uncolored_mask)
+
+
+def lopsided_state():
+    """8-vertex state with class sizes (3,1,1,1) and two uncolored
+    vertices: too few to balance the thin classes against the big one."""
+    edges = [
+        (0, 1), (1, 3), (2, 3), (0, 2), (2, 4), (3, 4),
+        (1, 5), (3, 6), (4, 7), (5, 6), (6, 7),
+    ]
+    g = Graph(8, edges)
+    pc = PartialColoring(g)
+    for v, c in [(0, 0), (1, 1), (2, 2), (3, 3), (4, 0), (5, 0)]:
+        pc.extend(v, c)
+    return g, pc
+
+
+def snapshot(pc: PartialColoring):
+    """All of pc that a move or a backtrack changes, as comparable values."""
+    return (
+        pc.coloring(),
+        list(pc.class_size),
+        pc.uncolored_mask,
+        list(pc.barred_mask),
+        list(pc.sat),
+        pc.M,
+        pc.M_count,
+        pc.k_used,
+        list(pc._trail),
+    )
 
 
 def neighbors(g: Graph) -> list[set]:

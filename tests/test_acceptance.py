@@ -7,12 +7,18 @@ import time
 
 import pytest
 
-from eqcolor import Graph, SolverConfig, gen_gnp, solve
+from eqcolor import SolverConfig, gen_gnp, solve
 from eqcolor.hallrules import HallContext, failing_rule
 from eqcolor.oracle import brute_chi_eq
 from eqcolor.instances import by_name
 from extension_oracle import brute_extendable
-from helpers import cliques_only_state, proper_and_equitable, random_state
+from helpers import (
+    cliques_only_state,
+    hub_triangles_graph,
+    proper_and_equitable,
+    random_state,
+    star,
+)
 from literal_network import build_network, enumerate_hoffman, feasible_flow
 
 VARIANTS = ("std", "flow", "comb")
@@ -118,7 +124,7 @@ def test_criterion_6_star_formula():
     size; the baseline engine's tree on a star grows super-exponentially
     (leaves are interchangeable), so it only accompanies the small sizes."""
     for k in range(3, 41):
-        g = Graph(k, [(0, v) for v in range(1, k)])
+        g = star(k)
         expected = -(-(k - 1) // 2) + 1
         variants = VARIANTS if k <= 14 else ("flow", "comb")
         for variant in variants:
@@ -133,9 +139,7 @@ def test_criterion_6_star_formula():
 
 
 def test_criterion_7_example_reproduction():
-    edges = [(0, v) for v in range(1, 6)]
-    edges += [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)]
-    g = Graph(12, edges)
+    g = hub_triangles_graph()
     nodes = {}
     for variant in VARIANTS:
         sol, stats = solve(g, SolverConfig(variant=variant))

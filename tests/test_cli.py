@@ -7,8 +7,8 @@ from eqcolor import cli, solver
 from eqcolor.cli import BenchSpec, instance_seed, main, run_bench
 from eqcolor.graph import write_dimacs
 from eqcolor.instances import by_name
-from eqcolor import Graph, Solution, gen_gnp
-from helpers import proper_and_equitable, raising_on_call
+from eqcolor import Solution, gen_gnp
+from helpers import complete, proper_and_equitable, raising_on_call, star
 
 
 @pytest.fixture()
@@ -287,13 +287,11 @@ def test_bench_spec_validation():
 
 
 def test_verify_ok_paths_and_gnp(tmp_path, capsys):
-    star = tmp_path / "star12.col"
-    star.write_text(write_dimacs(Graph(12, [(0, v) for v in range(1, 12)])))
+    star12 = tmp_path / "star12.col"
+    star12.write_text(write_dimacs(star(12)))
     k6 = tmp_path / "k6.col"
-    k6.write_text(
-        write_dimacs(Graph(6, [(a, b) for a in range(6) for b in range(a + 1, 6)]))
-    )
-    rc = main(["verify", str(star), str(k6), "--gnp", "8", "0.5", "3"])
+    k6.write_text(write_dimacs(complete(6)))
+    rc = main(["verify", str(star12), str(k6), "--gnp", "8", "0.5", "3"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "OK       star12.col  chi_eq=7" in out
@@ -303,7 +301,7 @@ def test_verify_ok_paths_and_gnp(tmp_path, capsys):
 
 def test_verify_skips_oracle_beyond_cap(tmp_path, capsys):
     big = tmp_path / "big.col"
-    big.write_text(write_dimacs(Graph(14, [(0, v) for v in range(1, 14)])))
+    big.write_text(write_dimacs(star(14)))
     rc = main(["verify", str(big)])
     out = capsys.readouterr().out
     assert rc == 0

@@ -13,31 +13,21 @@ from eqcolor.coloring import (
 from eqcolor.instances import by_name
 from eqcolor.solver import _dsatur_pick
 from helpers import (
+    complete,
     free_colors,
+    lopsided_state,
     random_partial_coloring,
     recompute_masks,
     recompute_sat,
     saturation,
+    snapshot,
+    star,
     uncolored,
 )
 
 
 def path3():
     return Graph(3, [(0, 1), (1, 2)])  # a-b-c with b in the middle
-
-
-def lopsided_state():
-    """8-vertex state with class sizes (3,1,1,1) and two uncolored
-    vertices: too few to balance the thin classes against the big one."""
-    edges = [
-        (0, 1), (1, 3), (2, 3), (0, 2), (2, 4), (3, 4),
-        (1, 5), (3, 6), (4, 7), (5, 6), (6, 7),
-    ]
-    g = Graph(8, edges)
-    pc = PartialColoring(g)
-    for v, c in [(0, 0), (1, 1), (2, 2), (3, 3), (4, 0), (5, 0)]:
-        pc.extend(v, c)
-    return g, pc
 
 
 def test_extend_updates_barred_masks():
@@ -89,20 +79,6 @@ def check_colors(pc, path):
     for v, i in path:
         want[v] = i
     assert pc.coloring() == want
-
-
-def snapshot(pc):
-    return (
-        pc.coloring(),
-        list(pc.class_size),
-        pc.uncolored_mask,
-        list(pc.barred_mask),
-        list(pc.sat),
-        pc.M,
-        pc.M_count,
-        pc.k_used,
-        list(pc._trail),
-    )
 
 
 def test_retract_restores_prior_state():
@@ -161,8 +137,7 @@ def test_saturation_planes_carry_to_the_top_on_complete_graphs():
     of two. The planes equal the recount after every extend and every
     retract, and are all 0 at the end."""
     for n in range(1, 18):
-        g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
-        pc = PartialColoring(g)
+        pc = PartialColoring(complete(n))
         assert len(pc.sat) == n.bit_length()
         for v in range(n):
             pc.extend(v, v)
@@ -187,8 +162,7 @@ def test_retract_to_a_mark_matches_recompute_and_single_steps():
     the moves on its path."""
     rng = random.Random(73)
     # (graph, chance of a backtrack while some vertex is uncolored)
-    walks = [(Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)]), 0.0)
-             for n in range(1, 18)]
+    walks = [(complete(n), 0.0) for n in range(1, 18)]
     walks += [(gen_gnp(rng.randint(2, 14), rng.random(), rng.getrandbits(32)).relabeled(), 0.2)
               for _ in range(100)]
     backtracks = 0
@@ -395,15 +369,13 @@ def test_is_equitable_cases():
         pc.extend(v, c)
     assert is_equitable(pc) is True  # sizes 2 and 1 differ by one
 
-    star = Graph(12, [(0, v) for v in range(1, 12)])
-    pc = PartialColoring(star)
+    pc = PartialColoring(star(12))
     pc.extend(0, 0)
     for v in range(1, 12):
         pc.extend(v, 1)
     assert is_equitable(pc) is False
 
-    k4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    pc = PartialColoring(k4)
+    pc = PartialColoring(complete(4))
     for v in range(4):
         pc.extend(v, v)
     assert is_equitable(pc) is True

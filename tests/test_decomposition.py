@@ -9,19 +9,18 @@ from eqcolor.decomposition import (
     mask_vertices,
     restarted_decomposition,
 )
-from helpers import check_decomposition, mask, reference_decomposition
+from helpers import (
+    check_decomposition,
+    complete,
+    hub_triangles_graph,
+    mask,
+    reference_decomposition,
+)
 
 
 def clique_vertices(d):
     """The cliques of d, each as its vertices in ascending order."""
     return tuple(mask_vertices(c) for c in d.masks)
-
-
-def hub_triangles_graph():
-    """Hub 0 joined to 1..5, plus two disjoint triangles {6,7,8}, {9,10,11}."""
-    edges = [(0, v) for v in range(1, 6)]
-    edges += [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)]
-    return Graph(12, edges)
 
 
 def test_hub_triangles_after_hub_colored():
@@ -72,8 +71,7 @@ def test_triangle_plus_pendant_covered_three():
 
 
 def test_k4_single_clique():
-    g = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    d = restarted_decomposition(g, mask(range(4)))
+    d = restarted_decomposition(complete(4), mask(range(4)))
     assert clique_vertices(d) == ((0, 1, 2, 3),)
     assert not d.residual
 

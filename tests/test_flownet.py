@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from eqcolor import Graph, SearchStats, gen_gnp
+from eqcolor import Graph, SearchStats
 from eqcolor.coloring import PartialColoring, candidate_k0_values
 from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
 from eqcolor.flownet import flow_feasible, flow_prune
@@ -15,10 +15,12 @@ from helpers import (
     cliques_only_state,
     find_extension,
     free_colors,
+    hub_triangles_state,
     mask,
     proper_and_equitable,
     random_decomposition,
     random_state,
+    star,
     table1_flow,
     uncolored,
 )
@@ -29,18 +31,6 @@ from literal_network import (
     extract_coloring,
     feasible_flow,
 )
-
-
-def hub_triangles_state():
-    """Hub 0 colored first; two triangles and the hub's private neighbors
-    remain. No equitable 3-coloring can extend this."""
-    edges = [(0, v) for v in range(1, 6)]
-    edges += [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)]
-    g = Graph(12, edges)
-    pc = PartialColoring(g)
-    pc.extend(0, 0)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
-    return g, pc, decomp
 
 
 def test_hub_triangles_sink_arc_bounds():
@@ -76,7 +66,7 @@ def test_k2_empty_coloring_unit_windows():
 
 
 def test_star_center_colored_seven_colors_feasible():
-    g = Graph(12, [(0, v) for v in range(1, 12)])
+    g = star(12)
     pc = PartialColoring(g)
     pc.extend(0, 0)
     decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)

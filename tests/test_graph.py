@@ -6,7 +6,7 @@ import pytest
 from eqcolor import DimacsError, Graph, gen_gnp, parse_dimacs, write_dimacs
 from eqcolor.graph import greedy_maximal_clique
 from eqcolor.instances import mycielski_graph
-from helpers import neighbors, reference_clique
+from helpers import complete, neighbors, reference_clique, star
 
 
 def test_parse_basic():
@@ -137,8 +137,7 @@ def _all_maximal_cliques(g):
 
 
 def test_greedy_clique_complete_graph():
-    g = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    assert set(greedy_maximal_clique(g, 0)) == {0, 1, 2, 3}
+    assert set(greedy_maximal_clique(complete(4), 0)) == {0, 1, 2, 3}
 
 
 def test_greedy_clique_edgeless():
@@ -147,10 +146,9 @@ def test_greedy_clique_edgeless():
 
 
 def test_greedy_clique_star_from_center():
-    center = 0
-    g = Graph(12, [(center, v) for v in range(1, 12)])
-    clique = greedy_maximal_clique(g, center)
-    assert len(clique) == 2 and clique[0] == center
+    g = star(12)
+    clique = greedy_maximal_clique(g, 0)
+    assert len(clique) == 2 and clique[0] == 0
     # every maximal clique of a star is one edge
     assert all(len(c) == 2 for c in _all_maximal_cliques(g))
 

@@ -23,24 +23,16 @@ from eqcolor.instances import by_name
 from extension_oracle import brute_extendable
 from helpers import (
     free_colors,
+    hub_triangles_state,
     literal_hall_context,
     mask,
     random_decomposition,
     random_state,
     recompute_sat,
+    snapshot,
     uncolored,
 )
 from literal_network import build_network, check_vertex_flow, feasible_flow
-
-
-def hub_triangles_state():
-    edges = [(0, v) for v in range(1, 6)]
-    edges += [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)]
-    g = Graph(12, edges)
-    pc = PartialColoring(g)
-    pc.extend(0, 0)
-    decomp = find_non_adjacent_cliques(g, pc.uncolored_mask)
-    return g, pc, decomp
 
 
 def test_positive_single_k2_strong():
@@ -458,10 +450,11 @@ def _branches(fields):
     rule reaches that its residual vertices leave short, so that it
     counts the cliques; each clique the clique rule reaches, by whether
     the color-by-color greedy matches every member or, if not, whether
-    the full matching still finds an SDR; and, when some vertex is free
-    for exactly one color, the classes the negative rule passes over by
-    size (at most ceil - empty - |lone| members) and those one member
-    above that bound that overflow."""
+    the full matching still finds an SDR; and the classes the negative
+    rule passes over by size (at most ceil - empty - |lone| members),
+    those one member above that bound that overflow, and the contexts
+    with no vertex free for exactly one color where some class
+    overflows."""
     out = Counter()
     k0, sizes = fields["k0"], fields["class_sizes"]
     for f, size in enumerate(sizes):
@@ -486,12 +479,13 @@ def _branches(fields):
     empty, ceil_size = fields["empty_free"], fields["ceil_size"]
     lone = sum(fields["single_free"])
     roomy = ceil_size - empty - lone
-    if lone:  # with none, the fullest class decides
-        for size, single in zip(sizes, fields["single_free"]):
-            if size <= roomy:
-                out["negative skips class"] += 1
-            elif size == roomy + 1 and single + empty > ceil_size - size:
-                out["negative overflow at bound"] += 1
+    for size, single in zip(sizes, fields["single_free"]):
+        if size <= roomy:
+            out["negative skips class"] += 1
+        elif size == roomy + 1 and single + empty > ceil_size - size:
+            out["negative overflow at bound"] += 1
+    if not lone and max(sizes) > roomy:
+        out["negative overflow, no lone vertex"] += 1
     return out
 
 
@@ -559,7 +553,7 @@ def test_rules_on_demand_match_literal_recount_in_any_order(monkeypatch):
     # every subset of the three rules fails together somewhere
     assert len(failing) == 8 and min(failing.values()) > 20, failing
     # and every branch of the rules is taken
-    assert len(branches) == 6 and min(branches.values()) > 20, branches
+    assert len(branches) == 7 and min(branches.values()) > 20, branches
 
 
 def _judged(pc, decomp, move, k_lower, k_upper):
@@ -574,16 +568,6 @@ def _judged(pc, decomp, move, k_lower, k_upper):
     return ks, contexts, verdicts
 
 
-def _state(pc):
-    return (
-        pc.coloring(),
-        list(pc.class_size),
-        pc.uncolored_mask,
-        list(pc.barred_mask),
-        list(pc.sat),
-    )
-
-
 def _check_child_judged_from_parent(pc, decomp, move, k_lower, k_upper):
     """Judging the child from pc plus the move matches judging it after
     pc.extend(*move), and leaves pc as it was; returns the judgement."""
@@ -592,9 +576,9 @@ def _check_child_judged_from_parent(pc, decomp, move, k_lower, k_upper):
     want = _judged(pc, decomp, None, k_lower, k_upper)
     pc.retract()
     assert pc.sat == recompute_sat(pc)
-    before = _state(pc)
+    before = snapshot(pc)
     assert _judged(pc, decomp, move, k_lower, k_upper) == want
-    assert _state(pc) == before
+    assert snapshot(pc) == before
     return want
 
 
@@ -657,9 +641,11 @@ def test_clique_sdr_equals_hall_condition_exhaustively():
     """The greedy-seeded matching decides exactly Hall's condition, on
     random families of at most 7 free-color masks over k0 <= 8 colors,
     given as a clique and per-color barred masks, including families the
-    color-by-color greedy alone cannot settle."""
+    color-by-color greedy alone cannot settle and families with more
+    members than colors."""
     rng = random.Random(75)
     outcomes = Counter()
+    oversized = 0
     for _ in range(6000):
         k0 = rng.randint(1, 8)
         density = rng.random()
@@ -675,5 +661,8 @@ def test_clique_sdr_equals_hall_condition_exhaustively():
             x = left & ~bar
             left ^= x & -x
         outcomes[want, not left] += 1
+        oversized += len(masks) > k0
     # the augmenting search ran, and both found and missed a matching
     assert outcomes[True, False] > 100 and outcomes[False, False] > 100
+    # and cliques with more members than colors, which the matching refuses
+    assert oversized > 100, oversized

@@ -9,17 +9,20 @@ from eqcolor.decomposition import CliqueDecomposition, find_non_adjacent_cliques
 from eqcolor import oracle
 from eqcolor.oracle import OracleCapError, brute_chi_eq
 from extension_oracle import brute_extendable
-from helpers import find_extension, free_colors, random_state
+from helpers import (
+    find_extension,
+    free_colors,
+    hub_triangles_state,
+    lopsided_state,
+    random_state,
+    star,
+)
 from literal_network import (
     build_network,
     enumerate_hoffman,
     feasible_flow,
     hoffman_slack,
 )
-
-
-def star(n):
-    return Graph(n, [(0, v) for v in range(1, n)])
 
 
 def test_star12_needs_seven():
@@ -43,34 +46,13 @@ def test_chi_eq_cap_enforced(monkeypatch):
     assert brute_chi_eq(star(13)) == 7
 
 
-def lopsided_state():
-    edges = [
-        (0, 1), (1, 3), (2, 3), (0, 2), (2, 4), (3, 4),
-        (1, 5), (3, 6), (4, 7), (5, 6), (6, 7),
-    ]
-    g = Graph(8, edges)
-    pc = PartialColoring(g)
-    for v, c in [(0, 0), (1, 1), (2, 2), (3, 3), (4, 0), (5, 0)]:
-        pc.extend(v, c)
-    return g, pc
-
-
-def hub_triangles_state():
-    edges = [(0, v) for v in range(1, 6)]
-    edges += [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)]
-    g = Graph(12, edges)
-    pc = PartialColoring(g)
-    pc.extend(0, 0)
-    return g, pc
-
-
 def test_lopsided_state_not_extendable():
     g, pc = lopsided_state()
     assert brute_extendable(g, pc, 4) is False
 
 
 def test_hub_triangles_extendable_only_with_four():
-    g, pc = hub_triangles_state()
+    g, pc, _ = hub_triangles_state()
     assert brute_extendable(g, pc, 3) is False
     assert brute_extendable(g, pc, 4) is True
 

@@ -13,21 +13,13 @@ from eqcolor.decomposition import CliqueDecomposition
 from eqcolor.instances import by_name
 from eqcolor.oracle import brute_chi_eq
 from eqcolor.solver import initial_bounds
-from helpers import proper_and_equitable, raising_on_call
-
-
-def star(n):
-    return Graph(n, [(0, v) for v in range(1, n)])
-
-
-def complete(n):
-    return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
-
-
-def hub_triangles_graph():
-    edges = [(0, v) for v in range(1, 6)]
-    edges += [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)]
-    return Graph(12, edges)
+from helpers import (
+    complete,
+    hub_triangles_graph,
+    proper_and_equitable,
+    raising_on_call,
+    star,
+)
 
 
 def test_config_validation():
