@@ -8,11 +8,10 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 from .graph import Graph, check_gnp_args, gen_gnp, parse_dimacs
 from .oracle import MAX_N, brute_chi_eq
-from .solver import VARIANTS, SolverConfig, solve
+from .solver import VARIANTS, Record, SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -20,23 +19,29 @@ EXIT_TIMEOUT = 2
 EXIT_INTERRUPTED = 130  # the shell's code for a run ended by SIGINT
 
 
-@dataclass
-class BenchSpec:
-    n_list: list[int]
-    p_list: list[float]
-    count: int
-    seed: int
-    variants: tuple[str, ...] = VARIANTS
-    time_limit: float = 3600.0
-
-    def __post_init__(self):
-        if self.count < 1:
+class BenchSpec(Record):
+    def __init__(
+        self,
+        n_list: list[int],
+        p_list: list[float],
+        count: int,
+        seed: int,
+        variants: tuple[str, ...] = VARIANTS,
+        time_limit: float = 3600.0,
+    ):
+        self.n_list = n_list
+        self.p_list = p_list
+        self.count = count
+        self.seed = seed
+        self.variants = variants
+        self.time_limit = time_limit
+        if count < 1:
             raise ValueError("count must be >= 1")
-        for n in self.n_list:
-            for p in self.p_list:
+        for n in n_list:
+            for p in p_list:
                 check_gnp_args(n, p)
-        for v in self.variants:
-            SolverConfig(v, self.time_limit)
+        for v in variants:
+            SolverConfig(v, time_limit)
 
 
 def instance_seed(base: int, n: int, p: float, index: int) -> int:

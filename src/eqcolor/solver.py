@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .coloring import PartialColoring, is_equitable, deficit_prune
 from .decomposition import find_non_adjacent_cliques, restarted_decomposition
@@ -62,13 +61,33 @@ VARIANTS = ("std", "flow", "comb")
 _CLIQUE_STARTS = 5
 
 
-@dataclass
-class SolverConfig:
-    variant: str = "std"
-    time_limit: float = 3600.0
-    cd_stride: int = 1
+class Record:
+    """A plain value class: repr and equality over the instance's fields,
+    `vars(self)` in the order `__init__` sets them. Instances pickle and
+    copy as any plain object does; like a dataclass, they are unhashable.
+    (A plain class, so that `import eqcolor` loads no `dataclasses`.)"""
 
-    def __post_init__(self):
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+
+class SolverConfig(Record):
+    def __init__(self, variant: str = "std", time_limit: float = 3600.0, cd_stride: int = 1):
+        self.variant = variant
+        self.time_limit = time_limit
+        self.cd_stride = cd_stride
+        self._check()
+
+    def _check(self) -> None:
+        """Raise ValueError unless every field is valid."""
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         # bool is an int subclass: True would pass as a stride of 1 or a
@@ -80,8 +99,7 @@ class SolverConfig:
             raise ValueError("time_limit must be a positive number")
 
 
-@dataclass
-class SearchStats:
+class SearchStats(Record):
     """Search counters. Each `prunes_*` field counts pruned nodes, one per
     node, credited to the test that pruned it; `rule_firings` counts the
     (node, k0) pairs each Hall rule rejected under comb, on pruned and
@@ -89,23 +107,36 @@ class SearchStats:
     timed-out run's gap is chi_eq - k_lower. `interrupted` marks a search
     a KeyboardInterrupt ended."""
 
-    nodes: int = 0
-    prunes_deficit: int = 0
-    prunes_flow: int = 0
-    prunes_hall: int = 0
-    rule_firings: dict = field(default_factory=dict)
-    flow_solves: int = 0
-    k_lower: int = 0
-    elapsed: float = 0.0
-    timed_out: bool = False
-    interrupted: bool = False
+    def __init__(
+        self,
+        nodes: int = 0,
+        prunes_deficit: int = 0,
+        prunes_flow: int = 0,
+        prunes_hall: int = 0,
+        rule_firings: dict | None = None,
+        flow_solves: int = 0,
+        k_lower: int = 0,
+        elapsed: float = 0.0,
+        timed_out: bool = False,
+        interrupted: bool = False,
+    ):
+        self.nodes = nodes
+        self.prunes_deficit = prunes_deficit
+        self.prunes_flow = prunes_flow
+        self.prunes_hall = prunes_hall
+        self.rule_firings = {} if rule_firings is None else rule_firings
+        self.flow_solves = flow_solves
+        self.k_lower = k_lower
+        self.elapsed = elapsed
+        self.timed_out = timed_out
+        self.interrupted = interrupted
 
 
-@dataclass
-class Solution:
-    chi_eq: int
-    coloring: list[int]
-    optimal: bool
+class Solution(Record):
+    def __init__(self, chi_eq: int, coloring: list[int], optimal: bool):
+        self.chi_eq = chi_eq
+        self.coloring = coloring
+        self.optimal = optimal
 
 
 def _best_greedy_clique(g: Graph) -> list[int]:
@@ -197,6 +228,8 @@ def solve(g: Graph, cfg: SolverConfig | None = None):
     Ctrl-C (`stats.interrupted`). The witness is checked before it is
     returned."""
     cfg = SolverConfig() if cfg is None else cfg
+    # the fields can be set after construction
+    cfg._check()
     # the relabel counts toward the time limit
     t0 = time.perf_counter()
     deadline = t0 + cfg.time_limit

@@ -1,8 +1,15 @@
+import copy
 import importlib.util
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import eqcolor
-from eqcolor import SolverConfig, gen_gnp, solve
+from eqcolor import SearchStats, Solution, SolverConfig, gen_gnp, solve
+from eqcolor.cli import BenchSpec
 from eqcolor.solver import VARIANTS
 
 PUBLIC = {
@@ -26,13 +33,106 @@ def test_public_names_pinned_and_resolve():
 
 
 def test_solver_config_has_three_fields():
-    from dataclasses import fields
-
-    assert [f.name for f in fields(eqcolor.SolverConfig)] == [
+    assert list(vars(eqcolor.SolverConfig())) == [
         "variant",
         "time_limit",
         "cd_stride",
     ]
+
+
+# (class, positional arguments, the same by keyword, another value)
+RESULT_TYPES = [
+    (
+        SolverConfig,
+        ("comb", 60.0, 2),
+        {"variant": "comb", "time_limit": 60.0, "cd_stride": 2},
+        SolverConfig("flow", 60.0, 2),
+    ),
+    (
+        SearchStats,
+        (7, 1, 2, 3, {"negative": 4}, 5, 3, 0.5, True, False),
+        {
+            "nodes": 7,
+            "prunes_deficit": 1,
+            "prunes_flow": 2,
+            "prunes_hall": 3,
+            "rule_firings": {"negative": 4},
+            "flow_solves": 5,
+            "k_lower": 3,
+            "elapsed": 0.5,
+            "timed_out": True,
+            "interrupted": False,
+        },
+        SearchStats(nodes=8),
+    ),
+    (
+        Solution,
+        (3, [0, 1, 2], True),
+        {"chi_eq": 3, "coloring": [0, 1, 2], "optimal": True},
+        Solution(3, [0, 1, 2], False),
+    ),
+    (
+        BenchSpec,
+        ([10, 12], [0.5], 2, 7, ("std", "comb"), 30.0),
+        {
+            "n_list": [10, 12],
+            "p_list": [0.5],
+            "count": 2,
+            "seed": 7,
+            "variants": ("std", "comb"),
+            "time_limit": 30.0,
+        },
+        BenchSpec([10, 12], [0.5], 2, 8, ("std", "comb"), 30.0),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, other", RESULT_TYPES, ids=[t[0].__name__ for t in RESULT_TYPES]
+)
+def test_result_types_are_plain_value_classes(cls, args, kwargs, other):
+    """Each public result type builds positionally and by keyword into the
+    same fields, in declaration order, and keeps a dataclass's repr,
+    equality and pickle/copy round trips."""
+    obj = cls(*args)
+    assert obj == cls(**kwargs)
+    assert vars(obj) == kwargs and list(vars(obj)) == list(kwargs)
+    fields = ", ".join(f"{k}={v!r}" for k, v in kwargs.items())
+    assert repr(obj) == f"{cls.__name__}({fields})"
+    assert obj != other and other != obj
+    assert obj != tuple(args) and obj.__eq__(tuple(args)) is NotImplemented
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert type(twin) is cls and twin == obj and twin is not obj
+    with pytest.raises(TypeError):
+        hash(obj)
+
+
+def test_result_type_defaults():
+    assert vars(SolverConfig()) == {"variant": "std", "time_limit": 3600.0, "cd_stride": 1}
+    stats = SearchStats()
+    counters = [v for k, v in vars(stats).items() if k != "rule_firings"]
+    assert counters == [0] * 6 + [0.0, False, False]
+    # each instance gets its own counter dict
+    assert stats.rule_firings == {} and stats.rule_firings is not SearchStats().rule_firings
+    spec = BenchSpec([10], [0.5], 1, 0)
+    assert (spec.variants, spec.time_limit) == (VARIANTS, 3600.0)
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    """`import eqcolor` and `import eqcolor.cli` stay cold: neither loads
+    `dataclasses` nor `inspect`, whose import chain would be most of the
+    package's import time. A fresh interpreter, since pytest itself has
+    both loaded."""
+    src = str(Path(eqcolor.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import eqcolor, eqcolor.cli; "
+        "assert eqcolor.__file__.startswith(sys.argv[1]), eqcolor.__file__; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_search_state_and_hall_snapshot_slots_pinned():

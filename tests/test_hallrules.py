@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import asdict
 
 from eqcolor import Graph, SearchStats, SolverConfig, gen_gnp, solve, solver
 from eqcolor.coloring import PartialColoring, candidate_k0_values, deficit_prune
@@ -564,7 +563,7 @@ def _judged(pc, decomp, move, k_lower, k_upper):
     comb_stats, flow_stats = SearchStats(), SearchStats()
     comb = comb_prune(pc, decomp, k_lower, k_upper, comb_stats, move)
     flow = flow_prune(pc, decomp, k_lower, k_upper, flow_stats, move, found=[])
-    verdicts = [(comb, asdict(comb_stats)), (flow, asdict(flow_stats))]
+    verdicts = [(comb, vars(comb_stats)), (flow, vars(flow_stats))]
     return ks, contexts, verdicts
 
 

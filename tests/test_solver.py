@@ -45,6 +45,32 @@ def test_config_validation():
     assert SolverConfig(time_limit=5).time_limit == 5
 
 
+def _search_must_not_start(monkeypatch):
+    monkeypatch.setattr(solver, "_search", raising_on_call(solver._search, 1, AssertionError))
+
+
+def test_solve_rechecks_a_variant_set_after_construction(monkeypatch):
+    """A misspelled variant set on a built config is an error, not a silent
+    std search (62 nodes here, where comb needs 50)."""
+    g = gen_gnp(30, 0.5, 3)
+    cfg = SolverConfig()
+    cfg.variant = "cmob"
+    _search_must_not_start(monkeypatch)
+    with pytest.raises(ValueError, match="variant must be one of"):
+        solve(g, cfg)
+
+
+def test_solve_rechecks_a_stride_set_after_construction(monkeypatch):
+    """A zero stride set on a built config is rejected before the search,
+    not a ZeroDivisionError part-way through it."""
+    g = gen_gnp(30, 0.5, 3)
+    cfg = SolverConfig(variant="comb")
+    cfg.cd_stride = 0
+    _search_must_not_start(monkeypatch)
+    with pytest.raises(ValueError, match="cd_stride must be an integer >= 1"):
+        solve(g, cfg)
+
+
 def test_initial_bounds_complete_graph():
     k_lower, k_upper, coloring, clique = initial_bounds(complete(5), math.inf)
     assert sorted(clique) == [0, 1, 2, 3, 4]
