@@ -11,37 +11,12 @@ import sys
 
 from .graph import Graph, check_gnp_args, gen_gnp, parse_dimacs
 from .oracle import MAX_N, brute_chi_eq
-from .solver import VARIANTS, Record, SolverConfig, solve
+from .solver import VARIANTS, SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_TIMEOUT = 2
 EXIT_INTERRUPTED = 130  # the shell's code for a run ended by SIGINT
-
-
-class BenchSpec(Record):
-    def __init__(
-        self,
-        n_list: list[int],
-        p_list: list[float],
-        count: int,
-        seed: int,
-        variants: tuple[str, ...] = VARIANTS,
-        time_limit: float = 3600.0,
-    ):
-        self.n_list = n_list
-        self.p_list = p_list
-        self.count = count
-        self.seed = seed
-        self.variants = variants
-        self.time_limit = time_limit
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        for n in n_list:
-            for p in p_list:
-                check_gnp_args(n, p)
-        for v in variants:
-            SolverConfig(v, time_limit)
 
 
 def instance_seed(base: int, n: int, p: float, index: int) -> int:
@@ -128,16 +103,27 @@ DATA_HEADER = [
 AGG_HEADER = ["n", "p", "variant", "avg_time", "timeouts", "avg_nodes"]
 
 
-def run_bench(spec: BenchSpec, out_path: str) -> tuple[str, str]:
-    """Execute the campaign; write the per-run CSV to `out_path` and the
-    aggregate CSV next to it (suffix `.agg.csv`). Returns both paths. Both
-    files are opened before the first solve, so a bad path fails at once.
-    Rows go out in campaign order as each solve returns; the aggregate
-    covers the rows written, also when Ctrl-C ends the campaign.
+def run_bench(
+    out_path: str, n_list: list[int], p_list: list[float], count: int, seed: int,
+    variants: tuple[str, ...] = VARIANTS, time_limit: float = 3600.0,
+) -> tuple[str, str]:
+    """Run the campaign of `count` seeded G(n, p) per (n, p), each solved
+    under every variant; write the per-run CSV to `out_path` and the
+    aggregate CSV next to it (suffix `.agg.csv`). Returns both paths. The
+    arguments are checked (ValueError) before either file is opened, and
+    both files are opened before the first solve, so a bad path fails at
+    once. Rows go out in campaign order as each solve returns; the
+    aggregate covers the rows written, also when Ctrl-C ends the campaign.
 
     Timeout accounting: a timed-out run contributes the full time limit to
     the average time and is excluded from the node average.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    for n in n_list:
+        for p in p_list:
+            check_gnp_args(n, p)
+    configs = [SolverConfig(v, time_limit) for v in variants]
     agg_path = out_path.removesuffix(".csv") + ".agg.csv"
     rows = []
     with open(out_path, "w", encoding="utf-8", newline="") as fh, open(
@@ -146,23 +132,22 @@ def run_bench(spec: BenchSpec, out_path: str) -> tuple[str, str]:
         writer = csv.DictWriter(fh, fieldnames=DATA_HEADER, lineterminator="\n")
         writer.writeheader()
         try:
-            for row in _campaign_rows(spec):
+            for row in _campaign_rows(n_list, p_list, count, seed, configs):
                 writer.writerow(row)
                 fh.flush()
                 rows.append(row)
         finally:
             writer = csv.writer(agg_fh, lineterminator="\n")
             writer.writerow(AGG_HEADER)
-            writer.writerows(aggregate_rows(rows, spec.time_limit))
+            writer.writerows(aggregate_rows(rows, time_limit))
     return out_path, agg_path
 
 
-def _campaign_rows(spec: BenchSpec):
-    """One row per (instance, variant) solve, in campaign order."""
-    configs = [SolverConfig(v, spec.time_limit) for v in spec.variants]
-    for n in spec.n_list:
-        for p in spec.p_list:
-            for index, seed, g in _gnp_instances(n, p, spec.count, spec.seed):
+def _campaign_rows(n_list, p_list, count: int, base_seed: int, configs):
+    """One row per (instance, config) solve, in campaign order."""
+    for n in n_list:
+        for p in p_list:
+            for index, seed, g in _gnp_instances(n, p, count, base_seed):
                 for cfg, sol, stats in _solves(g, configs):
                     yield {
                         "n": n,
@@ -225,15 +210,9 @@ def aggregate_rows(rows, time_limit: float):
 
 def cmd_bench(args) -> int:
     try:
-        spec = BenchSpec(
-            n_list=args.n,
-            p_list=args.p,
-            count=args.count,
-            seed=args.seed,
-            variants=tuple(args.algos),
-            time_limit=args.time_limit,
+        data_path, agg_path = run_bench(
+            args.out, args.n, args.p, args.count, args.seed, tuple(args.algos), args.time_limit
         )
-        data_path, agg_path = run_bench(spec, args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

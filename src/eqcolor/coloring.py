@@ -164,7 +164,10 @@ def deficit_prune(pc: PartialColoring, k_lower: int, i: int) -> bool:
     into class i, decided before the move: a partial coloring extendable
     to an equitable coloring satisfies n >= (M-1)*max(k_lower, k_used) + t,
     with M, t and k_used those of the child. Returns True when that fails
-    (prune); False guarantees nothing."""
+    (prune). False guarantees nothing, except for a child with no vertex
+    left uncolored: there n >= (M-1)*k_used + t holds exactly when every
+    class below size M has size M - 1, so its classes differ by at most
+    one, and the search takes such a child as equitable."""
     # inline, not a helper: this runs for every child under every engine,
     # and a call alone adds about 2 % to std's solve time
     s = pc.class_size[i] + 1  # class i's size in the child
@@ -179,15 +182,6 @@ def deficit_prune(pc: PartialColoring, k_lower: int, i: int) -> bool:
     if k_lower > k:
         k = k_lower
     return pc.n < (M - 1) * k + t
-
-
-def is_equitable(pc: PartialColoring) -> bool:
-    """True iff pc is a complete coloring whose nonempty classes' sizes
-    pairwise differ by at most one."""
-    if pc.uncolored_mask:
-        return False
-    sizes = [s for s in pc.class_size if s > 0]
-    return max(sizes) - min(sizes) <= 1
 
 
 def candidate_k0_values(

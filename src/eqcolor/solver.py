@@ -50,7 +50,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 
-from .coloring import PartialColoring, is_equitable, deficit_prune
+from .coloring import PartialColoring, deficit_prune
 from .decomposition import find_non_adjacent_cliques, restarted_decomposition
 from .flownet import flow_prune
 from .graph import Graph, greedy_maximal_clique
@@ -101,11 +101,14 @@ class SolverConfig(Record):
 
 class SearchStats(Record):
     """Search counters. Each `prunes_*` field counts pruned nodes, one per
-    node, credited to the test that pruned it; `rule_firings` counts the
-    (node, k0) pairs each Hall rule rejected under comb, on pruned and
-    surviving nodes alike. `k_lower` is the root's lower bound, so a
-    timed-out run's gap is chi_eq - k_lower. `interrupted` marks a search
-    a KeyboardInterrupt ended."""
+    node: `prunes_deficit` those the largest-class test pruned,
+    `prunes_flow` those the flow engine pruned, by its rule prefilter or
+    by its flow test, and `prunes_hall` those comb's rules pruned (0 under
+    flow). An engine's count includes the nodes left with no candidate
+    color count. `rule_firings` counts the (node, k0) pairs each Hall rule
+    rejected under comb, on pruned and surviving nodes alike. `k_lower` is
+    the root's lower bound, so a timed-out run's gap is chi_eq - k_lower.
+    `interrupted` marks a search a KeyboardInterrupt ended."""
 
     def __init__(
         self,
@@ -178,7 +181,9 @@ def _capped_greedy(g: Graph, k: int):
         else:
             return None
         pc.extend(v, i)
-    if not is_equitable(pc):
+    # complete: its classes differ by at most one iff every class below
+    # the largest size M has size M - 1
+    if pc.n != (pc.M - 1) * pc.k_used + pc.M_count:
         return None
     return pc.k_used, pc.coloring()
 
@@ -335,8 +340,12 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                             stack.append((node_mark, v, child, child_flow, reuse))
                         child = i
                         child_flow = found.pop() if found else None
-                else:  # a complete coloring
-                    if pc.k_used < k_upper and is_equitable(pc):
+                else:
+                    # a complete coloring, and an equitable one: a root
+                    # clique that colors every vertex closes the bounds,
+                    # so a search move colored the last vertex, and the
+                    # largest-class test passed it (`deficit_prune`)
+                    if pc.k_used < k_upper:
                         k_upper = pc.k_used
                         incumbent = pc.coloring()
                         if k_upper <= k_lower:

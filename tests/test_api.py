@@ -9,7 +9,7 @@ import pytest
 
 import eqcolor
 from eqcolor import SearchStats, Solution, SolverConfig, gen_gnp, solve
-from eqcolor.cli import BenchSpec
+from eqcolor import cli
 from eqcolor.solver import VARIANTS
 
 PUBLIC = {
@@ -71,19 +71,6 @@ RESULT_TYPES = [
         {"chi_eq": 3, "coloring": [0, 1, 2], "optimal": True},
         Solution(3, [0, 1, 2], False),
     ),
-    (
-        BenchSpec,
-        ([10, 12], [0.5], 2, 7, ("std", "comb"), 30.0),
-        {
-            "n_list": [10, 12],
-            "p_list": [0.5],
-            "count": 2,
-            "seed": 7,
-            "variants": ("std", "comb"),
-            "time_limit": 30.0,
-        },
-        BenchSpec([10, 12], [0.5], 2, 8, ("std", "comb"), 30.0),
-    ),
 ]
 
 
@@ -114,8 +101,20 @@ def test_result_type_defaults():
     assert counters == [0] * 6 + [0.0, False, False]
     # each instance gets its own counter dict
     assert stats.rule_firings == {} and stats.rule_firings is not SearchStats().rule_firings
-    spec = BenchSpec([10], [0.5], 1, 0)
-    assert (spec.variants, spec.time_limit) == (VARIANTS, 3600.0)
+
+
+def test_run_bench_defaults(monkeypatch, tmp_path):
+    """Unless told otherwise, a campaign solves each instance under all
+    three variants, in `VARIANTS` order, with a 3,600 s limit."""
+    configs = []
+
+    def spy(g, cfg):
+        configs.append(cfg)
+        return solve(g, cfg)
+
+    monkeypatch.setattr(cli, "solve", spy)
+    cli.run_bench(str(tmp_path / "bench.csv"), [6], [0.5], count=1, seed=0)
+    assert configs == [SolverConfig(v, 3600.0) for v in VARIANTS]
 
 
 def test_import_loads_no_dataclasses_or_inspect():

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from eqcolor import cli, solver
-from eqcolor.cli import BenchSpec, instance_seed, main, run_bench
+from eqcolor.cli import aggregate_rows, instance_seed, main, run_bench
 from eqcolor.graph import write_dimacs
 from eqcolor.instances import by_name
 from eqcolor import Solution, gen_gnp
@@ -207,19 +207,36 @@ def test_bench_rows_and_agreement(tmp_path, capsys):
 
 def test_bench_aggregate_matches_recomputation(tmp_path):
     out = tmp_path / "bench.csv"
-    spec = BenchSpec(n_list=[8, 9], p_list=[0.3, 0.7], count=3, seed=9)
-    data_path, agg_path = run_bench(spec, str(out))
+    data_path, agg_path = run_bench(str(out), [8, 9], [0.3, 0.7], count=3, seed=9)
     with open(data_path) as fh:
         rows = list(csv.DictReader(fh))
     with open(agg_path) as fh:
         agg = list(csv.reader(fh))
     assert agg[0] == ["n", "p", "variant", "avg_time", "timeouts", "avg_nodes"]
-    from eqcolor.cli import aggregate_rows
-
-    recomputed = [
-        [str(x) for x in row] for row in aggregate_rows(rows, spec.time_limit)
-    ]
+    recomputed = [[str(x) for x in row] for row in aggregate_rows(rows, 3600.0)]
     assert recomputed == agg[1:]
+
+
+def test_aggregate_counts_a_timeout_at_the_limit():
+    """A timed-out run adds the time limit, not its own time, to
+    `avg_time` and leaves `avg_nodes`; a cell whose runs all timed out
+    gets an empty `avg_nodes`."""
+
+    def row(n, variant, time_s, nodes, timed_out):
+        return {"n": str(n), "p": "0.5", "variant": variant, "time_s": time_s,
+                "nodes": str(nodes), "timed_out": str(timed_out)}
+
+    rows = [
+        row(10, "std", "1.0", 100, 0),
+        row(10, "std", "0.5", 999, 1),
+        row(10, "std", "2.0", 300, 0),
+        row(12, "comb", "0.2", 7, 1),
+        row(12, "comb", "0.3", 9, 1),
+    ]
+    assert aggregate_rows(rows, 6.0) == [
+        [10, "0.5", "std", f"{(1.0 + 6.0 + 2.0) / 3:.6f}", 1, "200.0"],
+        [12, "0.5", "comb", "6.000000", 2, ""],
+    ]
 
 
 def test_bench_aggregate_orders_p_by_value(tmp_path):
@@ -234,11 +251,10 @@ def test_bench_aggregate_orders_p_by_value(tmp_path):
 
 
 def test_bench_replay_identical_modulo_time(tmp_path):
-    spec = dict(n_list=[9], p_list=[0.4, 0.6], count=4, seed=77)
     paths = []
     for tag in ("a", "b"):
         out = tmp_path / f"bench_{tag}.csv"
-        run_bench(BenchSpec(**spec), str(out))
+        run_bench(str(out), [9], [0.4, 0.6], count=4, seed=77)
         paths.append(out)
     stripped = []
     for p in paths:
@@ -279,11 +295,15 @@ def test_instance_seed_stable_and_spread():
     assert len(seen) == 40
 
 
-def test_bench_spec_validation():
-    with pytest.raises(ValueError):
-        BenchSpec(n_list=[5], p_list=[0.5], count=0, seed=1)
-    with pytest.raises(ValueError):
-        BenchSpec(n_list=[5], p_list=[0.5], count=1, seed=1, variants=("turbo",))
+def test_run_bench_rejects_a_bad_campaign_before_any_file(tmp_path):
+    """A bad count, variant or p raises ValueError before either CSV
+    file is created."""
+    out = str(tmp_path / "bench.csv")
+    for change in ({"count": 0}, {"variants": ("std", "turbo")}, {"p_list": [0.5, 1.5]}):
+        campaign = {"n_list": [5], "p_list": [0.5], "count": 1, "seed": 1, **change}
+        with pytest.raises(ValueError):
+            run_bench(out, **campaign)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_ok_paths_and_gnp(tmp_path, capsys):

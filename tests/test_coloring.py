@@ -8,10 +8,9 @@ from eqcolor.coloring import (
     PartialColoring,
     candidate_k0_values,
     deficit_prune,
-    is_equitable,
 )
 from eqcolor.instances import by_name
-from eqcolor.solver import _dsatur_pick
+from eqcolor.solver import _capped_greedy, _dsatur_pick
 from helpers import (
     complete,
     free_colors,
@@ -277,9 +276,12 @@ def test_deficit_prune_equivalent_sum_form():
     below M-1 of (M-1-size). With a k_lower above k it matches the
     product form n < (M-1)*k_lower + t on the extended state. The child's
     candidate color counts, read before the move, are those of the
-    extended state."""
+    extended state. On a move that colors the last uncolored vertex the
+    test passes exactly when the finished classes differ by at most one:
+    the search takes every coloring it completes as equitable."""
     rng = random.Random(17)
     cases = {">": 0, "==": 0, "<": 0}
+    last_moves = {True: 0, False: 0}  # by whether the finished classes are equitable
     for _ in range(4_000):
         g = gen_gnp(rng.randint(2, 10), rng.random(), rng.getrandbits(32))
         k0 = rng.randint(1, g.n)
@@ -299,6 +301,11 @@ def test_deficit_prune_equivalent_sum_form():
             k_upper = g.n + 1  # every color count up to n
             k0s = [list(candidate_k0_values(pc, k, k_upper, (v, i))) for k in (0, k_lower)]
             pc.extend(v, i)
+            if not pc.uncolored_mask:
+                sizes = [c for c in pc.class_size if c]
+                equitable = max(sizes) - min(sizes) <= 1
+                assert predicted == (not equitable)
+                last_moves[equitable] += 1
             assert k0s == [list(candidate_k0_values(pc, k, k_upper)) for k in (0, k_lower)]
             deficit = sum(pc.M - 1 - c for c in pc.class_size if 0 < c < pc.M - 1)
             assert predicted == (pc.uncolored_mask.bit_count() < deficit)
@@ -306,6 +313,7 @@ def test_deficit_prune_equivalent_sum_form():
             assert predicted_lower == (g.n < (pc.M - 1) * k + pc.M_count)
             pc.retract()
     assert min(cases.values()) > 500, cases
+    assert min(last_moves.values()) > 100, last_moves
 
 
 def _stepping_k0_values(pc, k_lower, k_upper, move=None):
@@ -357,33 +365,37 @@ def test_candidate_k0_range_equals_stepping_loop():
     assert cases > 2_000_000
 
 
-def test_is_equitable_cases():
-    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    pc = PartialColoring(p4)
-    for v, c in [(0, 0), (1, 1), (2, 0), (3, 1)]:
-        pc.extend(v, c)
-    assert is_equitable(pc) is True
-
-    pc = PartialColoring(path3())
-    for v, c in [(0, 0), (1, 1), (2, 0)]:
-        pc.extend(v, c)
-    assert is_equitable(pc) is True  # sizes 2 and 1 differ by one
-
-    pc = PartialColoring(star(12))
-    pc.extend(0, 0)
-    for v in range(1, 12):
-        pc.extend(v, 1)
-    assert is_equitable(pc) is False
-
-    pc = PartialColoring(complete(4))
-    for v in range(4):
-        pc.extend(v, v)
-    assert is_equitable(pc) is True
-
-
-def test_is_equitable_requires_completion():
-    """Two balanced classes, but vertex 2 is still uncolored."""
-    pc = PartialColoring(path3())
-    pc.extend(0, 0)
-    pc.extend(1, 1)
-    assert is_equitable(pc) is False
+def test_capped_greedy_returns_exactly_its_equitable_replays():
+    """`_capped_greedy(g, k)` equals a replay of its greedy: DSATUR pick,
+    lowest free color whose class is below ceil(n/k). It returns None
+    exactly when the replay gets stuck or finishes with classes that
+    differ by more than one, and otherwise the replay's (k_used,
+    coloring)."""
+    rng = random.Random(74)
+    graphs = [path3(), Graph(4, [(0, 1), (1, 2), (2, 3)]), star(12), complete(4)]
+    # sparse graphs lean the greedy toward classes filled to the cap in
+    # turn, which can leave the last one short: the unequal outcome
+    graphs += [gen_gnp(rng.randint(1, 16), rng.random() ** 2, rng.getrandbits(32))
+               for _ in range(500)]
+    outcomes = {"stuck": 0, "unequal": 0, "equitable": 0}
+    for g in graphs:
+        for k in range(1, g.n + 1):
+            pc = PartialColoring(g)
+            cap = -(-g.n // k)
+            for _ in range(g.n):
+                v = _dsatur_pick(pc)
+                free = [i for i in range(k)
+                        if pc.class_size[i] < cap and not pc.barred_mask[i] >> v & 1]
+                if not free:
+                    outcome, want = "stuck", None
+                    break
+                pc.extend(v, free[0])
+            else:
+                sizes = [c for c in pc.class_size if c]
+                if max(sizes) - min(sizes) > 1:
+                    outcome, want = "unequal", None
+                else:
+                    outcome, want = "equitable", (pc.k_used, pc.coloring())
+            assert _capped_greedy(g, k) == want
+            outcomes[outcome] += 1
+    assert min(outcomes.values()) > 200, outcomes
