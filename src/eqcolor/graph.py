@@ -46,9 +46,14 @@ class Graph:
             edge_set.add((u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        self._store(n, adj, edge_set)
+
+    def _store(self, n: int, adj: list[int], edges) -> None:
+        """Set every field from checked parts: `adj` holds symmetric
+        neighborhood masks and `edges` exactly their pairs (u, v), u < v."""
         self.n = n
         self.adj_mask = tuple(adj)
-        self.edges = frozenset(edge_set)
+        self.edges = frozenset(edges)
         self.degree = degree = tuple(m.bit_count() for m in adj)
         # sorted is stable, so equal degrees stay in increasing index order
         self.order = tuple(sorted(range(n), key=degree.__getitem__, reverse=True))
@@ -158,15 +163,26 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     Reproducibility contract: vertex pairs are scanned in lexicographic
     order (u < v) and each pair consumes exactly one rng.random() draw, so
     the same (n, p, seed) always yields the identical edge set.
+
+    The masks are built as the pairs are drawn; the pairs come out
+    canonical (u < v, in range, each once), so they skip `Graph`'s checks.
     """
     check_gnp_args(n, p)
     rng = random.Random(seed)
+    adj = [0] * n
     edges = []
     for u in range(n - 1):
+        bit_u = 1 << u
+        row = 0
         for v in range(u + 1, n):
             if rng.random() < p:
+                row |= 1 << v
+                adj[v] |= bit_u
                 edges.append((u, v))
-    return Graph(n, edges)
+        adj[u] |= row
+    g = Graph.__new__(Graph)
+    g._store(n, adj, edges)
+    return g
 
 
 def greedy_maximal_clique(g: Graph, start: int) -> list[int]:

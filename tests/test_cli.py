@@ -306,6 +306,20 @@ def test_run_bench_rejects_a_bad_campaign_before_any_file(tmp_path):
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "change",
+    [{"n_list": []}, {"p_list": []}, {"variants": ()}, {"variants": ("std", "comb", "std")}],
+)
+def test_run_bench_rejects_an_empty_or_repeated_campaign(tmp_path, change):
+    """A campaign with no n, no p or no variant would write bare headers,
+    and a repeated variant would average its two runs into one cell."""
+    out = str(tmp_path / "bench.csv")
+    campaign = {"n_list": [5], "p_list": [0.5], "count": 1, "seed": 1, **change}
+    with pytest.raises(ValueError):
+        run_bench(out, **campaign)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_ok_paths_and_gnp(tmp_path, capsys):
     star12 = tmp_path / "star12.col"
     star12.write_text(write_dimacs(star(12)))
@@ -378,6 +392,7 @@ def test_verify_reports_all_engines_timing_out(monkeypatch, capsys):
         (["bench", "--n", "5", "--p", "1.5", "--count", "1", "--out", "{csv}"], "p must"),
         (["verify", "--gnp", "9", "0.5", "0"], "count"),
         (["verify", "{col}", "--gnp", "9", "0.5", "-2"], "count"),
+        (["bench", "--n", "5", "--p", "0.5", "--algos", "std", "std", "--out", "{csv}"], "repeat"),
     ],
 )
 def test_out_of_range_arguments_exit_with_error(

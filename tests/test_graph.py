@@ -86,10 +86,14 @@ def test_roundtrip_keeps_a_multiline_name_in_comments():
 
 
 def test_graph_rejects_self_loop_and_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
         Graph(3, [(1, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(0,3\) out of range for n=3$"):
         Graph(3, [(0, 3)])
+    with pytest.raises(ValueError, match=r"^edge \(-1,2\) out of range for n=3$"):
+        Graph(3, [(-1, 2)])
+    with pytest.raises(ValueError, match=r"^vertex count must be non-negative$"):
+        Graph(-1)
 
 
 def test_gnp_extremes():
@@ -113,6 +117,22 @@ def test_gnp_mean_edge_count():
     expectation = p * pairs
     sigma_of_mean = (pairs * p * (1 - p)) ** 0.5 / trials**0.5
     assert abs(mean - expectation) < 5 * sigma_of_mean
+
+
+def test_gnp_equals_graph_built_from_its_edges():
+    """gen_gnp builds its masks while it draws; the graph is the one
+    `Graph` builds, with all its checks, from the same edges."""
+    rng = random.Random(17)
+    cases = [(n, p, rng.getrandbits(32)) for n in (1, 2, 3, 30, 60) for p in (0.0, 1.0)]
+    cases += [(rng.randint(1, 60), rng.random(), rng.getrandbits(32)) for _ in range(200)]
+    for n, p, seed in cases:
+        g = gen_gnp(n, p, seed)
+        h = Graph(n, sorted(g.edges))
+        assert g.adj_mask == h.adj_mask
+        assert g.edges == h.edges and type(g.edges) is frozenset
+        assert (g.degree, g.order, g.m) == (h.degree, h.order, h.m)
+        assert g.relabeled().adj_mask == h.relabeled().adj_mask
+    assert gen_gnp(60, 1.0, 0).m == 60 * 59 // 2
 
 
 def test_gnp_validates_arguments():

@@ -2,7 +2,8 @@ import hashlib
 
 import pytest
 
-from eqcolor.graph import write_dimacs
+from eqcolor.cli import instance_seed
+from eqcolor.graph import gen_gnp, write_dimacs
 from eqcolor.instances import (
     by_name,
     full_insertions_graph,
@@ -53,6 +54,36 @@ DIGESTS = {
 @pytest.mark.parametrize("name,digest", sorted(DIGESTS.items()))
 def test_instance_graphs_pinned(name, digest):
     text = write_dimacs(by_name(name))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# first 16 hex digits of sha256(write_dimacs(gen_gnp(n, p, seed))): the 20
+# G(50, p) graphs of the benchmark's gnp-comb workload (index 0..4 at each
+# p, seeds instance_seed(1, 50, p, index)), then three edge cases: one
+# vertex, p = 1 and p = 0
+GNP_COMB_DIGESTS = {
+    0.3: ("b20f4a6e3f8b3334", "6b398116f639a22d", "ddefb814ae25fcbd", "c69fa7d17c602a47", "09dc95b3014575e4"),
+    0.5: ("7b9bb3821b7fc2ad", "4d8a8caf8c894741", "4d1adf50f1957dce", "3834c567bf869787", "025e26e7298ce69a"),
+    0.7: ("cc9f8ac5053e3973", "1d57777a9472c2b3", "d13abd8a53e11596", "ec6605246f671db9", "e75b367d03b9ca95"),
+    0.9: ("f8c25733840106c4", "ca93a4dd777c206c", "5e1d347db2191a28", "6f8fe61ddf0203c5", "0b5d68dbd429ec59"),
+}
+GNP_DIGESTS = [
+    ((50, p, instance_seed(1, 50, p, index)), digest)
+    for p, digests in GNP_COMB_DIGESTS.items()
+    for index, digest in enumerate(digests)
+]
+GNP_DIGESTS += [
+    ((1, 0.5, 3), "8d8fcdfafbd591f3"),
+    ((2, 1.0, 0), "cc285fb6c093465e"),
+    ((30, 0.0, 5), "e3e7467fa3f630d9"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GNP_DIGESTS)
+def test_gnp_graphs_pinned(args, digest):
+    """gen_gnp keeps its reproducibility contract: every seeded graph the
+    benchmark and the campaigns are built from stays edge for edge."""
+    text = write_dimacs(gen_gnp(*args))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
