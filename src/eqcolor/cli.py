@@ -110,8 +110,8 @@ def run_bench(
     """Run the campaign of `count` seeded G(n, p) per (n, p), each solved
     under every variant; write the per-run CSV to `out_path` and the
     aggregate CSV next to it (suffix `.agg.csv`). Returns both paths. The
-    arguments are checked (ValueError: at least one n, p and variant, no
-    variant twice) before either file is opened, and
+    arguments are checked (ValueError: at least one n, p and variant, none
+    twice, p as the CSV writes it) before either file is opened, and
     both files are opened before the first solve, so a bad path fails at
     once. Rows go out in campaign order as each solve returns; the
     aggregate covers the rows written, also when Ctrl-C ends the campaign.
@@ -121,10 +121,11 @@ def run_bench(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not (n_list and p_list and variants):
-        raise ValueError("the campaign needs at least one n, one p and one variant")
-    if len(set(variants)) < len(variants):
-        raise ValueError(f"variants repeat: {' '.join(variants)}")
+    # p compares as the CSV records it
+    p_keys = [f"{p:g}" for p in p_list]
+    for name, keys in (("n", n_list), ("p", p_keys), ("variant", variants)):
+        if not keys or len(set(keys)) < len(keys):
+            raise ValueError(f"need one or more {name}, none repeated: {list(keys)}")
     for n in n_list:
         for p in p_list:
             check_gnp_args(n, p)

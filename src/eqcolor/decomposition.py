@@ -19,17 +19,7 @@ for, which the Hall rules rely on.
 
 from __future__ import annotations
 
-from .graph import Graph
-
-
-def mask_vertices(mask: int) -> tuple[int, ...]:
-    """The vertices of a vertex bitmask (its set bits), ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+from .graph import Graph, mask_vertices
 
 
 class CliqueDecomposition:

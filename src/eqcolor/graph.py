@@ -1,5 +1,5 @@
-"""Immutable simple graphs with one static vertex order, DIMACS .col I/O,
-G(n,p) generation, greedy cliques."""
+"""Immutable simple graphs, recorded as neighborhood bitmasks only, with
+one static vertex order; DIMACS .col I/O, G(n,p) generation, greedy cliques."""
 
 from __future__ import annotations
 
@@ -17,59 +17,73 @@ class DimacsError(ValueError):
         self.line = line
 
 
+def mask_vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a vertex bitmask (its set bits), ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1, immutable after construction.
 
-    Duplicate edges and both orientations of the same pair collapse to a
-    single undirected edge. Self-loops are rejected.
-
-    Besides `n`, `edges` and `degree`, it keeps `adj_mask`, each vertex's
-    neighborhood as a bitmask (bit w set iff w is adjacent), and `order`:
-    the vertex ranking every greedy scans, by decreasing degree, ties to
-    lower index.
+    Its one record is `adj_mask`, each vertex's neighborhood as a bitmask
+    (bit w set iff w is adjacent). Duplicate edges and both orientations
+    of the same pair collapse to one edge there. Self-loops are rejected.
+    Besides `n` and the masks it keeps `degree` and `order`: the vertex
+    ranking every greedy scans, by decreasing degree, ties to lower index.
+    `edges` (O(m)) and `m` (O(n)) are computed from the masks on each
+    access.
     """
 
-    __slots__ = ("n", "adj_mask", "edges", "degree", "order")
+    __slots__ = ("n", "adj_mask", "degree", "order")
 
     def __init__(self, n: int, edges=()):
+        if isinstance(n, bool) or not isinstance(n, int):  # bool is an int subclass
+            raise ValueError("vertex count must be an integer")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         adj = [0] * n
-        edge_set = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u > v:
-                u, v = v, u
-            edge_set.add((u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self._store(n, adj, edge_set)
+        self._store(n, adj)
 
-    def _store(self, n: int, adj: list[int], edges) -> None:
-        """Set every field from checked parts: `adj` holds symmetric
-        neighborhood masks and `edges` exactly their pairs (u, v), u < v."""
+    def _store(self, n: int, adj: list[int]) -> "Graph":
+        """Set every field from `adj`, symmetric neighborhood masks with no
+        self-loop (the graph's one record), and return the graph."""
         self.n = n
         self.adj_mask = tuple(adj)
-        self.edges = frozenset(edges)
         self.degree = degree = tuple(m.bit_count() for m in adj)
         # sorted is stable, so equal degrees stay in increasing index order
         self.order = tuple(sorted(range(n), key=degree.__getitem__, reverse=True))
+        return self
 
     def relabeled(self) -> "Graph":
         """The same graph with vertex r standing for `order[r]`. Its own
         order is the identity, so "first in `order`" becomes "lowest
         index", and a bitmask's lowest set bit is its first vertex."""
-        rank = [0] * self.n
-        for r, v in enumerate(self.order):
-            rank[v] = r
-        return Graph(self.n, ((rank[u], rank[v]) for u, v in self.edges))
+        bit = {v: 1 << r for r, v in enumerate(self.order)}
+        adj = [sum(map(bit.get, mask_vertices(self.adj_mask[v]))) for v in self.order]
+        return Graph.__new__(Graph)._store(self.n, adj)
+
+    @property
+    def edges(self) -> frozenset:
+        """Pairs (u, v), u < v, read off each mask's bits above u: O(m) per access."""
+        return frozenset(
+            (u, v) for u, m in enumerate(self.adj_mask) for v in mask_vertices(m & -(2 << u))
+        )
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(self.degree) // 2
 
     def density(self) -> float:
         if self.n < 2:
@@ -150,9 +164,9 @@ def write_dimacs(g: Graph, name: str | None = None) -> str:
 
 
 def check_gnp_args(n: int, p: float) -> None:
-    """Raise ValueError unless G(n,p) is defined: n >= 1 and p in [0,1]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Raise ValueError unless G(n,p) is defined: an int n >= 1 and p in [0,1]."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError("n must be an integer >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0,1]")
 
@@ -170,7 +184,6 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     check_gnp_args(n, p)
     rng = random.Random(seed)
     adj = [0] * n
-    edges = []
     for u in range(n - 1):
         bit_u = 1 << u
         row = 0
@@ -178,11 +191,8 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
             if rng.random() < p:
                 row |= 1 << v
                 adj[v] |= bit_u
-                edges.append((u, v))
         adj[u] |= row
-    g = Graph.__new__(Graph)
-    g._store(n, adj, edges)
-    return g
+    return Graph.__new__(Graph)._store(n, adj)
 
 
 def greedy_maximal_clique(g: Graph, start: int) -> list[int]:

@@ -50,11 +50,12 @@ def _iterated_mycielski(steps: int, levels: int, apex_clique: bool) -> Graph:
     g = Graph(2, [(0, 1)])
     for _ in range(steps):
         n = g.n
-        edges = list(g.edges)
+        prev = g.edges
+        edges = list(prev)
         for lvl in range(levels):
             lo = lvl * n
             hi = (lvl + 1) * n
-            for u, v in g.edges:
+            for u, v in prev:
                 edges.append((lo + u, hi + v))
                 edges.append((lo + v, hi + u))
         top = levels * n

@@ -8,8 +8,7 @@ test code: `tests/literal_network.py`."""
 
 from __future__ import annotations
 
-from .decomposition import mask_vertices
-from .graph import Graph
+from .graph import Graph, mask_vertices
 
 
 MAX_N = 12  # the largest graph the enumeration accepts

@@ -8,12 +8,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from eqcolor import Graph, gen_gnp
+from eqcolor.cli import instance_seed
 from eqcolor.coloring import PartialColoring
 from eqcolor.decomposition import (
     CliqueDecomposition,
     find_non_adjacent_cliques,
     mask_vertices,
 )
+from eqcolor.instances import by_name
 
 if TYPE_CHECKING:  # literal_network imports free_colors from here
     from literal_network import FlowNetwork
@@ -61,6 +63,42 @@ def lopsided_state():
     return g, pc
 
 
+# the instances of the benchmark's DIMACS workloads, and the p values of
+# its gnp-comb workload: five G(50, p) at each, seeds
+# instance_seed(1, 50, p, index) for index 0..4
+BENCHMARK_DIMACS = ("myciel4", "myciel5", "queen6_6", "queen7_7", "2-Insertions_3", "1-FullIns_3")
+GNP_COMB_P = (0.3, 0.5, 0.7, 0.9)
+
+
+def gnp_comb_args() -> list[tuple[int, float, int]]:
+    """The (n, p, seed) of the 20 graphs of the gnp-comb workload."""
+    return [(50, p, instance_seed(1, 50, p, index)) for p in GNP_COMB_P for index in range(5)]
+
+
+def benchmark_graphs() -> list[Graph]:
+    """The six DIMACS instances and the 20 gnp-comb graphs the benchmark
+    solves."""
+    return [by_name(name) for name in BENCHMARK_DIMACS] + [
+        gen_gnp(*args) for args in gnp_comb_args()
+    ]
+
+
+def messy_edge_lists(rng, count: int) -> list[tuple[int, list]]:
+    """`count` random (n, edges) whose edge lists repeat pairs, give pairs
+    in both orientations and name vertices 0 and 1 by False and True,
+    ahead of two fixed cases."""
+    out = [(3, [(0, True)]), (2, [(False, True), (1, 0), (0, 1)])]
+    for _ in range(count):
+        n = rng.randint(2, 40)
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3 * n))]
+        pairs += [(v, u) for u, v in rng.sample(pairs, len(pairs) // 3)]
+        pairs += rng.sample(pairs, len(pairs) // 4)
+        pairs = [tuple(bool(w) if w < 2 and rng.random() < 0.5 else w for w in e) for e in pairs]
+        rng.shuffle(pairs)
+        out.append((n, pairs))
+    return out
+
+
 def snapshot(pc: PartialColoring):
     """All of pc that a move or a backtrack changes, as comparable values."""
     return (
@@ -77,7 +115,9 @@ def snapshot(pc: PartialColoring):
 
 
 def neighbors(g: Graph) -> list[set]:
-    """Per vertex, the set of its neighbors, built from `g.edges` alone."""
+    """Per vertex, the set of its neighbors, built from `g.edges` alone
+    (which `Graph` reads off its masks; test_graph checks those masks
+    against the edge lists the graphs are built from)."""
     adj = [set() for _ in range(g.n)]
     for u, v in g.edges:
         adj[u].add(v)

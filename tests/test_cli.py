@@ -308,11 +308,21 @@ def test_run_bench_rejects_a_bad_campaign_before_any_file(tmp_path):
 
 @pytest.mark.parametrize(
     "change",
-    [{"n_list": []}, {"p_list": []}, {"variants": ()}, {"variants": ("std", "comb", "std")}],
+    [
+        {"n_list": []},
+        {"p_list": []},
+        {"variants": ()},
+        {"variants": ("std", "comb", "std")},
+        {"n_list": [5, 5]},
+        {"p_list": [0.5, 0.5]},
+        {"p_list": [0.5, 0.50000001]},
+    ],
 )
 def test_run_bench_rejects_an_empty_or_repeated_campaign(tmp_path, change):
     """A campaign with no n, no p or no variant would write bare headers,
-    and a repeated variant would average its two runs into one cell."""
+    and a repeated variant, n or p would write each of its rows twice and
+    average them in one cell. p repeats when the CSV would record it the
+    same (`f"{p:g}"`)."""
     out = str(tmp_path / "bench.csv")
     campaign = {"n_list": [5], "p_list": [0.5], "count": 1, "seed": 1, **change}
     with pytest.raises(ValueError):
@@ -393,6 +403,8 @@ def test_verify_reports_all_engines_timing_out(monkeypatch, capsys):
         (["verify", "--gnp", "9", "0.5", "0"], "count"),
         (["verify", "{col}", "--gnp", "9", "0.5", "-2"], "count"),
         (["bench", "--n", "5", "--p", "0.5", "--algos", "std", "std", "--out", "{csv}"], "repeat"),
+        (["bench", "--n", "5", "5", "--p", "0.5", "--out", "{csv}"], "repeat"),
+        (["bench", "--n", "5", "--p", "0.5", "0.50", "--out", "{csv}"], "repeat"),
     ],
 )
 def test_out_of_range_arguments_exit_with_error(

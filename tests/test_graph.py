@@ -4,9 +4,17 @@ from itertools import combinations
 import pytest
 
 from eqcolor import DimacsError, Graph, gen_gnp, parse_dimacs, write_dimacs
-from eqcolor.graph import greedy_maximal_clique
+from eqcolor.graph import check_gnp_args, greedy_maximal_clique
 from eqcolor.instances import mycielski_graph
-from helpers import complete, neighbors, reference_clique, star
+from helpers import (
+    benchmark_graphs,
+    complete,
+    gnp_comb_args,
+    messy_edge_lists,
+    neighbors,
+    reference_clique,
+    star,
+)
 
 
 def test_parse_basic():
@@ -96,6 +104,36 @@ def test_graph_rejects_self_loop_and_range():
         Graph(-1)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+def test_vertex_count_must_be_an_int(n):
+    """bool is an int subclass, so True would pass as one vertex; a float
+    or a string is refused with the same ValueError."""
+    with pytest.raises(ValueError, match=r"^vertex count must be an integer$"):
+        Graph(n)
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1$"):
+        check_gnp_args(n, 0.5)
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1$"):
+        gen_gnp(n, 0.5, 1)
+
+
+def test_edges_are_the_canonical_pairs_of_any_edge_list():
+    """Repeats and both orientations collapse in the masks, and `edges`
+    reads them back as (u, v), u < v, with plain int ids (False and True
+    name vertices 0 and 1); rebuilding from `edges` gives the same masks."""
+    for n, pairs in messy_edge_lists(random.Random(23), 200):
+        g = Graph(n, pairs)
+        want = {(int(min(u, v)), int(max(u, v))) for u, v in pairs}
+        assert g.edges == want and type(g.edges) is frozenset
+        assert all(type(u) is int and type(v) is int for u, v in g.edges)
+        assert g.m == len(want)
+        adj = [0] * n
+        for u, v in want:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        assert g.adj_mask == tuple(adj)
+        assert Graph(n, g.edges).adj_mask == g.adj_mask
+
+
 def test_gnp_extremes():
     assert gen_gnp(5, 0.0, 9).m == 0
     assert gen_gnp(5, 1.0, 9).m == 10
@@ -125,10 +163,11 @@ def test_gnp_equals_graph_built_from_its_edges():
     rng = random.Random(17)
     cases = [(n, p, rng.getrandbits(32)) for n in (1, 2, 3, 30, 60) for p in (0.0, 1.0)]
     cases += [(rng.randint(1, 60), rng.random(), rng.getrandbits(32)) for _ in range(200)]
+    cases += gnp_comb_args()
     for n, p, seed in cases:
         g = gen_gnp(n, p, seed)
         h = Graph(n, sorted(g.edges))
-        assert g.adj_mask == h.adj_mask
+        assert g.adj_mask == h.adj_mask == Graph(n, g.edges).adj_mask
         assert g.edges == h.edges and type(g.edges) is frozenset
         assert (g.degree, g.order, g.m) == (h.degree, h.order, h.m)
         assert g.relabeled().adj_mask == h.relabeled().adj_mask
@@ -196,13 +235,31 @@ def test_order_is_decreasing_degree_ties_to_lowest_index():
     assert Graph(0).order == ()
 
 
+def _relabeled_through_init(g: Graph) -> Graph:
+    """The relabel as `Graph` builds it, with all its checks, from the
+    edges mapped through the rank."""
+    rank = [0] * g.n
+    for r, v in enumerate(g.order):
+        rank[v] = r
+    return Graph(g.n, ((rank[u], rank[v]) for u, v in g.edges))
+
+
 def test_relabeled_follows_the_order():
     """Vertex r of the relabeled graph is `order[r]`: edges map through the
-    order, and the new order is the identity."""
+    order, and the new order is the identity. The masks it maps are the
+    graph `Graph` builds from the mapped edges, on random graphs, graphs
+    from repeated and reversed edge lists and the benchmark's graphs."""
     rng = random.Random(6)
-    for _ in range(100):
-        g = gen_gnp(rng.randint(1, 25), rng.uniform(0.05, 0.95), rng.getrandbits(32))
+    graphs = [
+        gen_gnp(rng.randint(1, 25), rng.uniform(0.05, 0.95), rng.getrandbits(32))
+        for _ in range(100)
+    ]
+    graphs += [Graph(n, pairs) for n, pairs in messy_edge_lists(rng, 50)]
+    graphs += benchmark_graphs()
+    for g in graphs:
         h = g.relabeled()
+        ref = _relabeled_through_init(g)
+        assert (h.adj_mask, h.degree, h.order) == (ref.adj_mask, ref.degree, ref.order)
         assert h.order == tuple(range(g.n))
         assert h.degree == tuple(g.degree[v] for v in g.order)
         o = g.order
