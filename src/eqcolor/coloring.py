@@ -1,15 +1,15 @@
 """Partial colorings with incremental bookkeeping and arithmetic pruning.
 
 Colors are 0-based indices internally. A partial coloring keeps its state
-as vertex bitmasks: the uncolored set; per color the vertices with a
+as vertex bitmasks: the uncolored set; per color the vertices with no
 neighbor of that color, the one record of which colors each vertex may
-not take; and every vertex's DSATUR saturation, bit-sliced into planes.
+still take; and every vertex's DSATUR saturation, bit-sliced into planes.
 The largest class size M and the number of classes of that size keep
 the largest-class test O(1). The clique decomposition and the Hall
 context are built from the masks with a few big-int operations per
 clique and per color. The search undoes
 strictly last-in-first-out: each trail entry records the color's old
-barred mask, and a backtrack to a node's mark restores those masks from
+free mask, and a backtrack to a node's mark restores those masks from
 the trail and the planes and counters from the mark at once.
 Single-step `retract` is the inverse of one move. The trail's (vertex,
 color) moves are the one record of who wears which color: `coloring()`
@@ -30,13 +30,13 @@ class PartialColoring:
     """Mutable partial coloring; extend/retract cost a few big-int ops.
 
     `uncolored_mask` has bit v set iff v is uncolored, and
-    `barred_mask[i]` has bit w set iff some neighbor of w wears color i:
-    w may not take i. Bit v of `sat[j]` is bit j of v's saturation degree,
-    the number of colors whose barred mask holds v, over n.bit_length()
-    planes (no saturation exceeds n - 1). Masks and planes span all n.
+    `free_mask[i]` has bit w set iff no neighbor of w wears color i: w may
+    still take i. Bit v of `sat[j]` is bit j of v's saturation degree, the
+    number of colors whose free mask lacks v, over n.bit_length() planes
+    (no saturation exceeds n - 1). Masks and planes span all n.
 
-    Each `_trail` entry is `(v, i, old)`, where `old` is `barred_mask[i]`
-    before v was colored i, so `barred_mask[i] ^ old` holds the neighbors
+    Each `_trail` entry is `(v, i, old)`, where `old` is `free_mask[i]`
+    before v was colored i, so `free_mask[i] ^ old` holds the neighbors
     the move newly barred. The search backtracks to a node's `mark()` with
     `retract_to`, which pops the trail down to the mark's depth and copies
     the saved planes and counters back; `retract` undoes one move, with a
@@ -47,7 +47,7 @@ class PartialColoring:
         "n",
         "class_size",
         "uncolored_mask",
-        "barred_mask",
+        "free_mask",
         "adj_mask",
         "sat",
         "k_used",
@@ -61,7 +61,7 @@ class PartialColoring:
         self.n = n
         self.class_size = [0] * n
         self.uncolored_mask = (1 << n) - 1
-        self.barred_mask = [0] * n
+        self.free_mask = [(1 << n) - 1] * n
         self.adj_mask = g.adj_mask
         self.sat = [0] * n.bit_length()
         self.k_used = 0
@@ -74,7 +74,7 @@ class PartialColoring:
         (v uncolored, i free for v) is a programming error."""
         bit = 1 << v
         assert self.uncolored_mask & bit, f"vertex {v} already colored"
-        assert not self.barred_mask[i] & bit, f"color {i} barred for {v}"
+        assert self.free_mask[i] & bit, f"color {i} barred for {v}"
         self.uncolored_mask ^= bit
         s = self.class_size[i]
         self.class_size[i] = s + 1
@@ -86,11 +86,10 @@ class PartialColoring:
             self.M_count = 1
         elif s + 1 == M:
             self.M_count += 1
-        old = self.barred_mask[i]
-        adj = self.adj_mask[v]
-        self.barred_mask[i] = old | adj
+        old = self.free_mask[i]
         # ripple carry: one more for each neighbor the move newly bars
-        carry = adj & ~old
+        carry = self.adj_mask[v] & old
+        self.free_mask[i] = old ^ carry
         sat = self.sat
         j = 0
         while carry:
@@ -104,8 +103,8 @@ class PartialColoring:
         """Undo the most recent extend; returns the (vertex, color) undone."""
         v, i, old = self._trail.pop()
         self.uncolored_mask |= 1 << v
-        borrow = self.barred_mask[i] ^ old
-        self.barred_mask[i] = old
+        borrow = self.free_mask[i] ^ old
+        self.free_mask[i] = old
         s = self.class_size[i]
         self.class_size[i] = s - 1
         if s == 1:
@@ -136,16 +135,16 @@ class PartialColoring:
 
     def retract_to(self, mark: tuple) -> None:
         """Undo the extends made since `mark` was taken; the mark must be
-        on the path to the current state. The trail restores the barred
+        on the path to the current state. The trail restores the free
         masks and class sizes move by move, newest first, so each
         color's oldest saved mask is the one that stays; the planes and the
         counters are copied back from the mark, with no borrow chain."""
         depth, planes, self.uncolored_mask, self.M, self.M_count, self.k_used = mark
         trail = self._trail
-        barred = self.barred_mask
+        free = self.free_mask
         size = self.class_size
         for _, i, old in reversed(trail[depth:]):
-            barred[i] = old
+            free[i] = old
             size[i] -= 1
         del trail[depth:]
         self.sat[:] = planes  # in place: no new list, and a held reference stays valid

@@ -18,7 +18,7 @@ returns; its length is the color count k0.
 Through a clique, vertex x's unit reaches color c on the clique's copy of
 c, so one bit per (vertex, color) says everything the network's arcs do.
 The arcs from the vertices are read the same way, per color: x has an
-arc to c unless the context's `barred[c]` holds x.
+arc to c iff the context's `free[c]` holds x.
 The search queues a surviving child with the flow its test found, and the
 tests of that child's own children start from it: the start is patched to
 the new state, a patched start that is still a full flow is returned at
@@ -44,7 +44,9 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
     vertices with 4 colored 0, k0 = 3 gets a flow although class 0 is
     already above ceil(8/3) = 3, so no extension exists. The clique
     lookups assume what every decomposition the search makes holds: its
-    cliques and residual part partition ctx's uncolored set.
+    cliques and residual part partition ctx's uncolored set. An uncolored
+    x has an arc to c iff `free[c]` holds x: the engine reads ctx.free as
+    it is, and a clique's free members for c are `q & free[c]`.
 
     `start` is any earlier flow W', normally the parent node's; it
     is read, never changed. The patch keeps of it what is still valid:
@@ -94,7 +96,7 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
     k0 = ctx.k0
     floor_size, ceil_size = ctx.floor_size, ctx.ceil_size
     uncolored = ctx.uncolored
-    barred = ctx.barred
+    free = ctx.free
     cliques = ctx.cliques
     covered = uncolored & ~ctx.residual  # the clique members
     prev = () if start is None else start
@@ -107,8 +109,8 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
     size = []
     deficit = 0  # how many vertices the classes below their floors lack
     unplaced = uncolored
-    for s, w, bar in zip(ctx.class_sizes, prev, barred):
-        w &= unplaced & ~bar
+    for s, w, fr in zip(ctx.class_sizes, prev, free):
+        w &= unplaced & fr
         x = w & covered
         if x & (x - 1):  # two clique members: keep one per clique
             for q in cliques:
@@ -140,7 +142,7 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
                     break
         pick = -1
         for c in range(k0):
-            if barred[c] & bit or size[c] >= ceil_size or W[c] & q:
+            if not free[c] & bit or size[c] >= ceil_size or W[c] & q:
                 continue
             if size[c] < floor_size:
                 pick = c
@@ -159,8 +161,8 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
     # for it, not wearing it and outside the cliques that hold it; the
     # direct shifts and `_augment` keep it current
     enter = []
-    for wc, bar in zip(W, barred):
-        into = uncolored & ~bar & ~wc
+    for wc, fr in zip(W, free):
+        into = uncolored & fr & ~wc
         if wc & covered:
             for q in cliques:
                 if wc & q:
@@ -184,7 +186,7 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
                 W[c] |= bit
                 enter[c] &= ~q
                 # no member of bit's clique wears d now, so all can enter it
-                enter[d] |= q & uncolored & ~barred[d]
+                enter[d] |= q & free[d]
                 size[d] -= 1
                 size[c] += 1
                 deficit -= 1
@@ -196,7 +198,7 @@ def flow_feasible(ctx: hallrules.HallContext, start=None):
             break  # c is at its floor
 
     # the augmenting searches
-    net = (W, size, enter, uncolored, barred, cliques, covered)
+    net = (W, size, enter, free, cliques, covered)
     if deficit:
         # (A) the floors, from every surplus
         surplus = 0
@@ -225,13 +227,13 @@ def _augment(net, cap, sources, unplaced):
     """One breadth-first search of `flow_feasible`, a level at a time on
     vertex bitmasks, from the `unplaced` vertices and the colors in the
     bitmask `sources` to a class below the size `cap`. `net` is the
-    flow's state (W, size, enter, uncolored, barred, cliques, covered),
+    flow's state (W, size, enter, free, cliques, covered),
     where enter[c] holds the vertices that can move directly into color
     c. On success the search moves the vertices on the path found, keeping
     W, size and enter current, and returns the path's start: the bit of
     the vertex it placed, or ~d for a source color d, which gave up one
     vertex. It returns 0 when no path exists."""
-    W, size, enter, uncolored, barred, cliques, covered = net
+    W, size, enter, free, cliques, covered = net
     via = {}  # color reached -> the vertex bit that enters it
     bumper = {}  # vertex bit reached by a bump -> (the clique-mate taking its color, that color)
     # the entering masks of the colors not reached yet; a source's is zeroed
@@ -272,7 +274,7 @@ def _augment(net, cap, sources, unplaced):
                 for c, w in enumerate(W):
                     y = w & rest
                     if y:
-                        x = s & ~barred[c]
+                        x = s & free[c]
                         if x:
                             nxt |= y
                             bumper[y] = (x & -x, c)
@@ -302,7 +304,7 @@ def _augment(net, cap, sources, unplaced):
             x = via.get(old)
         W[old] ^= bit
         # no member of bit's clique wears old now, so all can enter it
-        enter[old] |= q & uncolored & ~barred[old]
+        enter[old] |= q & free[old]
         if x is None:  # old is a source color
             size[old] -= 1
             return ~old

@@ -153,13 +153,14 @@ def parse_dimacs(text: str) -> Graph:
 
 def write_dimacs(g: Graph, name: str | None = None) -> str:
     """Serialize a graph to DIMACS .col text (1-based vertices, sorted edges),
-    with one comment line per line of `name`."""
+    with one comment line per line of `name`. Each mask's bits above u,
+    walked in vertex order, give the edges already sorted."""
     lines = []
     if name:
         lines.extend(f"c {line}" for line in name.splitlines())
     lines.append(f"p edge {g.n} {g.m}")
-    for u, v in sorted(g.edges):
-        lines.append(f"e {u + 1} {v + 1}")
+    for u, m in enumerate(g.adj_mask):
+        lines.extend(f"e {u + 1} {v + 1}" for v in mask_vertices(m & -(2 << u)))
     return "\n".join(lines) + "\n"
 
 

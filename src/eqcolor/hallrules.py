@@ -34,23 +34,23 @@ class HallContext:
 
     The snapshot: k0, the class-size window floor(n/k0)..ceil(n/k0), the
     first k0 class sizes, the uncolored set `uncolored`, per color f the
-    bitmask `barred[f]` of the vertices a neighbor of color f bars, and
-    the decomposition's residual and clique masks. Only colors {0..k0-1}
-    exist in the network, so all of it is restricted to them. The
-    uncolored vertices free for f are `uncolored & ~barred[f]`. The
-    context holds copies of pc's lists, so it stays valid after pc
-    changes.
+    bitmask `free[f]` of the vertices with no neighbor of color f (the
+    network's arcs into f), and the decomposition's residual and clique
+    masks. Only colors {0..k0-1} exist in the network, so all of it is
+    restricted to them. The uncolored vertices free for f are
+    `uncolored & free[f]`. The context holds copies of pc's lists, so it
+    stays valid after pc changes.
 
     Given a move (v, i), the context is that of the child that colors v
     with i, read from the parent's state without making the move:
-    `uncolored` loses v, class i grows by one and `barred[i]` gains v's
+    `uncolored` loses v, class i grows by one and `free[i]` loses v's
     neighbors. The decomposition must be the child's (v uncolored in pc,
     not in decomp), and k0 a candidate of the child, so k0 > i.
 
     The rules rely on the decomposition lying inside the uncolored set:
-    then a residual vertex is free for f unless `barred[f]` holds it, so
-    the positive rule counts the residual once and reads each color's
-    residual supply off one AND with its barred mask.
+    then a residual or clique vertex is free for f exactly when `free[f]`
+    holds it, so the rules AND their masks with `free[f]` directly, and
+    the positive rule reads each color's residual supply off one AND.
     """
 
     __slots__ = (
@@ -59,7 +59,7 @@ class HallContext:
         "ceil_size",
         "class_sizes",
         "uncolored",
-        "barred",
+        "free",
         "residual",
         "cliques",
     )
@@ -77,35 +77,31 @@ class HallContext:
         self.ceil_size = -(-n // k0)
         self.class_sizes = pc.class_size[:k0]
         self.uncolored = pc.uncolored_mask
-        self.barred = pc.barred_mask[:k0]
+        self.free = pc.free_mask[:k0]
         self.residual = decomp.residual_mask
         self.cliques = decomp.masks
         if move is not None:
             v, i = move
             self.uncolored ^= 1 << v
             self.class_sizes[i] += 1
-            self.barred[i] |= pc.adj_mask[v]
+            self.free[i] &= ~pc.adj_mask[v]
 
 
 def check_positive_single(ctx: HallContext) -> bool:
     """Every color must be fillable to floor(n/k0): at most one vertex per
     clique plus every residual vertex that can still take it. The residual
-    lies inside the uncolored set, so a color's residual supply is the
-    residual's size, counted once, less the residual vertices its barred
-    mask holds: one AND and one bit count for each color below its floor.
-    A color's free set is built, and its cliques are scanned, only while
-    its residual vertices leave it short."""
+    lies inside the uncolored set, so a color's residual supply is one AND
+    with its free mask and one bit count, for each color below its floor.
+    A color's cliques, which lie inside the uncolored set too, are scanned
+    only while its residual vertices leave it short."""
     residual = ctx.residual
     floor_size = ctx.floor_size
-    # the floor less the whole residual; a color's barred ones add back
-    short = floor_size - residual.bit_count()
-    for size, barred in zip(ctx.class_sizes, ctx.barred):
+    for size, free in zip(ctx.class_sizes, ctx.free):
         if size >= floor_size:
             continue
-        need = short - size + (residual & barred).bit_count()
+        need = floor_size - size - (residual & free).bit_count()
         if need <= 0:
             continue
-        free = ctx.uncolored & ~barred
         for c in ctx.cliques:
             if c & free:
                 need -= 1
@@ -116,38 +112,38 @@ def check_positive_single(ctx: HallContext) -> bool:
     return True
 
 
-def _augment(bit: int, visited: int, owner: list[int], barred: list[int]):
+def _augment(bit: int, visited: int, owner: list[int], free: list[int]):
     """Augmenting-path search from the clique member `bit` over the colors
     not in `visited` (a color bitmask): (placed, visited). On success the
     path's colors are rematched in `owner`. A module-level function, not a
     closure, so a matching leaves no reference cycle behind."""
-    for c, bar in enumerate(barred):
-        if visited >> c & 1 or bar & bit:
+    for c, fr in enumerate(free):
+        if visited >> c & 1 or not fr & bit:
             continue
         visited |= 1 << c
         if not owner[c]:
             owner[c] = bit
             return True, visited
-        ok, visited = _augment(owner[c], visited, owner, barred)
+        ok, visited = _augment(owner[c], visited, owner, free)
         if ok:
             owner[c] = bit
             return True, visited
     return False, visited
 
 
-def _clique_has_sdr(q: int, barred: list[int]) -> bool:
+def _clique_has_sdr(q: int, free: list[int]) -> bool:
     """Can every member of the clique `q` (a vertex bitmask) get a
-    distinct color that its barred masks leave it? A greedy pass gives
+    distinct color whose free mask holds it? A greedy pass gives
     each color, in order, to its lowest member still unmatched and free
     for it; augmenting-path bipartite matching (`_augment`), started from
     the greedy's matching, then places only the members it left out; a
     clique the greedy matches whole falls through to True. The search
     calls this only for cliques `check_clique_hall`'s same greedy could
     not settle. Cliques are small."""
-    owner = [0] * len(barred)  # per color, the bit of the member matched to it
+    owner = [0] * len(free)  # per color, the bit of the member matched to it
     left = q
-    for c, bar in enumerate(barred):
-        x = left & ~bar
+    for c, fr in enumerate(free):
+        x = left & fr
         if x:
             x &= -x
             owner[c] = x
@@ -155,7 +151,7 @@ def _clique_has_sdr(q: int, barred: list[int]) -> bool:
     while left:
         bit = left & -left
         left ^= bit
-        if not _augment(bit, 0, owner, barred)[0]:
+        if not _augment(bit, 0, owner, free)[0]:
             return False
     return True
 
@@ -167,18 +163,18 @@ def check_clique_hall(ctx: HallContext) -> bool:
     of `_clique_has_sdr`, with no record of who took which color, settles
     a clique whose members it matches all; only a clique it leaves a
     member of goes to the matching itself. The check reads the context's
-    per-color barred masks and stops at the first clique with no SDR."""
-    barred = ctx.barred
+    per-color free masks and stops at the first clique with no SDR."""
+    free = ctx.free
     for q in ctx.cliques:
         left = q
-        for bar in barred:
-            x = left & ~bar
+        for fr in free:
+            x = left & fr
             if x:
                 left ^= x & -x
                 if not left:
                     break
         else:
-            if not _clique_has_sdr(q, barred):
+            if not _clique_has_sdr(q, free):
                 return False
     return True
 
@@ -188,21 +184,22 @@ def check_negative_single(ctx: HallContext) -> bool:
     color f, the vertices free for f alone plus those free for no color
     (they still have to be colored) against f's room. No class takes more
     than all of them, so a class of at most ceil - empty - |lone| members
-    cannot overflow and is passed over before its AND and bit count."""
-    # the uncolored vertices barred from every color so far, and those
-    # barred from all of them but at most one
-    none = most = ctx.uncolored
-    for barred in ctx.barred:
-        most = most & barred | none
-        none &= barred
-    empty = none.bit_count()
+    cannot overflow and is passed over before its AND and bit count. Two
+    accumulators over the free masks, "free for at least one color" and
+    "for at least two", give both sets with two complements per call."""
+    one = two = 0
+    for free in ctx.free:
+        two |= one & free
+        one |= free
+    uncolored = ctx.uncolored
+    empty = (uncolored & ~one).bit_count()
     ceil_size = ctx.ceil_size
     sizes = ctx.class_sizes
-    lone = most ^ none  # free for exactly one color
+    lone = uncolored & one & ~two  # free for exactly one color
     roomy = ceil_size - empty - lone.bit_count()  # a class no larger cannot overflow
-    for f, barred in enumerate(ctx.barred):
+    for f, free in enumerate(ctx.free):
         if sizes[f] > roomy:
-            if (lone & ~barred).bit_count() + empty > ceil_size - sizes[f]:
+            if (lone & free).bit_count() + empty > ceil_size - sizes[f]:
                 return False
     return True
 
@@ -234,7 +231,7 @@ def comb_prune(
     the child that colors v with i, read from pc without extending it;
     decomp is the child's decomposition either way. Weaker than the flow
     test (a passing rule set proves nothing) but cheap per color count:
-    the context copies k0 class sizes and k0 barred masks, and each rule
+    the context copies k0 class sizes and k0 free masks, and each rule
     works on demand, at most O(k0 * #cliques) big-int operations for the
     positive rule, O(k0) for the negative one and, for the clique rule, a
     color-by-color greedy per clique, up to the first without an SDR, with

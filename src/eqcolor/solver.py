@@ -170,12 +170,12 @@ def _capped_greedy(g: Graph, k: int):
     pc = PartialColoring(g)
     cap = -(-g.n // k)
     size = pc.class_size
-    barred = pc.barred_mask
+    free = pc.free_mask
     for _ in range(g.n):
         v = _dsatur_pick(pc)
         bit = 1 << v
         for i in range(k):
-            if size[i] < cap and not barred[i] & bit:
+            if size[i] < cap and free[i] & bit:
                 break
         else:
             return None
@@ -285,7 +285,7 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
         if not (closed or timed_out):
             stride = cfg.cd_stride
             pc = PartialColoring(g)
-            barred = pc.barred_mask
+            free = pc.free_mask
             for idx, v in enumerate(root_clique):
                 extend(pc, v, idx)
             flow = None  # the flow the node's tests start from, under flow
@@ -319,7 +319,7 @@ def _search(g: Graph, cfg: SolverConfig, t0: float, deadline: float):
                     i = limit
                     while i > 0:
                         i -= 1
-                        if barred[i] & bit:
+                        if not free[i] & bit:
                             continue
                         if deficit(pc, k_lower, i):
                             prunes_deficit += 1

@@ -105,7 +105,7 @@ def snapshot(pc: PartialColoring):
         pc.coloring(),
         list(pc.class_size),
         pc.uncolored_mask,
-        list(pc.barred_mask),
+        list(pc.free_mask),
         list(pc.sat),
         pc.M,
         pc.M_count,
@@ -465,20 +465,21 @@ def check_decomposition(d: CliqueDecomposition, g: Graph, uncolored: int) -> Non
 
 
 def recompute_masks(pc: PartialColoring):
-    """From-scratch (uncolored_mask, barred_mask): the uncolored set, and
-    per color the vertices with a neighbor of that color."""
+    """From-scratch (uncolored_mask, free_mask): the uncolored set, and
+    per color the vertices with no neighbor of that color, each vertex
+    tested against its own neighbors' colors."""
     n = pc.n
     uncolored = 0
-    barred = [0] * n
+    free = [0] * n
     color_of = pc.coloring()
     for v in range(n):
         if color_of[v] < 0:
             uncolored |= 1 << v
-        for w in mask_vertices(pc.adj_mask[v]):
-            c = color_of[w]
-            if c >= 0:
-                barred[c] |= 1 << v
-    return uncolored, barred
+        worn = {color_of[w] for w in mask_vertices(pc.adj_mask[v])}
+        for c in range(n):
+            if c not in worn:
+                free[c] |= 1 << v
+    return uncolored, free
 
 
 def literal_hall_context(pc: PartialColoring, decomp: CliqueDecomposition, k0: int):
@@ -531,9 +532,9 @@ def literal_hall_context(pc: PartialColoring, decomp: CliqueDecomposition, k0: i
 
 def saturation(pc: PartialColoring) -> list[int]:
     """Per vertex, colored or not, the number of colors whose recounted
-    barred mask holds it."""
-    _, barred = recompute_masks(pc)
-    return [sum(b >> v & 1 for b in barred) for v in range(pc.n)]
+    free mask lacks it."""
+    _, free = recompute_masks(pc)
+    return [sum(not f >> v & 1 for f in free) for v in range(pc.n)]
 
 
 def recompute_sat(pc: PartialColoring) -> list[int]:

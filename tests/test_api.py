@@ -147,7 +147,7 @@ def test_search_state_and_hall_snapshot_slots_pinned():
         "ceil_size",
         "class_sizes",
         "uncolored",
-        "barred",
+        "free",
         "residual",
         "cliques",
     )
@@ -155,7 +155,7 @@ def test_search_state_and_hall_snapshot_slots_pinned():
         "n",
         "class_size",
         "uncolored_mask",
-        "barred_mask",
+        "free_mask",
         "adj_mask",
         "sat",
         "k_used",

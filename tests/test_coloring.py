@@ -35,7 +35,7 @@ def test_extend_updates_barred_masks():
     pc.extend(1, 0)
     assert pc.coloring() == [-1, 0, -1]
     # a and c are barred from color 0 and from no other color
-    assert pc.barred_mask[0] == 0b101 and not any(pc.barred_mask[1:])
+    assert pc.free_mask[0] == 0b010 and all(f == 0b111 for f in pc.free_mask[1:])
     assert free_colors(pc, 0, 3) == free_colors(pc, 2, 3) == 0b110
     assert uncolored(pc) == {0, 2}
 
@@ -99,10 +99,10 @@ def test_retract_restores_prior_state():
 
 def test_incremental_matches_recompute_on_random_walks():
     """After every extend and every single-step retract the masks, planes
-    and class statistics equal their recount, and the colors equal the
-    walk's own record of its moves. Some retracts shrink the last class
-    of size M while smaller classes remain, so M_count is recounted
-    there."""
+    and class statistics equal their recount, no free mask holds a bit at
+    or above n, and the colors equal the walk's own record of its moves.
+    Some retracts shrink the last class of size M while smaller classes
+    remain, so M_count is recounted there."""
     rng = random.Random(71)
     recounts = 0
     for _ in range(120):
@@ -123,7 +123,8 @@ def test_incremental_matches_recompute_on_random_walks():
                 recounts += 0 < pc.M < M
             check_colors(pc, path)
             assert recompute_sat(pc) == pc.sat
-            assert recompute_masks(pc) == (pc.uncolored_mask, pc.barred_mask)
+            assert recompute_masks(pc) == (pc.uncolored_mask, pc.free_mask)
+            assert all(f >> g.n == 0 for f in pc.free_mask)
             check_class_statistics(pc)
     assert recounts >= 20, recounts
 
@@ -158,7 +159,7 @@ def test_retract_to_a_mark_matches_recompute_and_single_steps():
     backtrack only from a full coloring, whose last vertex saturation
     n - 1 carried into the top plane unless n is a power of two. After
     every extend and backtrack the colors equal the walk's own record of
-    the moves on its path."""
+    the moves on its path, and no free mask holds a bit at or above n."""
     rng = random.Random(73)
     # (graph, chance of a backtrack while some vertex is uncolored)
     walks = [(complete(n), 0.0) for n in range(1, 18)]
@@ -187,7 +188,8 @@ def test_retract_to_a_mark_matches_recompute_and_single_steps():
                 assert pc.sat is sat
                 assert len(pc._trail) == mark[0]
                 assert recompute_sat(pc) == pc.sat
-                assert recompute_masks(pc) == (pc.uncolored_mask, pc.barred_mask)
+                assert recompute_masks(pc) == (pc.uncolored_mask, pc.free_mask)
+                assert all(f >> g.n == 0 for f in pc.free_mask + twin.free_mask)
                 check_class_statistics(pc)
                 assert snapshot(pc) == snapshot(twin)
             if pc.uncolored_mask:
@@ -201,6 +203,7 @@ def test_retract_to_a_mark_matches_recompute_and_single_steps():
                 path.append((v, i))
                 check_colors(pc, path)
                 check_class_statistics(pc)
+                assert all(f >> g.n == 0 for f in pc.free_mask)
     assert backtracks > 1000
     assert {n for n in range(2, 18) if n & (n - 1)} <= top_restored
 
@@ -385,7 +388,7 @@ def test_capped_greedy_returns_exactly_its_equitable_replays():
             for _ in range(g.n):
                 v = _dsatur_pick(pc)
                 free = [i for i in range(k)
-                        if pc.class_size[i] < cap and not pc.barred_mask[i] >> v & 1]
+                        if pc.class_size[i] < cap and pc.free_mask[i] >> v & 1]
                 if not free:
                     outcome, want = "stuck", None
                     break

@@ -85,17 +85,17 @@ def test_two_starved_classes_fail_the_single_color_rules():
     assert brute_extendable(g, pc, 3) is False
 
 
-def _clique_and_barred(masks, k0):
+def _clique_and_free(masks, k0):
     """The clique matching's input for members 0, 1, ... with the given
     free-color masks: the clique's vertex bitmask and, per color below
-    k0, the bitmask of the members it is not free for."""
-    barred = [mask(w for w, m in enumerate(masks) if not m >> c & 1) for c in range(k0)]
-    return (1 << len(masks)) - 1, barred
+    k0, the bitmask of the members it is free for."""
+    free = [mask(w for w, m in enumerate(masks) if m >> c & 1) for c in range(k0)]
+    return (1 << len(masks)) - 1, free
 
 
 def test_clique_sdr_cases():
     def sdr(masks, k0):
-        return _clique_has_sdr(*_clique_and_barred(masks, k0))
+        return _clique_has_sdr(*_clique_and_free(masks, k0))
 
     assert sdr([0b01, 0b01], 2) is False  # both forced to color 0
     assert sdr([0b011, 0b110, 0b101], 3) is True
@@ -105,9 +105,9 @@ def test_clique_sdr_cases():
     # and {1, 2}) and color 2 to nobody, leaving member 2 (free for {0}):
     # only the augmenting search places it, shifting member 1 to color 2
     # and member 0 to color 1.
-    assert _clique_has_sdr(0b111, [0b010, 0b100, 0b101]) is True
+    assert _clique_has_sdr(0b111, [0b101, 0b011, 0b010]) is True
     # with member 1 barred from color 2 as well, no path frees color 0
-    assert _clique_has_sdr(0b111, [0b010, 0b100, 0b111]) is False
+    assert _clique_has_sdr(0b111, [0b101, 0b011, 0b000]) is False
 
 
 def test_clique_hall_uses_free_sets():
@@ -362,11 +362,11 @@ def test_rules_and_flow_agree_with_literal_network_on_search_states(monkeypatch)
 
 def _context_fields(ctx):
     """The context's fields, with each member's free-color mask read off
-    the per-color barred masks."""
+    the per-color free masks."""
 
     def free_masks(vertices):
         return [
-            mask(c for c, bar in enumerate(ctx.barred) if not bar >> w & 1)
+            mask(c for c, fr in enumerate(ctx.free) if fr >> w & 1)
             for w in mask_vertices(vertices)
         ]
 
@@ -432,7 +432,7 @@ def _literal_verdicts(fields):
         fields["floor_size"] - s <= supply for s, supply in zip(sizes, fields["supply"])
     )
     clique = all(
-        _clique_has_sdr(*_clique_and_barred(masks, k0))
+        _clique_has_sdr(*_clique_and_free(masks, k0))
         for masks in fields["clique_masks"]
     )
     room = [fields["ceil_size"] - s for s in sizes]
@@ -639,7 +639,7 @@ def _hall_condition(masks):
 def test_clique_sdr_equals_hall_condition_exhaustively():
     """The greedy-seeded matching decides exactly Hall's condition, on
     random families of at most 7 free-color masks over k0 <= 8 colors,
-    given as a clique and per-color barred masks, including families the
+    given as a clique and per-color free masks, including families the
     color-by-color greedy alone cannot settle and families with more
     members than colors."""
     rng = random.Random(75)
@@ -653,11 +653,11 @@ def test_clique_sdr_equals_hall_condition_exhaustively():
             for _ in range(rng.randint(0, 7))
         ]
         want = _hall_condition(masks)
-        q, barred = _clique_and_barred(masks, k0)
-        assert _clique_has_sdr(q, barred) is want
+        q, free = _clique_and_free(masks, k0)
+        assert _clique_has_sdr(q, free) is want
         left = q
-        for bar in barred:  # the greedy: each color to its lowest free member
-            x = left & ~bar
+        for fr in free:  # the greedy: each color to its lowest free member
+            x = left & fr
             left ^= x & -x
         outcomes[want, not left] += 1
         oversized += len(masks) > k0
