@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .graph import Graph, check_gnp_args, gen_gnp, parse_dimacs
@@ -29,15 +30,18 @@ def instance_seed(base: int, n: int, p: float, index: int) -> int:
     return h >> 1
 
 
+def _read_dimacs(path: str) -> tuple[str, Graph]:
+    """(file name, graph) of a DIMACS file. An unreadable file raises
+    OSError, whose message names the path; a malformed one ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return os.path.basename(path), parse_dimacs(fh.read())
+
+
 def cmd_solve(args) -> int:
     try:
         cfg = SolverConfig(variant=args.algo, time_limit=args.time_limit)
-        with open(args.path, "r", encoding="utf-8") as fh:
-            g = parse_dimacs(fh.read())
-    except OSError as exc:
-        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+        name, g = _read_dimacs(args.path)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     sol, stats = solve(g, cfg)
@@ -66,7 +70,7 @@ def cmd_solve(args) -> int:
         }))
         return code
     lines = {
-        "instance": args.path.rsplit("/", 1)[-1],
+        "instance": name,
         "n": g.n,
         "density": f"{g.density():.4f}",
         "chi_eq" if sol.optimal else "best_found": sol.chi_eq,
@@ -227,12 +231,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instances: list[tuple[str, Graph]] = []
     try:
         configs = [SolverConfig(v, args.time_limit) for v in VARIANTS]
-        for path in args.paths:
-            with open(path, "r", encoding="utf-8") as fh:
-                instances.append((path.rsplit("/", 1)[-1], parse_dimacs(fh.read())))
+        instances = [_read_dimacs(path) for path in args.paths]
         if args.gnp:
             n, p, count = int(args.gnp[0]), float(args.gnp[1]), int(args.gnp[2])
             if count < 1:

@@ -10,11 +10,11 @@ growth both take the lowest vertex index: the solver searches a copy of
 its graph relabeled by `Graph.order` (`Graph.relabeled`), where that is
 the static order of decreasing degree with ties to the lowest index.
 
-A decomposition also keeps the union of its cliques, so a projection that
-takes no clique member, such as coloring a residual vertex, is O(1): one
-AND decides it, and it returns the same cliques tuple with a new residual.
-A decomposition lies inside the uncolored set it was made or projected
-for, which the Hall rules rely on.
+A decomposition also keeps the union of its cliques, given by whoever
+builds it, so a projection that takes no clique member, such as coloring
+a residual vertex, is O(1): one AND decides it, and it returns the same
+cliques tuple with a new residual. A decomposition lies inside the
+uncolored set it was made or projected for, which the Hall rules rely on.
 """
 
 from __future__ import annotations
@@ -27,22 +27,18 @@ class CliqueDecomposition:
     joins two distinct cliques) and a residual set U0 covering the rest.
 
     `masks` holds the cliques and `residual_mask` the residual set, as
-    vertex bitmasks. `covered_mask` keeps the union of the cliques, so a
-    projection that takes no clique member (`restricted_to`) is decided
-    with one AND and returns the same `masks` tuple; the constructor ORs
-    the cliques when it is not given. `residual` (the residual's vertex
-    ids) and `covered()` (the number of clique vertices) serve the
-    benchmark's layer trace; the search reads only the masks."""
+    vertex bitmasks. `covered_mask` is the union of the cliques, which the
+    caller passes in, so a projection that takes no clique member
+    (`restricted_to`) is decided with one AND and returns the same `masks`
+    tuple. The search reads only these three masks; `residual` (the
+    residual's vertex ids) and `covered()` (the number of clique vertices)
+    are read only by the benchmark's layer trace."""
 
     __slots__ = ("masks", "residual_mask", "covered_mask")
 
-    def __init__(self, masks, residual_mask: int, covered_mask: int | None = None):
+    def __init__(self, masks, residual_mask: int, covered_mask: int):
         self.masks = tuple(masks)
         self.residual_mask = residual_mask
-        if covered_mask is None:
-            covered_mask = 0
-            for c in self.masks:
-                covered_mask |= c
         self.covered_mask = covered_mask
 
     @property
@@ -113,9 +109,3 @@ def find_non_adjacent_cliques(g: Graph, uncolored: int) -> CliqueDecomposition:
         else:
             residual |= clique
     return CliqueDecomposition(cliques, residual, uncolored ^ residual)
-
-
-def restarted_decomposition(g: Graph, uncolored: int) -> CliqueDecomposition:
-    """The root's decomposition: `find_non_adjacent_cliques` under the name
-    the benchmark's layer trace (`perfbench/layers.py`) times as the root."""
-    return find_non_adjacent_cliques(g, uncolored)

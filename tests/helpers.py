@@ -186,11 +186,20 @@ def mask(vertices) -> int:
     return out
 
 
+def decomposition(cliques, residual_mask: int) -> CliqueDecomposition:
+    """The decomposition of the given clique masks and residual mask, with
+    the union of the cliques ORed here, as the package's builders pass it."""
+    covered = 0
+    for c in cliques:
+        covered |= c
+    return CliqueDecomposition(cliques, residual_mask, covered)
+
+
 def random_decomposition(rng, g: Graph, uncolored) -> CliqueDecomposition:
     """Trivial, greedy, or randomly seeded-greedy decomposition."""
     kind = rng.randrange(3)
     if kind == 0 or not uncolored:
-        return CliqueDecomposition((), mask(uncolored))
+        return CliqueDecomposition((), mask(uncolored), 0)
     if kind == 1:
         return find_non_adjacent_cliques(g, mask(uncolored))
     return seeded_decomposition(g, mask(uncolored), rng.choice(sorted(uncolored)))
@@ -211,10 +220,12 @@ def seeded_decomposition(g: Graph, uncolored: int, seed: int) -> CliqueDecomposi
         boundary |= g.adj_mask[w]
     if not clique & (clique - 1):  # a singleton joins the residual
         rest = find_non_adjacent_cliques(g, uncolored & ~clique)
-        return CliqueDecomposition(rest.masks, rest.residual_mask | clique)
+        return CliqueDecomposition(rest.masks, rest.residual_mask | clique, rest.covered_mask)
     fenced = boundary & uncolored & ~clique
     rest = find_non_adjacent_cliques(g, uncolored & ~clique & ~fenced)
-    return CliqueDecomposition((clique,) + rest.masks, rest.residual_mask | fenced)
+    return CliqueDecomposition(
+        (clique,) + rest.masks, rest.residual_mask | fenced, clique | rest.covered_mask
+    )
 
 
 def cliques_only_state(rng, max_cliques=3, max_colored=4):
@@ -255,7 +266,7 @@ def cliques_only_state(rng, max_cliques=3, max_colored=4):
         pc.extend(v, rng.choice(choices))
     if pc.k_used > k0 or pc.M > ceil:
         return None
-    decomp = CliqueDecomposition([mask(c) for c in cliques], 0)
+    decomp = decomposition([mask(c) for c in cliques], 0)
     return g, pc, decomp, k0
 
 
@@ -510,7 +521,7 @@ def literal_hall_context(pc: PartialColoring, decomp: CliqueDecomposition, k0: i
         for f in range(k0):
             supply[f] += or_mask >> f & 1
         clique_masks.append(masks)
-    for v in sorted(decomp.residual):
+    for v in mask_vertices(decomp.residual_mask):
         fm = free_colors(pc, v, k0)
         resid_masks.append(fm)
         classify(fm)

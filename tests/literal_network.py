@@ -110,9 +110,9 @@ def build_network(
         raise ValueError(f"class of size {pc.M} exceeds ceil(n/k0)={ceil_size}")
     parts = [mask_vertices(c) for c in decomp.masks]
     alphas = [1] * len(parts)
-    if decomp.residual:
-        parts.append(tuple(sorted(decomp.residual)))
-        alphas.append(len(decomp.residual))
+    if decomp.residual_mask:
+        parts.append(mask_vertices(decomp.residual_mask))
+        alphas.append(decomp.residual_mask.bit_count())
     u_vertices = [v for part in parts for v in part]
     if len(u_vertices) != len(set(u_vertices)) or set(u_vertices) != uncolored(pc):
         raise ValueError("decomposition does not cover the uncolored set exactly")

@@ -66,7 +66,7 @@ def test_criterion_2_flow_soundness_and_exactness(state_corpus):
         if extendable:
             assert feasible, "extendable state judged infeasible"
             sound += 1
-        if not decomp.residual:
+        if not decomp.residual_mask:
             assert feasible == extendable, "exactness broken on clique cover"
             exact += 1
     assert len(state_corpus) >= 10_000 and exact >= 1_500

@@ -34,9 +34,16 @@ def test_solve_each_algo(myciel4_file, capsys):
 
 
 def test_solve_missing_file(capsys):
-    rc = main(["solve", "does-not-exist.col"])
-    assert rc == 1
-    assert "error" in capsys.readouterr().err
+    """`solve` and `verify` read a file through one reader and report an
+    unreadable one with the same single error line."""
+    for command in ("solve", "verify"):
+        rc = main([command, "does-not-exist.col"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: [Errno 2] No such file or directory: 'does-not-exist.col'\n"
+        )
 
 
 def test_solve_parse_error(tmp_path, capsys):

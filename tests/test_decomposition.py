@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from eqcolor import Graph, gen_gnp
+from eqcolor import Graph, SolverConfig, gen_gnp, solve, solver
 from eqcolor.decomposition import (
     CliqueDecomposition,
     find_non_adjacent_cliques,
     mask_vertices,
-    restarted_decomposition,
 )
+from eqcolor.instances import by_name
 from helpers import (
     check_decomposition,
     complete,
+    decomposition,
     hub_triangles_graph,
     mask,
     reference_decomposition,
@@ -29,34 +30,22 @@ def test_hub_triangles_after_hub_colored():
     d = find_non_adjacent_cliques(g, uncolored)
     check_decomposition(d, g, uncolored)
     assert sorted(sorted(c) for c in clique_vertices(d)) == [[6, 7, 8], [9, 10, 11]]
-    assert d.residual == {1, 2, 3, 4, 5}
-    assert d.residual >= {2, 3, 4, 5}
+    assert mask_vertices(d.residual_mask) == (1, 2, 3, 4, 5)
+    assert not mask([2, 3, 4, 5]) & ~d.residual_mask
 
 
 def test_edgeless_all_residual():
     g = Graph(5, [])
     d = find_non_adjacent_cliques(g, mask(range(5)))
     assert clique_vertices(d) == ()
-    assert d.residual == frozenset(range(5))
+    assert d.residual_mask == mask(range(5))
 
 
 def test_single_triangle():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     d = find_non_adjacent_cliques(g, mask(range(3)))
     assert clique_vertices(d) == ((0, 1, 2),)
-    assert not d.residual
-
-
-def test_tries_one_matches_plain():
-    rng = random.Random(5)
-    for _ in range(30):
-        g = gen_gnp(rng.randint(2, 12), rng.random(), rng.getrandbits(32))
-        uncolored = mask(v for v in range(g.n) if rng.random() < 0.8)
-        if not uncolored:
-            continue
-        a = find_non_adjacent_cliques(g, uncolored)
-        b = restarted_decomposition(g, uncolored)
-        assert a.masks == b.masks and a.residual_mask == b.residual_mask
+    assert not d.residual_mask
 
 
 def test_triangle_plus_pendant_covered_three():
@@ -64,25 +53,23 @@ def test_triangle_plus_pendant_covered_three():
     # recovers the full triangle
     g = Graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
     d = find_non_adjacent_cliques(g, mask(range(4)))
-    assert d.covered() == 3
-    d = restarted_decomposition(g, mask(range(4)))
-    assert d.covered() == 3
-    assert d.residual == {3}
+    assert d.covered_mask.bit_count() == 3
+    assert mask_vertices(d.residual_mask) == (3,)
 
 
 def test_k4_single_clique():
-    d = restarted_decomposition(complete(4), mask(range(4)))
+    d = find_non_adjacent_cliques(complete(4), mask(range(4)))
     assert clique_vertices(d) == ((0, 1, 2, 3),)
-    assert not d.residual
+    assert not d.residual_mask
 
 
 def test_validator_rejects_bad_decompositions():
     g = Graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
     every = mask(range(4))
     bad = [
-        CliqueDecomposition([mask([0, 3]), mask([1, 2])], 0),  # adjacent cliques
-        CliqueDecomposition([mask([1, 3])], mask([0, 2])),  # not a clique
-        CliqueDecomposition([mask([0, 1])], 0),  # missing coverage
+        decomposition([mask([0, 3]), mask([1, 2])], 0),  # adjacent cliques
+        decomposition([mask([1, 3])], mask([0, 2])),  # not a clique
+        decomposition([mask([0, 1])], 0),  # missing coverage
     ]
     for d in bad:
         with pytest.raises(ValueError):
@@ -105,12 +92,12 @@ def test_restricted_to_projects_cleanly():
     r = d.restricted_to(smaller)
     check_decomposition(r, g, smaller)
     assert sorted(sorted(c) for c in clique_vertices(r)) == [[6, 7], [9, 10, 11]]
-    assert r.residual == {1, 2}
+    assert mask_vertices(r.residual_mask) == (1, 2)
     # vertices this decomposition never saw land in the residual
     wider = smaller | mask([0])
     r2 = d.restricted_to(wider)
     check_decomposition(r2, g, wider)
-    assert 0 in r2.residual
+    assert r2.residual_mask & mask([0])
 
 
 def test_decomposition_matches_min_reference():
@@ -128,7 +115,7 @@ def test_decomposition_matches_min_reference():
         ascending = [tuple(sorted(c)) for c in cliques]
         assert cliques == ascending
         assert list(clique_vertices(d)) == ascending
-        assert d.residual == residual
+        assert mask_vertices(d.residual_mask) == tuple(sorted(residual))
 
 
 def test_restricted_to_matches_set_projection():
@@ -147,7 +134,7 @@ def test_restricted_to_matches_set_projection():
         uncolored = {v for v in range(g.n) if rng.random() < 0.8}
         d = find_non_adjacent_cliques(g, mask(uncolored))
         members = {v for c in clique_vertices(d) for v in c}
-        residual_only = members | {v for v in d.residual if rng.random() < 0.5}
+        residual_only = members | {v for v in mask_vertices(d.residual_mask) if rng.random() < 0.5}
         dropped = {v for v in uncolored if rng.random() < 0.8}
         widened = {v for v in range(g.n) if rng.random() < 0.7}
         for kind, smaller, exercised in (
@@ -160,7 +147,8 @@ def test_restricted_to_matches_set_projection():
             kept = [tuple(v for v in c if v in smaller) for c in clique_vertices(d)]
             kept = [c for c in kept if len(c) >= 2]
             assert list(clique_vertices(r)) == kept
-            assert r.residual == smaller - {v for c in kept for v in c}
+            rest = smaller - {v for c in kept for v in c}
+            assert mask_vertices(r.residual_mask) == tuple(sorted(rest))
             if kind == "residual only":
                 assert r.masks is d.masks
             kinds[kind] += exercised
@@ -198,3 +186,40 @@ def test_rebuild_without_a_residual_vertex_is_the_projection():
             else:
                 member_changes += not same
     assert residual_checks > 500 and member_changes > 50
+
+
+def test_trace_views_match_the_masks(monkeypatch):
+    """The benchmark's layer trace times the root's decomposition under
+    `solver.restarted_decomposition`, the same function as the node loop's
+    rebuild, and reads `residual` and `covered()` of every decomposition
+    it times: on those a comb search builds or projects, the two views
+    are the residual mask's vertices and the clique union's size."""
+    assert solver.restarted_decomposition is solver.find_non_adjacent_cliques
+    real_find = solver.find_non_adjacent_cliques
+    real_restrict = CliqueDecomposition.restricted_to
+    seen = {"find": 0, "restrict": 0}
+
+    def check(d):
+        assert d.residual == frozenset(mask_vertices(d.residual_mask))
+        assert d.covered() == d.covered_mask.bit_count()
+
+    def find(g, uncolored):
+        d = real_find(g, uncolored)
+        check(d)
+        seen["find"] += 1
+        return d
+
+    def restricted_to(d, uncolored):
+        r = real_restrict(d, uncolored)
+        check(d)
+        check(r)
+        seen["restrict"] += 1
+        return r
+
+    monkeypatch.setattr(solver, "restarted_decomposition", find)
+    monkeypatch.setattr(solver, "find_non_adjacent_cliques", find)
+    monkeypatch.setattr(CliqueDecomposition, "restricted_to", restricted_to)
+    for g in (by_name("queen6_6"), gen_gnp(40, 0.7, 1)):
+        sol, _ = solve(g, SolverConfig(variant="comb"))
+        assert sol.optimal
+    assert seen["find"] > 1000 and seen["restrict"] > 5000, seen

@@ -13,6 +13,7 @@ from helpers import (
     assignment_feasible,
     check_flow,
     cliques_only_state,
+    decomposition,
     find_extension,
     free_colors,
     hub_triangles_state,
@@ -102,7 +103,7 @@ def test_trivial_decomposition_copy_layer_not_binding():
     rng = random.Random(61)
     for _ in range(300):
         g, pc, _, k0 = random_state(rng, n_max=7)
-        trivial = CliqueDecomposition((), pc.uncolored_mask)
+        trivial = CliqueDecomposition((), pc.uncolored_mask, 0)
         net = build_network(pc, trivial, k0)
         for tail, head, lo, up in net.arcs[net.a1_count + net.a2_count :][: net.a3_count]:
             assert lo == 0 and up == pc.uncolored_mask.bit_count()
@@ -283,7 +284,7 @@ def test_search_places_a_vertex_by_bumping_its_clique_mate():
     pc = PartialColoring(g)
     for v, c in ((0, 0), (1, 1), (4, 3), (5, 2), (9, 0), (10, 3)):
         pc.extend(v, c)
-    decomp = CliqueDecomposition([mask([8, 2, 7, 3])], mask([6]))
+    decomp = decomposition([mask([8, 2, 7, 3])], mask([6]))
     assert feasible_flow(build_network(pc, decomp, 5)) is not None
     flow = flow_feasible(HallContext(pc, decomp, 5))
     check_vertex_flow(pc, decomp, 5, flow)
@@ -304,7 +305,7 @@ def test_shift_out_of_a_class_lets_a_clique_mate_in():
     pc = PartialColoring(g)
     for v, c in ((7, 0), (8, 1), (9, 2)):
         pc.extend(v, c)
-    decomp = CliqueDecomposition([mask([0, 1, 6])], mask([2, 3, 4, 5]))
+    decomp = decomposition([mask([0, 1, 6])], mask([2, 3, 4, 5]))
     assert feasible_flow(build_network(pc, decomp, 3)) is not None
     flow = flow_feasible(HallContext(pc, decomp, 3))
     assert flow is not None

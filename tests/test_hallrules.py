@@ -21,6 +21,7 @@ from eqcolor.hallrules import (
 from eqcolor.instances import by_name
 from extension_oracle import brute_extendable
 from helpers import (
+    decomposition,
     free_colors,
     hub_triangles_state,
     literal_hall_context,
@@ -37,7 +38,7 @@ from literal_network import build_network, check_vertex_flow, feasible_flow
 def test_positive_single_k2_strong():
     g = Graph(2, [(0, 1)])
     pc = PartialColoring(g)
-    decomp = CliqueDecomposition([mask([0, 1])], 0)
+    decomp = decomposition([mask([0, 1])], 0)
     ctx = HallContext(pc, decomp, 2)
     assert check_positive_single(ctx) is True
 
@@ -55,7 +56,7 @@ def test_positive_single_vacuous_when_class_full():
     pc = PartialColoring(g)
     pc.extend(0, 0)
     pc.extend(1, 0)  # class 0 at ceil(4/2)
-    decomp = CliqueDecomposition((), pc.uncolored_mask)
+    decomp = CliqueDecomposition((), pc.uncolored_mask, 0)
     ctx = HallContext(pc, decomp, 2)
     assert check_positive_single(ctx) is True
 
@@ -78,7 +79,7 @@ def test_two_starved_classes_fail_the_single_color_rules():
         pc.extend(v, 1)
     for v in (5, 6):
         pc.extend(v, 2)
-    decomp = CliqueDecomposition((), pc.uncolored_mask)
+    decomp = CliqueDecomposition((), pc.uncolored_mask, 0)
     ctx = HallContext(pc, decomp, 3)
     assert check_negative_single(ctx) is False
     assert failing_rule(ctx) == "positive_single"
@@ -117,7 +118,7 @@ def test_clique_hall_uses_free_sets():
     pc.extend(3, 0)
     pc.extend(4, 1)
     pc.extend(5, 2)
-    decomp = CliqueDecomposition([mask([0, 1, 2])], 0)
+    decomp = decomposition([mask([0, 1, 2])], 0)
     ctx = HallContext(pc, decomp, 3)
     # 0 cannot take color 0, 1 cannot take 1, 2 cannot take 2: still an SDR
     assert check_clique_hall(ctx) is True
@@ -138,7 +139,7 @@ def test_negative_pigeonhole():
     pc.extend(2, 1)
     pc.extend(3, 2)
     # k0=3: ceil(7/3)=3; 4,5,6 all have free set {0} and class 0 has room 1
-    decomp = CliqueDecomposition((), pc.uncolored_mask)
+    decomp = CliqueDecomposition((), pc.uncolored_mask, 0)
     ctx = HallContext(pc, decomp, 3)
     assert check_negative_single(ctx) is False
     assert brute_extendable(g, pc, 3) is False
@@ -151,7 +152,7 @@ def test_negative_families_direct_evaluation():
     pc = PartialColoring(g)
     for v, c in [(0, 0), (1, 1), (2, 2), (3, 3), (4, 0), (5, 1)]:
         pc.extend(v, c)
-    decomp = CliqueDecomposition((), pc.uncolored_mask)
+    decomp = CliqueDecomposition((), pc.uncolored_mask, 0)
     # |F(6)| = |F(7)| = 3, so nobody is forced into a single color
     fields = literal_hall_context(pc, decomp, 4)
     assert fields["single_free"] == [0, 0, 0, 0] and fields["empty_free"] == 0
@@ -162,7 +163,7 @@ def test_negative_open_with_full_freedom():
     g = Graph(6, [])
     pc = PartialColoring(g)
     for k0 in (1, 2, 3):
-        ctx = HallContext(pc, CliqueDecomposition((), pc.uncolored_mask), k0)
+        ctx = HallContext(pc, CliqueDecomposition((), pc.uncolored_mask, 0), k0)
         assert check_negative_single(ctx) is True
 
 
@@ -220,7 +221,7 @@ def test_deficit_prune_implies_flow_prune_under_full_freedom():
         if not deficit_prune(pc, 0, i):
             continue
         pc.extend(v, i)
-        decomp = CliqueDecomposition((), pc.uncolored_mask)
+        decomp = CliqueDecomposition((), pc.uncolored_mask, 0)
         assert flow_prune(pc, decomp, pc.k_used, n + 1, SearchStats(), found=[]) is True
         checked += 1
     assert checked > 50
@@ -240,7 +241,7 @@ def test_rule_menu_misses_spread_deficits_that_flow_catches():
             pc.extend(v, i)
             v += 1
     assert pc.uncolored_mask.bit_count() == 1
-    decomp = CliqueDecomposition((), pc.uncolored_mask)
+    decomp = CliqueDecomposition((), pc.uncolored_mask, 0)
     v, i = pc.retract()
     assert deficit_prune(pc, 0, i) is True
     pc.extend(v, i)

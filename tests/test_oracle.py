@@ -178,7 +178,7 @@ def test_hoffman_empty_u_consistent_windows():
     pc = PartialColoring(g)
     for v in range(4):
         pc.extend(v, v % 2)
-    net = build_network(pc, CliqueDecomposition((), 0), 2)
+    net = build_network(pc, CliqueDecomposition((), 0, 0), 2)
     all_hold, _ = enumerate_hoffman(net)
     assert all_hold is True
     assert feasible_flow(net) is not None
@@ -187,7 +187,7 @@ def test_hoffman_empty_u_consistent_windows():
 def test_hoffman_cap_enforced():
     g = Graph(12, [])
     pc = PartialColoring(g)
-    net = build_network(pc, CliqueDecomposition((), pc.uncolored_mask), 4)
+    net = build_network(pc, CliqueDecomposition((), pc.uncolored_mask, 0), 4)
     with pytest.raises(OracleCapError):
         enumerate_hoffman(net)
     assert enumerate_hoffman(net, max_nodes=24)[0] is True
